@@ -2,10 +2,10 @@
 
 __version__ = "0.1.0"
 
-from .airy import AiryValues, airy_cross, airy_eval, airy_eval_many
+from .airy import AiryValues, airy_eval, airy_eval_many
 from .classical import (DensityCurve, HistogramRun, MeasurementDraws,
                         classical_momentum_density, classical_position_density,
-                        half_period, measurement_histogram, momentum_delta_masses,
+                        measurement_histogram, momentum_delta_masses,
                         project_trajectory, sample_measurements, trajectory)
 from .compare import (ComparisonReport, local_average_compare, minimal_window,
                       momentum_support_mass, plateau_height, v0_sweep)
@@ -13,7 +13,7 @@ from .errors import (AiryOverflowError, ConfigError, NumericalError, RegimeError
                      ResolutionError, SupportError, WellProbError)
 from .model import (ClassicalState, Constants, PotentialKind, PotentialSpec,
                     bouncer, classical_state, closed_court, evaluate_potential,
-                    infinite_well)
+                    half_period, infinite_well)
 from .quantum import (AiryScales, EigenLevel, Eigenstate, MomentumWavefunction,
                       eigenstate_closed_court, eigenstate_infinite_well,
                       eigenvalues_closed_court, infinite_well_energy,
@@ -26,7 +26,7 @@ __all__ = [
     "Eigenstate", "HistogramRun", "MeasurementDraws", "MomentumWavefunction",
     "NumericalError", "PotentialKind", "PotentialSpec", "RegimeError",
     "ResolutionError", "SupportError", "WellProbError",
-    "airy_cross", "airy_eval", "airy_eval_many", "bouncer",
+    "airy_eval", "airy_eval_many", "bouncer",
     "classical_momentum_density", "classical_position_density", "classical_state",
     "closed_court", "eigenstate_closed_court", "eigenstate_infinite_well",
     "eigenvalues_closed_court", "evaluate_potential", "half_period",

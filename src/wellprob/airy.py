@@ -173,9 +173,8 @@ def _asym_sum(coef, inv_zeta, signed):
     return total
 
 
-def _asym_pos_scaled(z):
-    """Scaled asymptotics for z > 0: returns (ai_s, bi_s, aip_s, bip_s, zeta)
-    with Ai = ai_s e^{-zeta}, Bi = bi_s e^{+zeta}, same scaling for primes."""
+def _asym_pos(z):
+    """Exponential asymptotics for z > 0: Ai carries e^{-zeta}, Bi e^{+zeta}."""
     z = np.asarray(z, dtype=float)
     zeta = (2.0 / 3.0) * z ** 1.5
     inv = 1.0 / zeta
@@ -185,11 +184,6 @@ def _asym_pos_scaled(z):
     aip_s = -q * _asym_sum(_V_COEF, inv, signed=True) / (2.0 * sqp)
     bi_s = _asym_sum(_U_COEF, inv, signed=False) / (sqp * q)
     bip_s = q * _asym_sum(_V_COEF, inv, signed=False) / sqp
-    return ai_s, bi_s, aip_s, bip_s, zeta
-
-
-def _asym_pos(z):
-    ai_s, bi_s, aip_s, bip_s, zeta = _asym_pos_scaled(z)
     with np.errstate(over="ignore"):
         ep = np.exp(zeta)
     em = np.exp(-zeta)
@@ -260,36 +254,3 @@ def airy_eval(z: float) -> AiryValues:
     ai, bi, aip, bip = airy_eval_many(np.array([float(z)]))
     return AiryValues(float(ai[0]), float(bi[0]), float(aip[0]), float(bip[0]))
 
-
-def airy_cross(z1: float, z2: float) -> float:
-    """Ai(z1) Bi(z2) - Ai(z2) Bi(z1), stable against envelope cancellation.
-
-    For arguments in the oscillatory / moderate range the product is formed
-    directly.  When both arguments sit far up the positive axis the factors
-    are rescaled by their exponential envelopes exp(+-zeta) first, so the
-    result stays finite as long as the answer itself is representable.
-    """
-    z1 = float(z1)
-    z2 = float(z2)
-    if z1 == z2:
-        return 0.0
-    hi = max(z1, z2)
-    lo = min(z1, z2)
-    sign = 1.0 if (z1, z2) == (lo, hi) else -1.0
-    if hi <= Z_SWITCH:
-        a1 = airy_eval(lo)
-        a2 = airy_eval(hi)
-        return sign * (a1.ai * a2.bi - a2.ai * a1.bi)
-    ai2_s, bi2_s, _, _, zeta2 = _asym_pos_scaled(np.array([hi]))
-    ai2_s, bi2_s, zeta2 = float(ai2_s[0]), float(bi2_s[0]), float(zeta2[0])
-    if lo > Z_SWITCH:
-        ai1_s, bi1_s, _, _, zeta1 = _asym_pos_scaled(np.array([lo]))
-        ai1_s, bi1_s, zeta1 = float(ai1_s[0]), float(bi1_s[0]), float(zeta1[0])
-        d = zeta2 - zeta1
-        if d > _ZETA_OVERFLOW:
-            raise AiryOverflowError("airy_cross overflows: exp(zeta2 - zeta1) too large")
-        return sign * (ai1_s * bi2_s * math.exp(d) - ai2_s * bi1_s * math.exp(-d))
-    a1 = airy_eval(lo)
-    if zeta2 > _ZETA_OVERFLOW:
-        raise AiryOverflowError("airy_cross overflows: Bi(max(z1,z2)) too large")
-    return sign * (a1.ai * bi2_s * math.exp(zeta2) - ai2_s * math.exp(-zeta2) * a1.bi)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import RegimeError, SupportError
 from .model import (ClassicalState, PotentialKind, PotentialSpec, check_energy,
-                    classical_state, evaluate_potential)
+                    classical_state, evaluate_potential, half_period)
 
 # Fraction of the bouncer's apex mass left to the analytic sliver by the
 # default graded grid; trapezoids cannot track the inverse-sqrt divergence.
@@ -89,112 +89,6 @@ class MeasurementDraws:
 
 
 # ---------------------------------------------------------------------------
-# half-period
-
-def _closed_form_tau(spec: PotentialSpec, energy: float) -> float:
-    c = spec.constants
-    if spec.kind is PotentialKind.BOUNCER:
-        height = energy / (c.mass * c.g)
-        return math.sqrt(2.0 * height / c.g)
-    if spec.kind is PotentialKind.INFINITE_WELL:
-        return 2.0 * spec.a * math.sqrt(c.mass / (2.0 * energy))
-    return (math.sqrt(2.0 * c.mass) * (2.0 * spec.a / spec.v0)
-            * (math.sqrt(energy) - math.sqrt(energy - spec.v0)))
-
-
-def _linear_segments(spec: PotentialSpec, energy: float):
-    """Allowed region split into segments on which V is linear."""
-    c = spec.constants
-    if spec.kind is PotentialKind.BOUNCER:
-        return [(0.0, energy / (c.mass * c.g))]
-    if spec.kind is PotentialKind.INFINITE_WELL:
-        return [(-spec.a, spec.a)]
-    return [(-spec.a, 0.0), (0.0, spec.a)]
-
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
-
-
-def _gauss(f, a: float, b: float) -> float:
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return half * float(np.sum(_GL_WEIGHTS * f(mid + half * _GL_NODES)))
-
-
-def tanh_sinh(f, a: float, b: float, tol: float = 1e-12, max_level: int = 12) -> float:
-    """Double-exponential quadrature on (a, b); endpoint singularities OK."""
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    t_max = 4.6  # exp(-(pi/4) sinh t) tail must clear 1e-13 for x^(-1/2) endpoints
-
-    def node_sum(step: float, odd_only: bool) -> float:
-        k = np.arange(-int(t_max / step), int(t_max / step) + 1)
-        if odd_only:
-            k = k[np.abs(k) % 2 == 1]
-        t = k * step
-        u = 0.5 * math.pi * np.sinh(t)
-        # place nodes by their exact distance from the nearest endpoint:
-        # 1 -+ tanh(u) = 2/(1 + exp(+-2u)), which avoids the cancellation
-        # that would otherwise wreck endpoint-singular integrands
-        dist = half * 2.0 / (1.0 + np.exp(2.0 * np.abs(u)))
-        xs = np.where(t < 0, a + dist, b - dist)
-        w = 0.5 * math.pi * np.cosh(t) / np.cosh(u) ** 2
-        inside = (xs > a) & (xs < b)
-        return float(np.sum(w[inside] * f(xs[inside])))
-
-    h = 1.0
-    running = node_sum(h, odd_only=False)
-    value = half * h * running
-    for _ in range(1, max_level):
-        h /= 2.0
-        running += node_sum(h, odd_only=True)
-        new_value = half * h * running
-        if abs(new_value - value) <= tol * max(1.0, abs(new_value)):
-            return new_value
-        value = new_value
-    return value
-
-
-def half_period(spec: PotentialSpec, energy: float, method: str = "closed") -> float:
-    """One-way traversal time tau = sqrt(m/2) * int dx / sqrt(E - V(x)).
-
-    ``method`` is one of ``closed`` (exact piecewise formulas),
-    ``quadrature`` (per-segment substitution u = sqrt(E - V), which removes
-    the turning-point singularity, then Gauss-Legendre), or ``tanhsinh``
-    (endpoint-adapted rule straight on the raw integrand).
-    """
-    check_energy(spec, energy)
-    c = spec.constants
-    if method == "closed":
-        return _closed_form_tau(spec, energy)
-    if method not in ("quadrature", "tanhsinh"):
-        raise ValueError(f"unknown half_period method {method!r}")
-
-    total = 0.0
-    for x0, x1 in _linear_segments(spec, energy):
-        v0, v1 = evaluate_potential(spec, x0), evaluate_potential(spec, x1)
-        slope = (v1 - v0) / (x1 - x0)
-        if method == "tanhsinh":
-            total += tanh_sinh(
-                lambda x: 1.0 / np.sqrt(energy - evaluate_potential(spec, x)), x0, x1)
-            continue
-        if slope == 0.0:
-            total += _gauss(
-                lambda x: 1.0 / np.sqrt(energy - evaluate_potential(spec, x)), x0, x1)
-        else:
-            # u = sqrt(E - V); on a linear segment the transformed integrand
-            # 2u / (|V'| sqrt(E - V(x(u)))) is constant, so the rule is exact.
-            ua = math.sqrt(max(energy - v0, 0.0))
-            ub = math.sqrt(max(energy - v1, 0.0))
-            lo, hi = min(ua, ub), max(ua, ub)
-
-            def transformed(u, _s=slope, _x0=x0, _v0=v0):
-                x = _x0 + (energy - u * u - _v0) / _s
-                return 2.0 * u / (abs(_s) * np.sqrt(energy - evaluate_potential(spec, x)))
-
-            total += _gauss(transformed, lo, hi)
-    return math.sqrt(c.mass / 2.0) * total
-
-
-# ---------------------------------------------------------------------------
 # densities
 
 def speed(spec: PotentialSpec, energy: float, x):
@@ -235,7 +129,7 @@ def position_cdf(spec: PotentialSpec, energy: float, x):
     elif spec.kind is PotentialKind.INFINITE_WELL:
         out = np.clip((xa + spec.a) / (2.0 * spec.a), 0.0, 1.0)
     else:
-        tau = _closed_form_tau(spec, energy)
+        tau = half_period(spec, energy)
         k = math.sqrt(2.0 * c.mass) * spec.a / spec.v0
         root_e_v = np.sqrt(np.clip(energy - spec.v0 * np.abs(xa) / spec.a, 0.0, None))
         t_from_wall = k * (root_e_v - math.sqrt(energy - spec.v0))
@@ -247,7 +141,7 @@ def position_cdf(spec: PotentialSpec, energy: float, x):
 
 
 def classical_position_density(spec: PotentialSpec, energy: float, grid=None,
-                               n_points: int = 4001, tau_method: str = "closed") -> DensityCurve:
+                               n_points: int = 4001) -> DensityCurve:
     """P_CL(x) = 1/(tau v(x)) sampled on ``grid``.
 
     Grid points must lie inside the allowed region and strictly away from
@@ -255,7 +149,7 @@ def classical_position_density(spec: PotentialSpec, energy: float, grid=None,
     the region, grading toward the apex and leaving its last sliver of mass
     to the ``omitted_mass`` metadata.
     """
-    state = classical_state(spec, energy, tau_method=tau_method)
+    state = classical_state(spec, energy)
     if grid is None:
         grid = default_position_grid(spec, energy, n_points)
     grid = np.asarray(grid, dtype=float)
@@ -300,7 +194,7 @@ def _branch_positions(spec: PotentialSpec, energy: float, p_abs: np.ndarray):
 
 
 def classical_momentum_density(spec: PotentialSpec, energy: float, grid=None,
-                               n_points: int = 2001, tau_method: str = "closed") -> DensityCurve:
+                               n_points: int = 2001) -> DensityCurve:
     """P_CL(p): sum over orbit branches of 1/(T_CL |F|), zero off support.
 
     The infinite well has zero force, so its classical momentum density is a
@@ -312,7 +206,7 @@ def classical_momentum_density(spec: PotentialSpec, energy: float, grid=None,
         raise RegimeError(
             "infinite-well momentum density is two delta masses at +-sqrt(2mE); "
             "see momentum_delta_masses / project_trajectory")
-    state = classical_state(spec, energy, tau_method=tau_method)
+    state = classical_state(spec, energy)
     if grid is None:
         grid = default_momentum_grid(spec, energy, n_points)
     grid = np.asarray(grid, dtype=float)

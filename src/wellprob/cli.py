@@ -20,11 +20,12 @@ from .classical import (classical_momentum_density, classical_position_density,
                         sample_measurements, trajectory)
 from .compare import plateau_height, v0_sweep
 from .config import RunConfig, apply_overrides, parse_file
-from .errors import (AiryOverflowError, ConfigError, NumericalError, RegimeError,
-                     ResolutionError, SupportError, WellProbError)
+from .errors import (ConfigError, RegimeError, ResolutionError, SupportError,
+                     WellProbError)
 from .model import PotentialKind, PotentialSpec, bouncer, classical_state, closed_court
-from .quantum import (EigenLevel, eigenstate_closed_court, eigenstate_infinite_well,
-                      infinite_well_energy, momentum_transform, nearest_level, spectrum)
+from .quantum import (EigenLevel, Eigenstate, eigenstate_closed_court,
+                      eigenstate_infinite_well, infinite_well_energy, momentum_transform,
+                      nearest_level, spectrum)
 
 # Reference closed-court parameters being reproduced: (v0, a, E, p-, p+, dp)
 # with hbar = 2m = 1.  Note the quoted (6, 25) row is internally inconsistent:
@@ -64,18 +65,45 @@ def _require_energy(cfg: RunConfig) -> float:
     return cfg.task.energy
 
 
-def _select_level(cfg: RunConfig, spec: PotentialSpec) -> EigenLevel:
+def _e_max(cfg: RunConfig) -> float:
+    return cfg.task.e_max if cfg.task.e_max is not None else 12.0
+
+
+def _select_state(cfg: RunConfig, spec: PotentialSpec, levels: list[EigenLevel] | None = None
+                  ) -> tuple[EigenLevel, Eigenstate] | None:
+    """The eigenlevel and normalized eigenstate named by the task options.
+
+    Infinite-well states are named by task.index and task.parity, closed-court
+    states by task.energy (the nearest level).  ``levels`` is the eigensolve
+    listing: with it a closed-court state may also be named by index and
+    parity, and a task that names no state gives None instead of an error.
+    """
     t = cfg.task
+    by_index = t.index is not None and t.parity in ("even", "odd")
+    listing = levels is not None
     if spec.kind is PotentialKind.INFINITE_WELL:
-        if t.index is None or t.parity not in ("even", "odd"):
+        if not by_index:
+            if listing:
+                return None
             raise ConfigError("infinite well needs task.index and task.parity=even|odd")
-        return EigenLevel(energy=infinite_well_energy(spec, t.index, t.parity),
-                          parity=t.parity, index=t.index, residual=0.0)
-    if spec.kind is PotentialKind.CLOSED_COURT:
-        if t.energy is not None:
-            return nearest_level(spec, t.energy, search_width=t.search_width)
+        level = EigenLevel(energy=infinite_well_energy(spec, t.index, t.parity),
+                           parity=t.parity, index=t.index, residual=0.0)
+        return level, eigenstate_infinite_well(spec, t.index, t.parity, n_grid=t.n_grid)
+    if spec.kind is not PotentialKind.CLOSED_COURT:
+        raise ConfigError("no quantum states for this potential kind in this artifact")
+    if listing and by_index:
+        named = [lv for lv in levels if lv.parity == t.parity and lv.index == t.index]
+        if not named:
+            raise ConfigError(f"no {t.parity} level #{t.index} below e_max={_e_max(cfg)}")
+        level = named[0]
+    elif t.energy is not None:
+        level = nearest_level(spec, t.energy, search_width=t.search_width)
+    elif listing:
+        return None
+    else:
         raise ConfigError("closed court needs task.energy to select a state")
-    raise ConfigError("no quantum states for this potential kind in this artifact")
+    return level, eigenstate_closed_court(spec, level.energy, level.parity,
+                                          n_grid=t.n_grid, index=level.index)
 
 
 def cmd_classical(cfg: RunConfig) -> list[Path]:
@@ -122,7 +150,7 @@ def cmd_eigensolve(cfg: RunConfig) -> list[Path]:
     spec = cfg.spec()
     t = cfg.task
     out = _outdir(cfg)
-    e_max = t.e_max if t.e_max is not None else 12.0
+    e_max = _e_max(cfg)
     parities = ("even", "odd") if t.parity == "both" else (t.parity,)
     levels: list[EigenLevel] = []
     if spec.kind is PotentialKind.CLOSED_COURT:
@@ -137,25 +165,13 @@ def cmd_eigensolve(cfg: RunConfig) -> list[Path]:
         levels.sort(key=lambda lv: lv.energy)
     else:
         raise ConfigError("eigensolve supports the well potentials only")
-    written = [_write_csv(_outdir(cfg) / "eigenvalues.csv",
+    written = [_write_csv(out / "eigenvalues.csv",
                           ("index", "parity", "energy", "residual"),
                           [(lv.index, lv.parity, lv.energy, lv.residual) for lv in levels])]
 
-    wants_state = (t.index is not None and t.parity in ("even", "odd")) or (
-        spec.kind is PotentialKind.CLOSED_COURT and t.energy is not None)
-    if wants_state:
-        if spec.kind is PotentialKind.INFINITE_WELL:
-            state = eigenstate_infinite_well(spec, t.index, t.parity, n_grid=t.n_grid)
-        else:
-            if t.index is not None and t.parity in ("even", "odd"):
-                roots = [lv for lv in levels if lv.parity == t.parity and lv.index == t.index]
-                if not roots:
-                    raise ConfigError(f"no {t.parity} level #{t.index} below e_max={e_max}")
-                level = roots[0]
-            else:
-                level = _select_level(cfg, spec)
-            state = eigenstate_closed_court(spec, level.energy, level.parity,
-                                            n_grid=t.n_grid, index=level.index)
+    selected = _select_state(cfg, spec, levels)
+    if selected is not None:
+        state = selected[1]
         written.append(_write_csv(out / "wavefunction.csv", ("x", "psi", "density"),
                                   zip(state.grid, state.psi, state.psi ** 2)))
     return written
@@ -163,15 +179,9 @@ def cmd_eigensolve(cfg: RunConfig) -> list[Path]:
 
 def cmd_momentum(cfg: RunConfig) -> list[Path]:
     spec = cfg.spec()
-    t = cfg.task
     out = _outdir(cfg)
-    level = _select_level(cfg, spec)
-    if spec.kind is PotentialKind.INFINITE_WELL:
-        state = eigenstate_infinite_well(spec, level.index, level.parity, n_grid=t.n_grid)
-    else:
-        state = eigenstate_closed_court(spec, level.energy, level.parity,
-                                        n_grid=t.n_grid, index=level.index)
-    wave = momentum_transform(state, n_points=t.n_points)
+    level, state = _select_state(cfg, spec)
+    wave = momentum_transform(state, n_points=cfg.task.n_points)
     written = []
     if spec.kind is PotentialKind.CLOSED_COURT:
         overlay = classical_momentum_density(spec, level.energy, grid=wave.grid).values
@@ -307,9 +317,6 @@ def main(argv=None) -> int:
     except (ConfigError, RegimeError, SupportError, ResolutionError) as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return 2
-    except (NumericalError, AiryOverflowError) as exc:
-        print(f"error: numerical: {exc}", file=sys.stderr)
-        return 3
     except WellProbError as exc:
         print(f"error: numerical: {exc}", file=sys.stderr)
         return 3

@@ -142,12 +142,26 @@ def check_energy(spec: PotentialSpec, energy: float) -> None:
             )
 
 
-def classical_state(spec: PotentialSpec, energy: float, tau_method: str = "closed") -> ClassicalState:
-    """Turning points, momentum bounds, and half-period at a given energy.
+def half_period(spec: PotentialSpec, energy: float) -> float:
+    """One-way traversal time tau = sqrt(m/2) * int dx / sqrt(E - V(x)).
 
-    ``tau_method`` selects how the half-period is computed; see
-    :func:`wellprob.classical.half_period`.
+    Exact piecewise closed forms: sqrt(2H/g) with apex height H = E/(m g)
+    for the bouncer, 2a sqrt(m/(2E)) for the infinite well, and
+    sqrt(2m) (2a/V0) (sqrt(E) - sqrt(E - V0)) for the closed court.
     """
+    check_energy(spec, energy)
+    c = spec.constants
+    if spec.kind is PotentialKind.BOUNCER:
+        height = energy / (c.mass * c.g)
+        return math.sqrt(2.0 * height / c.g)
+    if spec.kind is PotentialKind.INFINITE_WELL:
+        return 2.0 * spec.a * math.sqrt(c.mass / (2.0 * energy))
+    return (math.sqrt(2.0 * c.mass) * (2.0 * spec.a / spec.v0)
+            * (math.sqrt(energy) - math.sqrt(energy - spec.v0)))
+
+
+def classical_state(spec: PotentialSpec, energy: float) -> ClassicalState:
+    """Turning points, momentum bounds, and half-period at a given energy."""
     check_energy(spec, energy)
     c = spec.constants
     p_plus = math.sqrt(2.0 * c.mass * energy)
@@ -159,9 +173,5 @@ def classical_state(spec: PotentialSpec, energy: float, tau_method: str = "close
         turning = (0.0, energy / (c.mass * c.g))
     else:
         turning = (-spec.a, spec.a)
-
-    from .classical import half_period
-
-    tau = half_period(spec, energy, method=tau_method)
     return ClassicalState(energy=energy, p_minus=p_minus, p_plus=p_plus,
-                          tau=tau, turning_points=turning)
+                          tau=half_period(spec, energy), turning_points=turning)

@@ -23,9 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .airy import airy_eval_many
-from .classical import DensityCurve, half_period
+from .classical import DensityCurve
 from .errors import NumericalError, RegimeError, ResolutionError
-from .model import PotentialKind, PotentialSpec
+from .model import PotentialKind, PotentialSpec, half_period
 
 _EIGEN_RESIDUAL_TOL = 1e-6  # envelope-normalized determinant at accepted E
 _BISECT_ITERS = 64

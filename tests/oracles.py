@@ -3,12 +3,18 @@
 Everything here deliberately avoids the package's own algorithms:
 eigenvalues come from a finite-difference Hamiltonian (dense tridiagonal,
 Richardson-extrapolated), transforms from plain dense Simpson quadrature,
-and derivatives from high-order stencils.
+derivatives from high-order stencils, half-periods from quadrature of the
+defining integral (the package uses closed forms), and the Airy boundary
+determinant from scipy's Airy functions.
 """
 
+import math
+
 import numpy as np
-from scipy import linalg
+from scipy import linalg, special
 from scipy.integrate import simpson
+
+from wellprob.model import PotentialKind, evaluate_potential
 
 
 def fd_eigenvalues(a, v0, e_max, hbar=1.0, mass=0.5, n=3000):
@@ -55,3 +61,108 @@ def boxcar_average_bruteforce(grid, values, window, points):
         xs = np.linspace(lo, hi, 2001)
         out[i] = np.trapezoid(np.interp(xs, grid, values), xs) / window
     return out
+
+
+# ---------------------------------------------------------------------------
+# half-period references: quadrature of sqrt(m/2) dx / sqrt(E - V(x))
+
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
+
+
+def _gauss(f, a, b):
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    return half * float(np.sum(_GL_WEIGHTS * f(mid + half * _GL_NODES)))
+
+
+def tanh_sinh(f, a, b, tol=1e-12, max_level=12):
+    """Double-exponential quadrature on (a, b); endpoint singularities OK."""
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    t_max = 4.6  # exp(-(pi/4) sinh t) tail must clear 1e-13 for x^(-1/2) endpoints
+
+    def node_sum(step, odd_only):
+        k = np.arange(-int(t_max / step), int(t_max / step) + 1)
+        if odd_only:
+            k = k[np.abs(k) % 2 == 1]
+        t = k * step
+        u = 0.5 * math.pi * np.sinh(t)
+        # place nodes by their exact distance from the nearest endpoint:
+        # 1 -+ tanh(u) = 2/(1 + exp(+-2u)), which avoids the cancellation
+        # that would otherwise wreck endpoint-singular integrands
+        dist = half * 2.0 / (1.0 + np.exp(2.0 * np.abs(u)))
+        xs = np.where(t < 0, a + dist, b - dist)
+        w = 0.5 * math.pi * np.cosh(t) / np.cosh(u) ** 2
+        inside = (xs > a) & (xs < b)
+        return float(np.sum(w[inside] * f(xs[inside])))
+
+    h = 1.0
+    running = node_sum(h, odd_only=False)
+    value = half * h * running
+    for _ in range(1, max_level):
+        h /= 2.0
+        running += node_sum(h, odd_only=True)
+        new_value = half * h * running
+        if abs(new_value - value) <= tol * max(1.0, abs(new_value)):
+            return new_value
+        value = new_value
+    return value
+
+
+def _linear_segments(spec, energy):
+    """Allowed region split into (x0, x1, turning) pieces on which V is linear.
+
+    ``turning`` is the end of the piece where V = E (None if neither is).
+    """
+    c = spec.constants
+    if spec.kind is PotentialKind.BOUNCER:
+        height = energy / (c.mass * c.g)
+        return [(0.0, height, height)]
+    if spec.kind is PotentialKind.INFINITE_WELL:
+        return [(-spec.a, spec.a, None)]
+    return [(-spec.a, 0.0, None), (0.0, spec.a, None)]
+
+
+def _raw_integrand(spec, energy):
+    return lambda x: 1.0 / np.sqrt(energy - evaluate_potential(spec, x))
+
+
+def half_period_quadrature(spec, energy):
+    """tau by Gauss-Legendre per linear piece of V.
+
+    Sloped pieces use u = sqrt(E - V), which removes the turning-point
+    singularity and makes the integrand constant, so the rule is exact.
+    u is taken as exactly 0 at a turning point: E - V(x_turn) evaluated in
+    floating point is ~eps E, whose square root would move the limit off 0.
+    """
+    total = 0.0
+    for x0, x1, turning in _linear_segments(spec, energy):
+        v0, v1 = evaluate_potential(spec, x0), evaluate_potential(spec, x1)
+        slope = (v1 - v0) / (x1 - x0)
+        if slope == 0.0:
+            total += _gauss(_raw_integrand(spec, energy), x0, x1)
+            continue
+        ua = 0.0 if x0 == turning else math.sqrt(energy - v0)
+        ub = 0.0 if x1 == turning else math.sqrt(energy - v1)
+
+        def transformed(u, _s=slope, _x0=x0, _v0=v0):
+            x = _x0 + (energy - u * u - _v0) / _s
+            return 2.0 * u / (abs(_s) * np.sqrt(energy - evaluate_potential(spec, x)))
+
+        total += _gauss(transformed, min(ua, ub), max(ua, ub))
+    return math.sqrt(spec.constants.mass / 2.0) * total
+
+
+def half_period_tanh_sinh(spec, energy):
+    """tau by tanh-sinh straight on the raw integrand of each linear piece."""
+    total = sum(tanh_sinh(_raw_integrand(spec, energy), x0, x1)
+                for x0, x1, _ in _linear_segments(spec, energy))
+    return math.sqrt(spec.constants.mass / 2.0) * total
+
+
+# ---------------------------------------------------------------------------
+# Airy boundary determinant from scipy's Airy functions
+
+def airy_cross(z1, z2):
+    """Ai(z1) Bi(z2) - Ai(z2) Bi(z1) by direct products of scipy values."""
+    ai1, _, bi1, _ = special.airy(z1)
+    ai2, _, bi2, _ = special.airy(z2)
+    return float(ai1 * bi2 - ai2 * bi1)

@@ -19,7 +19,7 @@ import wellprob as wp
 from wellprob.cli import cmd_table1
 from wellprob.config import RunConfig, apply_overrides
 from conftest import TABLE1, record_acceptance
-from oracles import fd_eigenvalues
+from oracles import fd_eigenvalues, half_period_quadrature
 
 CHI2_9_Q99 = 21.666
 
@@ -80,21 +80,23 @@ def test_criterion_1_row2_p_minus_self_consistent(table1_rows):
 def test_criterion_2_classical_oracle_equivalence():
     for v0, e in ((10.0, 10.066), (2.0, 10.105)):
         spec = wp.closed_court(a=25.0, v0=v0)
-        s = wp.classical_state(spec, e, tau_method="quadrature")
+        s = wp.classical_state(spec, e)
+        assert s.tau == pytest.approx(half_period_quadrature(spec, e), rel=1e-12)
         grid = np.linspace(-s.p_plus, s.p_plus, 1000)
-        mom = wp.classical_momentum_density(spec, e, grid=grid, tau_method="quadrature")
+        mom = wp.classical_momentum_density(spec, e, grid=grid)
         on = (np.abs(grid) >= s.p_minus) & (np.abs(grid) <= s.p_plus)
         assert np.max(np.abs(mom.values[on] * 2.0 * s.delta_p - 1.0)) < 1e-8
         assert np.all(mom.values[~on] == 0.0)
 
         x = np.linspace(-24.99, 24.99, 1000)
-        pos = wp.classical_position_density(spec, e, grid=x, tau_method="quadrature")
+        pos = wp.classical_position_density(spec, e, grid=x)
         closed = v0 / (4.0 * 25.0 * (math.sqrt(e) - math.sqrt(e - v0))
                        * np.sqrt(e - v0 * np.abs(x) / 25.0))
         assert np.max(np.abs(pos.values / closed - 1.0)) < 1e-10
     record_acceptance(
         "ACCEPTANCE 2 classical oracles: PASS (branch-summed momentum = 1/(2 dp) "
-        "to 1e-8; 1/(tau v) = closed form to 1e-10, quadrature tau)")
+        "to 1e-8; 1/(tau v) = closed form to 1e-10; closed-form tau = "
+        "quadrature tau to 1e-12)")
 
 
 # ---------------------------------------------------------------------------

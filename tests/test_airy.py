@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 from scipy import special
 
 import wellprob as wp
@@ -140,39 +139,6 @@ def test_crossover_continuity_band():
         for m_vals, a_vals in zip(mac, asym):
             rel = np.abs(np.asarray(m_vals) - np.asarray(a_vals)) / np.abs(a_vals)
             assert np.max(rel) < 1e-9
-
-
-def test_cross_same_argument_is_exactly_zero():
-    assert wp.airy_cross(1.2345, 1.2345) == 0.0
-    assert wp.airy_cross(-17.25, -17.25) == 0.0
-
-
-@settings(max_examples=60)
-@given(z1=st.floats(-30.0, 30.0), z2=st.floats(-30.0, 30.0))
-def test_cross_antisymmetry(z1, z2):
-    assert wp.airy_cross(z1, z2) == -wp.airy_cross(z2, z1)
-
-
-def test_cross_at_first_ai_zero():
-    z_zero = -2.3381074104597670
-    assert abs(wp.airy_eval(z_zero).ai) < 1e-14
-    v0 = wp.airy_eval(0.0)
-    expected = v0.ai * wp.airy_eval(z_zero).bi  # second determinant term vanishes
-    assert wp.airy_cross(0.0, z_zero) == pytest.approx(expected, rel=1e-10)
-
-
-def test_cross_scaled_path_matches_direct_products():
-    for z1, z2 in [(10.0, 12.0), (9.5, 30.0), (5.0, 30.0), (20.0, 40.0)]:
-        a1, a2 = special.airy(z1), special.airy(z2)
-        direct = a1[0] * a2[2] - a2[0] * a1[2]
-        assert wp.airy_cross(z1, z2) == pytest.approx(direct, rel=1e-11)
-
-
-def test_cross_survives_bi_overflow_region():
-    val = wp.airy_cross(120.0, 125.0)
-    assert math.isfinite(val) and val > 0.0
-    with pytest.raises(wp.AiryOverflowError):
-        wp.airy_cross(10.0, 4000.0)
 
 
 def test_bi_overflow_and_domain_errors():

@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
 import wellprob as wp
-from wellprob.classical import position_cdf, momentum_cdf, tanh_sinh
+from wellprob.classical import position_cdf, momentum_cdf
+from oracles import half_period_quadrature, half_period_tanh_sinh, tanh_sinh
 
 CC10 = wp.closed_court(a=25.0, v0=10.0)
 CC2 = wp.closed_court(a=25.0, v0=2.0)
@@ -18,10 +19,27 @@ CHI2_9_Q99 = 21.666  # 99th percentile of chi-square with 9 dof
 # ---------------------------------------------------------------------------
 # half-period
 
-def test_half_period_closed_vs_quadrature_vs_tanhsinh():
-    tau = wp.half_period(CC10, 10.066)
-    assert wp.half_period(CC10, 10.066, "quadrature") == pytest.approx(tau, rel=1e-12)
-    assert wp.half_period(CC10, 10.066, "tanhsinh") == pytest.approx(tau, rel=1e-10)
+CLOSED_COURTS = st.builds(lambda a, v0, ratio: (wp.closed_court(a=a, v0=v0), ratio * v0),
+                          st.floats(1.0, 100.0), st.floats(0.1, 20.0), st.floats(1.001, 10.0))
+INFINITE_WELLS = st.builds(lambda a, e: (wp.infinite_well(a=a), e),
+                           st.floats(1.0, 100.0), st.floats(0.01, 100.0))
+BOUNCERS = st.builds(lambda m, g, e: (wp.bouncer(mass=m, g=g), e),
+                     st.floats(0.1, 10.0), st.floats(0.1, 10.0), st.floats(0.1, 100.0))
+
+
+@settings(max_examples=300)
+@given(case=st.one_of(CLOSED_COURTS, INFINITE_WELLS, BOUNCERS))
+@example(case=(CC10, 10.066))
+# E - V at the apex rounds to ~eps E here; the u-substitution limit must stay 0
+@example(case=(wp.bouncer(mass=9.980867821656812, g=0.8798200768090129), 70.75367929068614))
+def test_half_period_matches_quadrature_oracles(case):
+    spec, e = case
+    tau = wp.half_period(spec, e)
+    assert half_period_quadrature(spec, e) == pytest.approx(tau, rel=1e-12)
+    if spec.kind is not wp.PotentialKind.BOUNCER:
+        # tanh-sinh reconstructs the apex distance inside the raw integrand,
+        # which floors its bouncer accuracy near 1e-8
+        assert half_period_tanh_sinh(spec, e) == pytest.approx(tau, rel=1e-10)
 
 
 def test_half_period_scipy_adaptive_oracle():
@@ -74,17 +92,16 @@ def test_position_density_closed_court_center_value():
     closed = 2.0 / (4.0 * 25.0 * (math.sqrt(e) - math.sqrt(e - 2.0)) * math.sqrt(e))
     assert d.values[0] == pytest.approx(closed, rel=1e-12)
     assert d.values[0] == pytest.approx(0.01895, abs=2e-5)
-    # cross-check against 1/(tau v) with the quadrature tau
-    dq = wp.classical_position_density(CC2, 10.105, grid=np.array([0.0]),
-                                       tau_method="quadrature")
-    assert dq.values[0] == pytest.approx(closed, rel=1e-10)
+    # cross-check against 1/(tau v) with the quadrature-oracle tau
+    tau_q = half_period_quadrature(CC2, e)
+    assert 1.0 / (tau_q * wp.classical.speed(CC2, e, 0.0)) == pytest.approx(closed, rel=1e-10)
 
 
 def test_position_density_closed_form_everywhere():
     # 1/(tau v) against the explicit closed-court formula, 1e-10 pointwise
     e = 10.066
     x = np.linspace(-24.9, 24.9, 1001)
-    d = wp.classical_position_density(CC10, e, grid=x, tau_method="quadrature")
+    d = wp.classical_position_density(CC10, e, grid=x)
     closed = 10.0 / (4.0 * 25.0 * (math.sqrt(e) - math.sqrt(e - 10.0))
                      * np.sqrt(e - 10.0 * np.abs(x) / 25.0))
     assert np.max(np.abs(d.values / closed - 1.0)) < 1e-10
@@ -152,10 +169,10 @@ def test_momentum_density_symmetric(p):
 
 
 def test_momentum_branch_sum_equals_closed_form_quadrature_tau():
-    # two branches of 1/(T|F|) with quadrature tau vs 1/(2 dp), 1e-8 pointwise
+    # two branches of 1/(T|F|) vs the closed form 1/(2 dp), 1e-8 pointwise
     s = wp.classical_state(CC10, 10.066)
     grid = np.linspace(-s.p_plus, s.p_plus, 1000)
-    d = wp.classical_momentum_density(CC10, 10.066, grid=grid, tau_method="quadrature")
+    d = wp.classical_momentum_density(CC10, 10.066, grid=grid)
     on = (np.abs(grid) >= s.p_minus) & (np.abs(grid) <= s.p_plus)
     assert np.max(np.abs(d.values[on] * 2.0 * s.delta_p - 1.0)) < 1e-8
     assert np.all(d.values[~on] == 0.0)

@@ -5,6 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import wellprob as wp
+
 
 def run_cli(*args: str) -> subprocess.CompletedProcess:
     cmd = [sys.executable, "-m", "wellprob", *args]
@@ -146,3 +148,68 @@ def test_exit_code_numerical_error():
                  "--set", "task.energy=10.2", "--set", "task.search_width=0.01")
     assert cp.returncode == 3
     assert cp.stderr.startswith("error: numerical:")
+
+
+# ---------------------------------------------------------------------------
+# state selection: both wells, by index and by energy, and the rejections
+
+CC10_ARGS = ("--set", "potential.kind=closed_court", "--set", "potential.a=25",
+             "--set", "potential.v0=10", "--set", "task.e_max=12",
+             "--set", "task.n_grid=2001")
+IW_ARGS = ("--set", "potential.kind=infinite_well", "--set", "potential.a=25")
+
+
+def read_column(path: Path, name: str) -> np.ndarray:
+    header, rows = read_csv(path)
+    return np.array([float(r[header.index(name)]) for r in rows])
+
+
+def test_eigensolve_closed_court_by_index_and_parity(tmp_path: Path):
+    cp = run_cli("eigensolve", "--out", str(tmp_path), *CC10_ARGS,
+                 "--set", "task.index=2", "--set", "task.parity=even")
+    assert cp.returncode == 0, cp.stderr
+    spec = wp.closed_court(a=25.0, v0=10.0)
+    even = [lv for lv in wp.spectrum(spec, 12.0) if lv.parity == "even"]
+    assert np.array_equal(read_column(tmp_path / "eigenvalues.csv", "energy"),
+                          [lv.energy for lv in even])
+    state = wp.eigenstate_closed_court(spec, even[1].energy, "even", n_grid=2001, index=2)
+    psi = read_column(tmp_path / "wavefunction.csv", "psi")
+    assert np.allclose(psi, state.psi, rtol=0.0, atol=1e-12)
+
+
+def test_eigensolve_closed_court_by_energy(tmp_path: Path, table1_levels):
+    spec, level = table1_levels[0]  # nearest level to E = 10.066 at V0 = 10
+    cp = run_cli("eigensolve", "--out", str(tmp_path), *CC10_ARGS,
+                 "--set", "task.energy=10.066")
+    assert cp.returncode == 0, cp.stderr
+    assert level.energy in read_column(tmp_path / "eigenvalues.csv", "energy")
+    state = wp.eigenstate_closed_court(spec, level.energy, level.parity, n_grid=2001,
+                                       index=level.index)
+    psi = read_column(tmp_path / "wavefunction.csv", "psi")
+    assert np.allclose(psi, state.psi, rtol=0.0, atol=1e-12)
+
+
+def test_momentum_infinite_well_writes_delta_masses(tmp_path: Path):
+    cp = run_cli("momentum", "--out", str(tmp_path), *IW_ARGS,
+                 "--set", "task.index=3", "--set", "task.parity=odd",
+                 "--set", "task.n_grid=6001", "--set", "task.n_points=801")
+    assert cp.returncode == 0, cp.stderr
+    header, rows = read_csv(tmp_path / "classical_momentum_delta.csv")
+    assert header == ["p", "mass"]
+    p_plus = 3.0 * np.pi / 25.0  # k = n pi / a for odd states, hbar = 2m = 1
+    assert np.allclose(sorted(float(r[0]) for r in rows), [-p_plus, p_plus], rtol=1e-14)
+    assert [float(r[1]) for r in rows] == [0.5, 0.5]
+    assert (tmp_path / "momentum_wavefunction.csv").exists()
+
+
+@pytest.mark.parametrize("args", [
+    ("momentum", *IW_ARGS),
+    ("momentum", "--set", "potential.kind=closed_court", "--set", "potential.a=25",
+     "--set", "potential.v0=10"),
+    ("momentum", "--set", "potential.kind=bouncer", "--set", "task.energy=2.0"),
+], ids=["infinite-well-without-index", "closed-court-without-energy", "bouncer"])
+def test_momentum_state_selection_config_errors(tmp_path: Path, args):
+    cp = run_cli(*args, "--out", str(tmp_path))
+    assert cp.returncode == 2
+    assert cp.stderr.startswith("error: config:")
+    assert "\n" not in cp.stderr.strip()

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import wellprob as wp
-from oracles import fd_eigenvalues, simpson_transform
+from oracles import airy_cross, fd_eigenvalues, simpson_transform
 
 CC10 = wp.closed_court(a=25.0, v0=10.0)
 CC6 = wp.closed_court(a=25.0, v0=6.0)
@@ -78,7 +78,7 @@ def test_eigencondition_changes_sign_across_root(table1_levels):
         rho = (spec.a / spec.v0) ** (1.0 / 3.0)  # hbar = 2m = 1
         def det(e):
             sigma = e * spec.a / spec.v0
-            return wp.airy_cross(-sigma / rho, (spec.a - sigma) / rho)
+            return airy_cross(-sigma / rho, (spec.a - sigma) / rho)
         assert det(level.energy - 0.01) * det(level.energy + 0.01) < 0.0
 
 
