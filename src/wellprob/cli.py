@@ -76,32 +76,32 @@ def _select_state(cfg: RunConfig, spec: PotentialSpec, levels: list[EigenLevel] 
     Infinite-well states are named by task.index and task.parity, closed-court
     states by task.energy (the nearest level).  ``levels`` is the eigensolve
     listing: with it a closed-court state may also be named by index and
-    parity, and a task that names no state gives None instead of an error.
+    parity, and a task that names no state (neither index nor energy) gives
+    None instead of an error.  A named state that cannot be selected raises
+    ConfigError, with or without a listing.
     """
     t = cfg.task
     by_index = t.index is not None and t.parity in ("even", "odd")
-    listing = levels is not None
+    if levels is not None and t.index is None and t.energy is None:
+        return None
     if spec.kind is PotentialKind.INFINITE_WELL:
         if not by_index:
-            if listing:
-                return None
             raise ConfigError("infinite well needs task.index and task.parity=even|odd")
         level = EigenLevel(energy=infinite_well_energy(spec, t.index, t.parity),
                            parity=t.parity, index=t.index, residual=0.0)
         return level, eigenstate_infinite_well(spec, t.index, t.parity, n_grid=t.n_grid)
     if spec.kind is not PotentialKind.CLOSED_COURT:
         raise ConfigError("no quantum states for this potential kind in this artifact")
-    if listing and by_index:
+    if levels is not None and by_index:
         named = [lv for lv in levels if lv.parity == t.parity and lv.index == t.index]
         if not named:
             raise ConfigError(f"no {t.parity} level #{t.index} below e_max={_e_max(cfg)}")
         level = named[0]
     elif t.energy is not None:
         level = nearest_level(spec, t.energy, search_width=t.search_width)
-    elif listing:
-        return None
     else:
-        raise ConfigError("closed court needs task.energy to select a state")
+        raise ConfigError("closed court needs task.energy, or task.index with "
+                          "task.parity=even|odd in eigensolve, to select a state")
     return level, eigenstate_closed_court(spec, level.energy, level.parity,
                                           n_grid=t.n_grid, index=level.index)
 
@@ -165,11 +165,10 @@ def cmd_eigensolve(cfg: RunConfig) -> list[Path]:
         levels.sort(key=lambda lv: lv.energy)
     else:
         raise ConfigError("eigensolve supports the well potentials only")
+    selected = _select_state(cfg, spec, levels)
     written = [_write_csv(out / "eigenvalues.csv",
                           ("index", "parity", "energy", "residual"),
                           [(lv.index, lv.parity, lv.energy, lv.residual) for lv in levels])]
-
-    selected = _select_state(cfg, spec, levels)
     if selected is not None:
         state = selected[1]
         written.append(_write_csv(out / "wavefunction.csv", ("x", "psi", "density"),

@@ -28,7 +28,9 @@ from .errors import NumericalError, RegimeError, ResolutionError
 from .model import PotentialKind, PotentialSpec, half_period
 
 _EIGEN_RESIDUAL_TOL = 1e-6  # envelope-normalized determinant at accepted E
-_BISECT_ITERS = 64
+_NEWTON_MAX_ITERS = 64
+_NEWTON_STEP_TOL = 4.0 * np.finfo(float).eps  # relative to |E|
+_NEWTON_STALL_TOL = math.sqrt(np.finfo(float).eps)  # relative; see _newton_roots
 _SCAN_STEPS_PER_LEVEL = 5  # scan resolution relative to the local spacing pi hbar / tau
 
 
@@ -100,7 +102,11 @@ def _require_closed_court(spec: PotentialSpec) -> None:
 
 
 def _eigencondition(spec: PotentialSpec, energies: np.ndarray, parity: str):
-    """Boundary determinant and its envelope scale, vectorized over E."""
+    """Boundary determinant D, its envelope scale and dD/dE, vectorized over E.
+
+    Both Airy arguments move with dz/dE = -a / (V0 rho); the slope uses
+    Ai'' = z Ai and Bi'' = z Bi.
+    """
     energies = np.asarray(energies, dtype=float)
     c = spec.constants
     rho = (c.hbar ** 2 * spec.a / (2.0 * c.mass * spec.v0)) ** (1.0 / 3.0)
@@ -108,19 +114,21 @@ def _eigencondition(spec: PotentialSpec, energies: np.ndarray, parity: str):
     z_origin = -sigma / rho
     z_wall = (spec.a - sigma) / rho
     ai1, bi1, aip1, bip1 = airy_eval_many(z_origin)
-    ai2, bi2, _, _ = airy_eval_many(z_wall)
+    ai2, bi2, aip2, bip2 = airy_eval_many(z_wall)
     if parity == "odd":
         t1, t2 = ai1 * bi2, ai2 * bi1
+        d_dz = aip1 * bi2 + ai1 * bip2 - aip2 * bi1 - ai2 * bip1
     elif parity == "even":
         t1, t2 = aip1 * bi2, ai2 * bip1
+        d_dz = z_origin * (ai1 * bi2 - ai2 * bi1) + aip1 * bip2 - aip2 * bip1
     else:
         raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
-    return t1 - t2, np.abs(t1) + np.abs(t2)
+    return t1 - t2, np.abs(t1) + np.abs(t2), d_dz * (-spec.a / (spec.v0 * rho))
 
 
 def eigencondition_residual(spec: PotentialSpec, energy: float, parity: str) -> float:
     """|determinant| / envelope at one energy; ~0 at an eigenvalue."""
-    val, scale = _eigencondition(spec, np.array([energy]), parity)
+    val, scale, _ = _eigencondition(spec, np.array([energy]), parity)
     return float(np.abs(val[0]) / max(scale[0], 1e-300))
 
 
@@ -146,39 +154,64 @@ def _scan_grid(spec: PotentialSpec, e_min: float, e_max: float) -> np.ndarray:
     return np.array(pts)
 
 
-def eigenvalues_closed_court(spec: PotentialSpec, e_max: float, parity: str,
-                             e_min: float | None = None) -> np.ndarray:
+def _newton_roots(spec: PotentialSpec, parity: str, left: np.ndarray, right: np.ndarray,
+                  f_left: np.ndarray, f_right: np.ndarray) -> np.ndarray:
+    """Bracket-safeguarded Newton iteration, vectorized over the brackets.
+
+    Each root starts at the false-position point of its bracket.  Every
+    evaluation shrinks the bracket to the side that keeps the sign change;
+    a Newton step that leaves the bracket is replaced by its midpoint.  A
+    root is done once its raw Newton step |D / D'| is within 4 eps |E|, or
+    once that step, already below sqrt(eps) |E|, stops shrinking: it is then
+    the determinant's noise floor, which the Airy phase error zeta * eps
+    lifts above 4 eps |E| for |z| beyond about 50.  Near a root the
+    determinant's sign is noise too, so neither the bracket width nor a
+    bisection step is a usable stop test.
+    """
+    x = left - f_left * (right - left) / (f_right - f_left)
+    sign_left = np.sign(f_left)  # the bracket's left end keeps this sign
+    last_step = np.full(len(x), np.inf)
+    todo = np.arange(len(x))
+    for _ in range(_NEWTON_MAX_ITERS):
+        if not len(todo):
+            break
+        xs = x[todo]
+        f, _, df = _eigencondition(spec, xs, parity)
+        keeps_left = np.sign(f) == sign_left[todo]
+        lo = left[todo] = np.where(keeps_left, xs, left[todo])
+        hi = right[todo] = np.where(keeps_left, right[todo], xs)
+        step = f / df
+        nxt = xs - step
+        size = np.abs(step)
+        done = (size <= _NEWTON_STEP_TOL * np.abs(xs)) | (
+            (size >= last_step[todo]) & (size <= _NEWTON_STALL_TOL * np.abs(xs)))
+        last_step[todo] = size
+        x[todo] = np.where(done | ((nxt > lo) & (nxt < hi)), nxt, 0.5 * (lo + hi))
+        todo = todo[~done]
+    return x
+
+
+def eigenvalues_closed_court(spec: PotentialSpec, e_max: float, parity: str) -> np.ndarray:
     """All eigenvalues of one parity in (V0, e_max], sorted ascending.
 
     Roots of the boundary determinant are bracketed on an energy scan finer
-    than the semiclassical level spacing and refined by bisection to
-    machine-level relative accuracy.  A warning is raised if the number of
-    sign changes disagrees with the phase-space count estimate by more
-    than 2 (a bracket may have straddled two roots).
+    than the semiclassical level spacing and refined by a bracket-safeguarded
+    Newton iteration to machine-level relative accuracy.  A warning is
+    raised if the number of sign changes disagrees with the phase-space
+    count estimate by more than 2 (a bracket may have straddled two roots).
     """
     _require_closed_court(spec)
     lo = spec.v0 * (1.0 + 1e-12) + 1e-300
-    if e_min is not None:
-        lo = max(lo, e_min)
     if e_max <= lo:
         return np.array([])
     grid = _scan_grid(spec, lo, e_max)
-    vals, _ = _eigencondition(spec, grid, parity)
+    vals, _, _ = _eigencondition(spec, grid, parity)
     sign_change = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
-    left = grid[sign_change]
-    right = grid[sign_change + 1]
-    f_left = vals[sign_change]
-    for _ in range(_BISECT_ITERS):
-        mid = 0.5 * (left + right)
-        f_mid, _ = _eigencondition(spec, mid, parity)
-        goes_left = np.sign(f_mid) == np.sign(f_left)
-        left = np.where(goes_left, mid, left)
-        f_left = np.where(goes_left, f_mid, f_left)
-        right = np.where(goes_left, right, mid)
-    roots = 0.5 * (left + right)
+    roots = _newton_roots(spec, parity, grid[sign_change], grid[sign_change + 1],
+                          vals[sign_change], vals[sign_change + 1])
 
     expected = 0.5 * (_phase_space_count(spec, e_max) - _phase_space_count(spec, lo))
-    if e_min is None and abs(len(roots) - expected) > 2.0:
+    if abs(len(roots) - expected) > 2.0:
         warnings.warn(
             f"found {len(roots)} {parity} levels in ({lo:.4g}, {e_max:.4g}] but "
             f"phase-space estimate is {expected:.1f}; scan may have skipped roots",
@@ -186,33 +219,35 @@ def eigenvalues_closed_court(spec: PotentialSpec, e_max: float, parity: str,
     return roots
 
 
-def spectrum(spec: PotentialSpec, e_max: float, e_min: float | None = None) -> list[EigenLevel]:
-    """Both parities merged and indexed; also checks even/odd interlacing."""
+def spectrum(spec: PotentialSpec, e_max: float) -> list[EigenLevel]:
+    """Both parities merged and indexed; also checks even/odd interlacing.
+
+    A level's index is its rank among the levels of its parity above V0.
+    """
     levels = []
     for parity in ("even", "odd"):
-        for i, e in enumerate(eigenvalues_closed_court(spec, e_max, parity, e_min=e_min)):
-            levels.append(EigenLevel(energy=float(e), parity=parity, index=i + 1,
-                                     residual=eigencondition_residual(spec, float(e), parity)))
+        roots = eigenvalues_closed_court(spec, e_max, parity)
+        val, scale, _ = _eigencondition(spec, roots, parity)
+        residuals = np.abs(val) / np.maximum(scale, 1e-300)
+        levels += [EigenLevel(energy=float(e), parity=parity, index=i + 1, residual=float(r))
+                   for i, (e, r) in enumerate(zip(roots, residuals))]
     levels.sort(key=lambda lv: lv.energy)
     parities = [lv.parity for lv in levels]
-    if e_min is None and any(a == b for a, b in zip(parities, parities[1:])):
+    if any(a == b for a, b in zip(parities, parities[1:])):
         warnings.warn("even/odd levels do not interlace; a root was likely skipped",
                       SkippedRootWarning)
     return levels
 
 
 def nearest_level(spec: PotentialSpec, e_target: float, search_width: float = 1.0) -> EigenLevel:
-    """The level closest to e_target (searching both parities around it)."""
+    """The level closest to e_target within (max(V0, e_target - search_width),
+    e_target + search_width], indexed as in :func:`spectrum`."""
     lo = max(spec.v0, e_target - search_width)
-    levels = spectrum(spec, e_target + search_width, e_min=lo)
+    levels = [lv for lv in spectrum(spec, e_target + search_width) if lv.energy > lo]
     if not levels:
         raise NumericalError(
             f"no eigenvalue within +-{search_width} of E={e_target} (V0={spec.v0})")
-    best = min(levels, key=lambda lv: abs(lv.energy - e_target))
-    # index from a full count below the found level
-    n_below = len(eigenvalues_closed_court(spec, best.energy * (1.0 + 1e-10), best.parity))
-    return EigenLevel(energy=best.energy, parity=best.parity,
-                      index=max(n_below, 1), residual=best.residual)
+    return min(levels, key=lambda lv: abs(lv.energy - e_target))
 
 
 # ---------------------------------------------------------------------------

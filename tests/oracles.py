@@ -166,3 +166,19 @@ def airy_cross(z1, z2):
     ai1, _, bi1, _ = special.airy(z1)
     ai2, _, bi2, _ = special.airy(z2)
     return float(ai1 * bi2 - ai2 * bi1)
+
+
+def closed_court_determinant(spec, energy, parity):
+    """The closed court's boundary determinant at one energy, from scipy's Airy
+    functions: Ai(z0) Bi(zw) - Ai(zw) Bi(z0) for odd states and
+    Ai'(z0) Bi(zw) - Ai(zw) Bi'(z0) for even ones, with z0 = -sigma/rho at the
+    origin and zw = (a - sigma)/rho at the wall."""
+    c = spec.constants
+    rho = (c.hbar ** 2 * spec.a / (2.0 * c.mass * spec.v0)) ** (1.0 / 3.0)
+    sigma = energy * spec.a / spec.v0
+    z0, zw = -sigma / rho, (spec.a - sigma) / rho
+    if parity == "odd":
+        return airy_cross(z0, zw)
+    _, aip0, _, bip0 = special.airy(z0)
+    aiw, _, biw, _ = special.airy(zw)
+    return float(aip0 * biw - aiw * bip0)

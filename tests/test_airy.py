@@ -69,6 +69,24 @@ def test_mpmath_reference_points():
         assert v.bi_prime == pytest.approx(bip, rel=5e-13), z
 
 
+@pytest.mark.parametrize("batch", [
+    [0.0], [1e-9], [-3e-3], [9.6], [-9.6], [6.5], [-5.0],
+    [1e-9, 9.6], [-9.6, 2e-3], [-1e-9, 9.55, -3e-3, -9.59],
+    [0.0, 1e-9, -1e-9, 2e-3, -3e-3, 6.5, -5.0, 9.3, -9.4, 9.6, -9.6],
+], ids=str)
+def test_maclaurin_mixed_batches_against_mpmath(batch):
+    # The series stops once every point's terms are negligible, so a batch
+    # must still serve its largest |z| when it also holds tiny ones.
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 50
+    values = _maclaurin(np.array(batch))
+    for i, z in enumerate(batch):
+        ref = (mpmath.airyai(z), mpmath.airybi(z),
+               mpmath.airyai(z, derivative=1), mpmath.airybi(z, derivative=1))
+        for got, want in zip((v[i] for v in values), ref):
+            assert got == pytest.approx(float(want), rel=5e-13), z
+
+
 def test_wronskian_invariant_10k_points():
     rng = np.random.default_rng(20210517)
     z = rng.uniform(-40.0, 40.0, 10_000)

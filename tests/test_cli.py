@@ -207,9 +207,24 @@ def test_momentum_infinite_well_writes_delta_masses(tmp_path: Path):
     ("momentum", "--set", "potential.kind=closed_court", "--set", "potential.a=25",
      "--set", "potential.v0=10"),
     ("momentum", "--set", "potential.kind=bouncer", "--set", "task.energy=2.0"),
-], ids=["infinite-well-without-index", "closed-court-without-energy", "bouncer"])
+    ("eigensolve", *IW_ARGS, "--set", "task.index=2"),
+    ("eigensolve", *IW_ARGS, "--set", "task.energy=1.0"),
+    ("eigensolve", *CC10_ARGS, "--set", "task.index=2"),
+], ids=["infinite-well-without-index", "closed-court-without-energy", "bouncer",
+        "eigensolve-infinite-well-index-without-parity",
+        "eigensolve-infinite-well-by-energy",
+        "eigensolve-closed-court-index-without-parity"])
 def test_momentum_state_selection_config_errors(tmp_path: Path, args):
     cp = run_cli(*args, "--out", str(tmp_path))
     assert cp.returncode == 2
     assert cp.stderr.startswith("error: config:")
     assert "\n" not in cp.stderr.strip()
+    assert not any(tmp_path.iterdir())  # a rejected request writes nothing
+
+
+@pytest.mark.parametrize("args", [IW_ARGS, CC10_ARGS], ids=["infinite-well", "closed-court"])
+def test_eigensolve_listing_without_state(tmp_path: Path, args):
+    cp = run_cli("eigensolve", "--out", str(tmp_path), *args, "--set", "task.e_max=1")
+    assert cp.returncode == 0, cp.stderr
+    assert (tmp_path / "eigenvalues.csv").exists()
+    assert not (tmp_path / "wavefunction.csv").exists()

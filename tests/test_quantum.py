@@ -3,9 +3,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.optimize import brentq
 
 import wellprob as wp
-from oracles import airy_cross, fd_eigenvalues, simpson_transform
+from oracles import airy_cross, closed_court_determinant, fd_eigenvalues, simpson_transform
 
 CC10 = wp.closed_court(a=25.0, v0=10.0)
 CC6 = wp.closed_court(a=25.0, v0=6.0)
@@ -87,6 +89,54 @@ def test_nearest_level_reports_parity_and_index(table1_levels):
     assert level.parity == "odd"
     assert level.index == 1  # first odd level above V0 = 10
     assert level.residual < 1e-9
+
+
+@settings(max_examples=30, deadline=None)
+@given(a=st.floats(10.0, 40.0), v0=st.floats(1.0, 12.0), gap=st.floats(0.5, 4.0))
+def test_roots_match_scipy_oracle_and_fd_count(a, v0, gap):
+    spec = wp.closed_court(a=a, v0=v0)
+    e_max = v0 + gap
+    count = 0
+    for parity in ("even", "odd"):
+        roots = wp.eigenvalues_closed_court(spec, e_max, parity)
+        count += len(roots)
+        for e in roots:
+            ref = brentq(lambda x: closed_court_determinant(spec, x, parity),
+                         e * (1.0 - 1e-9), e * (1.0 + 1e-9), xtol=1e-15)
+            assert abs(e - ref) <= 1e-12 * ref, (parity, e, ref)
+    # Levels of the h^4-accurate oracle closer than `tol` to either end of
+    # (V0, e_max] may fall on either side of it.
+    fd = fd_eigenvalues(a, v0, e_max + 1.0)
+    tol = 1e-5 * e_max
+    assert np.sum((fd > v0 + tol) & (fd <= e_max - tol)) <= count
+    assert count <= np.sum((fd > v0 - tol) & (fd <= e_max + tol))
+
+
+def _count_airy_calls(monkeypatch):
+    calls = []
+    airy_eval_many = wp.quantum.airy_eval_many
+
+    def counted(z):
+        calls.append(len(z))
+        return airy_eval_many(z)
+
+    monkeypatch.setattr(wp.quantum, "airy_eval_many", counted)
+    return calls
+
+
+@pytest.mark.parametrize("v0,e_ref", [(10.0, 10.066), (6.0, 10.073), (2.0, 10.105)])
+def test_nearest_level_airy_call_budget(monkeypatch, v0, e_ref):
+    # A fixed-iteration refinement or a rescan for the index would exceed
+    # this budget; counting calls keeps the check free of wall-clock noise.
+    calls = _count_airy_calls(monkeypatch)
+    wp.nearest_level(wp.closed_court(a=25.0, v0=v0), e_ref)
+    assert len(calls) <= 40
+
+
+def test_spectrum_airy_call_budget(monkeypatch):
+    calls = _count_airy_calls(monkeypatch)
+    wp.spectrum(CC10, 12.0)
+    assert len(calls) <= 40
 
 
 # ---------------------------------------------------------------------------
