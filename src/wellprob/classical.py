@@ -183,16 +183,6 @@ def default_momentum_grid(spec: PotentialSpec, energy: float, n_points: int = 20
     return np.concatenate([np.linspace(lo, hi, per) for lo, hi in bands])
 
 
-def _branch_positions(spec: PotentialSpec, energy: float, p_abs: np.ndarray):
-    """Orbit positions where |p(x)| equals p_abs, one array per branch."""
-    c = spec.constants
-    remaining = energy - p_abs ** 2 / (2.0 * c.mass)
-    if spec.kind is PotentialKind.BOUNCER:
-        return [remaining / (c.mass * c.g)]
-    x = spec.a * remaining / spec.v0
-    return [x, -x]
-
-
 def classical_momentum_density(spec: PotentialSpec, energy: float, grid=None,
                                n_points: int = 2001) -> DensityCurve:
     """P_CL(p): sum over orbit branches of 1/(T_CL |F|), zero off support.
@@ -214,9 +204,11 @@ def classical_momentum_density(spec: PotentialSpec, energy: float, grid=None,
     on_support = (p_abs >= state.p_minus - 1e-12) & (p_abs <= state.p_plus + 1e-12)
 
     c = spec.constants
-    force = c.mass * c.g if spec.kind is PotentialKind.BOUNCER else spec.v0 / spec.a
+    bouncer = spec.kind is PotentialKind.BOUNCER
+    force = c.mass * c.g if bouncer else spec.v0 / spec.a
     per_branch = 1.0 / (state.period * force)
-    n_branches = len(_branch_positions(spec, energy, p_abs))
+    # orbit points with a given |p|: one for the bouncer, +-x in the closed court
+    n_branches = 1 if bouncer else 2
     values = np.where(on_support, n_branches * per_branch, 0.0)
     return DensityCurve(variable="momentum", grid=grid, values=values,
                         support=momentum_support(spec, energy))

@@ -34,7 +34,6 @@ _BREAKDOWN_FACTOR = 2.0
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    spec_summary: str
     energy: float
     window: float
     l2_gap_position: float
@@ -104,8 +103,7 @@ def local_average_compare(pqm: DensityCurve, pcl: DensityCurve, window: float,
     state = classical_state(spec, energy)
     dp_int = spec.constants.hbar / spec.a if spec.a else math.inf
     return ComparisonReport(
-        spec_summary=_summary(spec), energy=energy, window=window,
-        l2_gap_position=gap, support_mass_momentum=math.nan,
+        energy=energy, window=window, l2_gap_position=gap, support_mass_momentum=math.nan,
         delta_p_classical=state.delta_p, delta_p_intrinsic=dp_int,
         classical_unreliable=state.delta_p <= _BREAKDOWN_FACTOR * dp_int)
 
@@ -151,38 +149,23 @@ def momentum_support_mass(phi, state: ClassicalState, widen: float) -> float:
     return min(mass / total, 1.0)
 
 
-def _summary(spec: PotentialSpec) -> str:
-    c = spec.constants
-    bits = [spec.kind.value, f"hbar={c.hbar:g}", f"m={c.mass:g}"]
-    if spec.a is not None:
-        bits.insert(1, f"a={spec.a:g}")
-    if spec.kind is PotentialKind.CLOSED_COURT:
-        bits.insert(2, f"v0={spec.v0:g}")
-    if spec.kind is PotentialKind.BOUNCER:
-        bits.append(f"g={c.g:g}")
-    return " ".join(bits)
-
-
 def compare_state(spec: PotentialSpec, level_energy: float, parity: str,
-                  index: int = 0, window: float | None = None) -> ComparisonReport:
+                  index: int) -> ComparisonReport:
     """Full position + momentum comparison for one closed-court eigenstate."""
     state = classical_state(spec, level_energy)
-    eigen = eigenstate_closed_court(spec, level_energy, parity,
-                                    index=index if index else None)
+    eigen = eigenstate_closed_court(spec, level_energy, parity, index=index)
     pqm = position_density(eigen)
     pcl = classical_position_density(spec, level_energy, grid=eigen.grid)
-    if window is None:
-        window = minimal_window(spec, level_energy)
+    window = minimal_window(spec, level_energy)
     base = local_average_compare(pqm, pcl, window, spec, level_energy)
     phi = momentum_transform(eigen)
     dp_int = spec.constants.hbar / spec.a
     frac = momentum_support_mass(phi, state, widen=2.0 * dp_int)
     return ComparisonReport(
-        spec_summary=base.spec_summary, energy=level_energy, window=window,
-        l2_gap_position=base.l2_gap_position, support_mass_momentum=frac,
-        delta_p_classical=state.delta_p, delta_p_intrinsic=dp_int,
-        classical_unreliable=base.classical_unreliable,
-        parity=parity, index=index or eigen.index)
+        energy=level_energy, window=window, l2_gap_position=base.l2_gap_position,
+        support_mass_momentum=frac, delta_p_classical=state.delta_p,
+        delta_p_intrinsic=dp_int, classical_unreliable=base.classical_unreliable,
+        parity=parity, index=index)
 
 
 def v0_sweep(a: float, hbar: float, mass: float, e_target: float,
@@ -202,16 +185,16 @@ def v0_sweep(a: float, hbar: float, mass: float, e_target: float,
             level = nearest_level(spec, e_target, search_width=width)
         except (NumericalError, RegimeError) as exc:
             reports.append(ComparisonReport(
-                spec_summary=_summary(spec), energy=math.nan, window=math.nan,
-                l2_gap_position=math.nan, support_mass_momentum=math.nan,
-                delta_p_classical=math.nan, delta_p_intrinsic=hbar / a,
+                energy=math.nan, window=math.nan, l2_gap_position=math.nan,
+                support_mass_momentum=math.nan, delta_p_classical=math.nan,
+                delta_p_intrinsic=hbar / a,
                 classical_unreliable=False, flag=f"no-eigenvalue: {exc}"))
             continue
         if abs(level.energy - e_target) > rel_tol * e_target:
             reports.append(ComparisonReport(
-                spec_summary=_summary(spec), energy=level.energy, window=math.nan,
-                l2_gap_position=math.nan, support_mass_momentum=math.nan,
-                delta_p_classical=math.nan, delta_p_intrinsic=hbar / a,
+                energy=level.energy, window=math.nan, l2_gap_position=math.nan,
+                support_mass_momentum=math.nan, delta_p_classical=math.nan,
+                delta_p_intrinsic=hbar / a,
                 classical_unreliable=False, parity=level.parity, index=level.index,
                 flag=f"nearest-eigenvalue-off-target-by-{abs(level.energy-e_target)/e_target:.3%}"))
             continue

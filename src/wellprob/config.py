@@ -8,7 +8,7 @@ Four sections, all optional, unknown keys rejected:
     [constants]   hbar, mass, g         (defaults hbar=1, mass=0.5, g=1)
     [task]        command parameters (energy, e_max, parity, index, n_grid,
                   n_points, n_bins, n_draws, seed, e_target, v0_list,
-                  window, search_width)
+                  search_width)
     [output]      directory, format
 
 ``parse_text`` -> ``emit_text`` round-trips: emitting writes every field in
@@ -38,7 +38,6 @@ class TaskOptions:
     seed: int = 12345
     e_target: float | None = None
     v0_list: tuple[float, ...] | None = None
-    window: float | None = None
     search_width: float = 1.0
 
 
@@ -101,7 +100,7 @@ _SECTIONS = {
 }
 
 _FLOAT_KEYS = {"a", "v0", "g", "hbar", "mass", "energy", "e_max", "e_target",
-               "window", "search_width"}
+               "search_width"}
 _INT_KEYS = {"index", "n_grid", "n_points", "n_bins", "n_draws", "seed"}
 _STR_KEYS = {"kind", "parity", "directory", "format"}
 

@@ -32,6 +32,7 @@ _NEWTON_MAX_ITERS = 64
 _NEWTON_STEP_TOL = 4.0 * np.finfo(float).eps  # relative to |E|
 _NEWTON_STALL_TOL = math.sqrt(np.finfo(float).eps)  # relative; see _newton_roots
 _SCAN_STEPS_PER_LEVEL = 5  # scan resolution relative to the local spacing pi hbar / tau
+_TRANSFORM_CHUNK = 256  # momenta per dense phase block in momentum_transform
 
 
 class SkippedRootWarning(UserWarning):
@@ -254,13 +255,14 @@ def nearest_level(spec: PotentialSpec, e_target: float, search_width: float = 1.
 # eigenstates
 
 def eigenstate_closed_court(spec: PotentialSpec, energy: float, parity: str,
-                            n_grid: int = 12001, index: int | None = None) -> Eigenstate:
+                            n_grid: int = 12001, *, index: int) -> Eigenstate:
     """Normalized piecewise-Airy eigenstate at a previously located eigenvalue.
 
     The coefficient pair is the null vector of the origin condition, so odd
     states vanish at x = 0 exactly; the wall value is then proportional to
     the eigencondition residual.  Energies that fail the eigencondition are
-    rejected.
+    rejected.  ``index`` labels the state with the level's rank within its
+    parity, as :func:`spectrum` reports it.
     """
     _require_closed_court(spec)
     residual = eigencondition_residual(spec, energy, parity)
@@ -286,9 +288,7 @@ def eigenstate_closed_court(spec: PotentialSpec, energy: float, parity: str,
     norm = _simpson_uniform(psi ** 2, x[1] - x[0])
     scale = 1.0 / math.sqrt(norm)
     psi = psi * scale
-    if index is None:
-        index = len(eigenvalues_closed_court(spec, energy * (1.0 + 1e-10), parity))
-    return Eigenstate(parity=parity, index=max(index, 1), energy=float(energy),
+    return Eigenstate(parity=parity, index=index, energy=float(energy),
                       grid=x, psi=psi, norm_constant=scale,
                       source="airy_piecewise", spec=spec)
 
@@ -382,8 +382,8 @@ def _filon_moments(q: np.ndarray, h: float):
     return m0, m1, m2
 
 
-def momentum_transform(state: Eigenstate, p_grid=None, n_points: int = 4001,
-                       chunk: int = 256) -> MomentumWavefunction:
+def momentum_transform(state: Eigenstate, p_grid=None,
+                       n_points: int = 4001) -> MomentumWavefunction:
     """Oscillation-aware Fourier transform of a sampled eigenstate.
 
     Each pair of grid intervals forms one Filon panel: psi is interpolated
@@ -422,11 +422,11 @@ def momentum_transform(state: Eigenstate, p_grid=None, n_points: int = 4001,
     q_all = p_grid / c.hbar
     phi = np.empty(len(p_grid), dtype=complex)
     panel_h = h  # local coordinate spans [-h, h] around each center
-    for start in range(0, len(q_all), chunk):
-        q = q_all[start:start + chunk]
+    for start in range(0, len(q_all), _TRANSFORM_CHUNK):
+        q = q_all[start:start + _TRANSFORM_CHUNK]
         m0, m1, m2 = _filon_moments(q, panel_h)
         phase = np.exp(1.0j * np.outer(q, centers))
-        phi[start:start + chunk] = (m0 * (phase @ f_center)
+        phi[start:start + _TRANSFORM_CHUNK] = (m0 * (phase @ f_center)
                                     + m1 * (phase @ slope)
                                     + m2 * (phase @ curve))
     phi /= math.sqrt(2.0 * math.pi * c.hbar)

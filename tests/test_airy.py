@@ -8,20 +8,36 @@ import wellprob as wp
 from wellprob.airy import _asym_neg, _asym_pos, _maclaurin
 
 
-# High-precision references (50-digit mpmath, rounded to double).
+# High-precision references (50-digit mpmath, rounded to double).  The
+# points just past |z| = 9 cover the band where the asymptotic terms reach
+# their smallest before the last coefficient.
 MPMATH_REFS = {
+    -60.0: (0.07778782447711559, -0.1871968328829833,
+            1.4503455958642244, 0.6017623499162852),
     -30.0: (-0.087968188456842163, -0.22444694220056632,
             1.2286206026374851, -0.48369472582768149),
+    -20.0: (-0.1764061270779847, -0.20013930932265134,
+            0.8928628567364713, -0.7914290338395364),
     -9.5: (0.3191032477191282, 0.037785432489466502,
            -0.10809531881187124, 0.9847140700021197),
+    -9.2: (0.16526800465147903, 0.2785842543571156,
+           -0.8406710738038019, 0.5089440155457826),
+    -9.0001: (-0.022036154154691352, 0.32495304888385956,
+              -0.9756838574808899, -0.0571080570491682),
     0.5: (0.23169360648083349, 0.85427704310315549,
           -0.22491053266468389, 0.5445725641405923),
     5.0: (0.00010834442813607442, 657.79204417117118,
           -0.00024741389086846248, 1435.8190802179825),
     8.9: (3.3420610425186999e-9, 15966418.120232323,
           -1.0062109921836912e-8, 47172696.726445931),
+    9.0001: (2.470420477925297e-09, 21479250.606791824,
+             -7.478417662313322e-09, 63826818.34192302),
+    9.2: (1.3444621833707162e-09, 39035987.73643375,
+          -4.113712442807929e-09, 117316098.33731891),
     12.0: (1.3931846888753608e-13, 329807225829.07418,
            -4.8547365549853085e-13, 1135507502443.3707),
+    20.0: (1.6916728686705404e-27, 2.103765049651104e+25,
+           -7.586391625748354e-27, 9.381839336133965e+25),
     40.0: (6.3657426585529149e-75, 3.9531393024385935e+72,
            -4.030017977600678e-74, 2.4977079681706969e+73),
     100.0: (2.6344821520881845e-291, 6.0412239966702014e+288,

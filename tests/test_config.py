@@ -52,6 +52,8 @@ def test_unknown_section_and_key_rejected():
         parse_text("[task]\nenergyy = 1\n")
     with pytest.raises(wp.ConfigError):
         parse_text("[task]\nenergy = not-a-number\n")
+    with pytest.raises(wp.ConfigError):
+        parse_text("[task]\nwindow = 2.5\n")
 
 
 def test_parity_and_format_validation():

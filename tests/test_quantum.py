@@ -191,7 +191,7 @@ def test_eigenstate_schrodinger_residual(table1_states):
 
 def test_eigenstate_rejects_non_eigenvalue():
     with pytest.raises(wp.NumericalError):
-        wp.eigenstate_closed_court(CC10, 10.2, "odd")
+        wp.eigenstate_closed_court(CC10, 10.2, "odd", index=1)
 
 
 def test_orthogonality():
