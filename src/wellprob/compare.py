@@ -54,8 +54,11 @@ def minimal_window(spec: PotentialSpec, energy: float) -> float:
     into account, which turns the bound into a fixed point; a few iterations
     converge to it.
     """
+    return _minimal_window(spec, classical_state(spec, energy))
+
+
+def _minimal_window(spec: PotentialSpec, state: ClassicalState) -> float:
     c = spec.constants
-    state = classical_state(spec, energy)
     if spec.kind is PotentialKind.CLOSED_COURT:
         return 2.0 * math.pi * c.hbar / state.p_minus
     if spec.kind is PotentialKind.INFINITE_WELL:
@@ -83,11 +86,20 @@ def local_average_compare(pqm: DensityCurve, pcl: DensityCurve, window: float,
                           spec: PotentialSpec, energy: float) -> ComparisonReport:
     """Relative L2 gap between the window-averaged quantum density and the
     classical one, over the interior (turning-point strips excluded)."""
+    state = classical_state(spec, energy)
+    gap = _position_gap(pqm, pcl, window, _minimal_window(spec, state))
+    dp_int = spec.constants.hbar / spec.a if spec.a else math.inf
+    return ComparisonReport(
+        energy=energy, window=window, l2_gap_position=gap, support_mass_momentum=math.nan,
+        delta_p_classical=state.delta_p, delta_p_intrinsic=dp_int,
+        classical_unreliable=state.delta_p <= _BREAKDOWN_FACTOR * dp_int)
+
+
+def _position_gap(pqm: DensityCurve, pcl: DensityCurve, window: float, w_min: float) -> float:
     if pqm.variable != "position" or pcl.variable != "position":
         raise ValueError("local_average_compare expects position densities")
     if pqm.support != pcl.support:
         raise SupportError("densities must share a common support")
-    w_min = minimal_window(spec, energy)
     if window < w_min:
         raise SupportError(
             f"window {window:.4g} below one local de Broglie wavelength; "
@@ -98,14 +110,8 @@ def local_average_compare(pqm: DensityCurve, pcl: DensityCurve, window: float,
     interior = pcl.grid[(pcl.grid >= lo + window) & (pcl.grid <= hi - window)]
     avg_qm = moving_average(pqm.grid, pqm.values, window, interior)
     cl = np.interp(interior, pcl.grid, pcl.values)
-    gap = math.sqrt(float(np.trapezoid((avg_qm - cl) ** 2, interior))
-                    / float(np.trapezoid(cl ** 2, interior)))
-    state = classical_state(spec, energy)
-    dp_int = spec.constants.hbar / spec.a if spec.a else math.inf
-    return ComparisonReport(
-        energy=energy, window=window, l2_gap_position=gap, support_mass_momentum=math.nan,
-        delta_p_classical=state.delta_p, delta_p_intrinsic=dp_int,
-        classical_unreliable=state.delta_p <= _BREAKDOWN_FACTOR * dp_int)
+    return math.sqrt(float(np.trapezoid((avg_qm - cl) ** 2, interior))
+                     / float(np.trapezoid(cl ** 2, interior)))
 
 
 def momentum_support_mass(phi, state: ClassicalState, widen: float) -> float:
@@ -154,17 +160,16 @@ def compare_state(spec: PotentialSpec, level_energy: float, parity: str,
     """Full position + momentum comparison for one closed-court eigenstate."""
     state = classical_state(spec, level_energy)
     eigen = eigenstate_closed_court(spec, level_energy, parity, index=index)
-    pqm = position_density(eigen)
     pcl = classical_position_density(spec, level_energy, grid=eigen.grid)
-    window = minimal_window(spec, level_energy)
-    base = local_average_compare(pqm, pcl, window, spec, level_energy)
+    window = _minimal_window(spec, state)
+    gap = _position_gap(position_density(eigen), pcl, window, window)
     phi = momentum_transform(eigen)
     dp_int = spec.constants.hbar / spec.a
     frac = momentum_support_mass(phi, state, widen=2.0 * dp_int)
     return ComparisonReport(
-        energy=level_energy, window=window, l2_gap_position=base.l2_gap_position,
+        energy=level_energy, window=window, l2_gap_position=gap,
         support_mass_momentum=frac, delta_p_classical=state.delta_p,
-        delta_p_intrinsic=dp_int, classical_unreliable=base.classical_unreliable,
+        delta_p_intrinsic=dp_int, classical_unreliable=state.delta_p <= _BREAKDOWN_FACTOR * dp_int,
         parity=parity, index=index)
 
 

@@ -1,12 +1,14 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.optimize import brentq
 
 import wellprob as wp
+from wellprob import quantum
 from oracles import airy_cross, closed_court_determinant, fd_eigenvalues, simpson_transform
 
 CC10 = wp.closed_court(a=25.0, v0=10.0)
@@ -290,6 +292,88 @@ def test_transform_grid_resolution_guard():
     with pytest.raises(wp.ResolutionError) as err:
         wp.momentum_transform(st)
     assert "intervals" in str(err.value)
+
+
+@pytest.mark.parametrize("p_grid,problem", [
+    ([], "empty"),
+    (np.array([]), "empty"),
+    ([0.0, math.nan, 1.0], "non-finite"),
+    ([-math.inf, 0.0], "non-finite"),
+    ([[0.0, 0.5], [1.0, 1.5]], "one-dimensional"),
+    (0.5, "one-dimensional"),
+])
+def test_transform_rejects_bad_p_grid(p_grid, problem):
+    st = wp.eigenstate_infinite_well(IW, 1, "even", n_grid=2001)
+    with pytest.raises(ValueError, match="p_grid") as err:
+        wp.momentum_transform(st, p_grid=p_grid)
+    assert problem in str(err.value)
+
+
+@pytest.fixture
+def dense_transform(monkeypatch):
+    """momentum_transform with the dense panel sums on every p grid."""
+    def transform(st, p_grid):
+        with monkeypatch.context() as patch:
+            patch.setattr(quantum, "_panel_sums_chirp", quantum._panel_sums_dense)
+            return wp.momentum_transform(st, p_grid=p_grid)
+    return transform
+
+
+def test_chirp_and_dense_paths_agree_on_default_grids(table1_states, dense_transform):
+    states = [st for _, _, st in table1_states] + [
+        wp.eigenstate_infinite_well(wp.infinite_well(a), n, parity)
+        for a in (10.0, 40.0) for n in (1, 7, 20) for parity in ("even", "odd")]
+    for st in states:
+        wave = wp.momentum_transform(st)
+        # every fifth momentum (p = 0 and both ends included) keeps the
+        # dense reference at a fifth of its full cost
+        dense = dense_transform(st, wave.grid[::5])
+        assert np.max(np.abs(wave.phi[::5] - dense.phi)) < 1e-10
+
+
+@pytest.mark.parametrize("p_grid", [
+    [0.7],
+    [-0.5, 0.0, 0.5],
+    np.linspace(3.0, -2.0, 501),  # descending
+    np.linspace(-1.3, 2.9, 777),  # offset, not symmetric
+    [0.01 * k for k in range(256)],
+    np.linspace(-2.0, 2.0, 2194),  # 6000 panels + 2194 - 1 = 2^13 + 1: the FFT length steps up
+    np.geomspace(0.01, 4.0, 300),  # not uniform: must take the dense path
+])
+def test_transform_matches_dense_sums_on_any_grid(table1_states, dense_transform, p_grid):
+    for _, _, st in table1_states:
+        wave = wp.momentum_transform(st, p_grid=p_grid)
+        dense = dense_transform(st, p_grid)
+        assert np.max(np.abs(wave.phi - dense.phi)) < 1e-11
+
+
+def test_uniform_grid_detection_fixed_grids():
+    for grid in ([0.7], [0.01 * k for k in range(256)], np.linspace(-9.5, 9.5, 4001)):
+        assert quantum._is_uniform(np.asarray(grid))
+    assert not quantum._is_uniform(np.geomspace(0.01, 4.0, 300))
+
+
+@settings(max_examples=200, deadline=None)
+@given(lo=st.floats(-50.0, 50.0), hi=st.floats(-50.0, 50.0), n=st.integers(3, 5000),
+       hbar=st.floats(0.05, 20.0))
+def test_uniform_grid_detection_linspace(lo, hi, n, hbar):
+    assume(abs(hi - lo) > 1e-5 * max(abs(lo), abs(hi)))
+    q = np.linspace(lo, hi, n) / hbar
+    assert quantum._is_uniform(q)
+    q[n // 2] += 1e-9 * (hi - lo) / hbar
+    assert not quantum._is_uniform(q)
+
+
+def test_transform_memory_budget_at_cli_defaults():
+    st = wp.eigenstate_infinite_well(IW, 10, "even", n_grid=12001)
+    wp.momentum_transform(st, n_points=4001)  # one-time allocations stay out
+    tracemalloc.start()
+    try:
+        wp.momentum_transform(st, n_points=4001)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6  # O(N + M); chunked dense phase blocks peak near 74 MB
 
 
 def test_position_density_curve(table1_states):
