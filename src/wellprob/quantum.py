@@ -65,8 +65,6 @@ class Eigenstate:
     energy: float
     grid: np.ndarray
     psi: np.ndarray
-    norm_constant: float
-    source: str  # "airy_piecewise" | "infinite_well_analytic"
     spec: PotentialSpec
 
 
@@ -106,20 +104,12 @@ def _require_closed_court(spec: PotentialSpec) -> None:
         raise RegimeError("closed court needs v0 > 0; use infinite_well for v0 = 0")
 
 
-def _eigencondition(spec: PotentialSpec, energies: np.ndarray, parity: str):
-    """Boundary determinant D, its envelope scale and dD/dE, vectorized over E.
-
-    Both Airy arguments move with dz/dE = -a / (V0 rho); the slope uses
-    Ai'' = z Ai and Bi'' = z Bi.
-    """
-    energies = np.asarray(energies, dtype=float)
-    c = spec.constants
-    rho = (c.hbar ** 2 * spec.a / (2.0 * c.mass * spec.v0)) ** (1.0 / 3.0)
-    sigma = energies * spec.a / spec.v0
-    z_origin = -sigma / rho
-    z_wall = (spec.a - sigma) / rho
-    ai1, bi1, aip1, bip1 = airy_eval_many(z_origin)
-    ai2, bi2, aip2, bip2 = airy_eval_many(z_wall)
+def _determinant(parity: str, z_origin, origin, wall):
+    """Boundary determinant D, its residual |D| / envelope and dD/dz (via
+    Ai'' = z Ai, Bi'' = z Bi) from the Airy values (ai, bi, aip, bip) at
+    z_origin and the wall."""
+    ai1, bi1, aip1, bip1 = origin
+    ai2, bi2, aip2, bip2 = wall
     if parity == "odd":
         t1, t2 = ai1 * bi2, ai2 * bi1
         d_dz = aip1 * bi2 + ai1 * bip2 - aip2 * bi1 - ai2 * bip1
@@ -128,13 +118,28 @@ def _eigencondition(spec: PotentialSpec, energies: np.ndarray, parity: str):
         d_dz = z_origin * (ai1 * bi2 - ai2 * bi1) + aip1 * bip2 - aip2 * bip1
     else:
         raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
-    return t1 - t2, np.abs(t1) + np.abs(t2), d_dz * (-spec.a / (spec.v0 * rho))
+    det = t1 - t2
+    return det, np.abs(det) / np.maximum(np.abs(t1) + np.abs(t2), 1e-300), d_dz
+
+
+def _eigencondition(spec: PotentialSpec, energies: np.ndarray, parity: str):
+    """Boundary determinant D, its normalized residual and dD/dE, vectorized over E;
+    both Airy arguments move with dz/dE = -a / (V0 rho)."""
+    energies = np.asarray(energies, dtype=float)
+    c = spec.constants
+    rho = (c.hbar ** 2 * spec.a / (2.0 * c.mass * spec.v0)) ** (1.0 / 3.0)
+    sigma = energies * spec.a / spec.v0
+    z_origin = -sigma / rho
+    z_wall = (spec.a - sigma) / rho
+    val, residual, d_dz = _determinant(parity, z_origin, airy_eval_many(z_origin),
+                                       airy_eval_many(z_wall))
+    return val, residual, d_dz * (-spec.a / (spec.v0 * rho))
 
 
 def eigencondition_residual(spec: PotentialSpec, energy: float, parity: str) -> float:
     """|determinant| / envelope at one energy; ~0 at an eigenvalue."""
-    val, scale, _ = _eigencondition(spec, np.array([energy]), parity)
-    return float(np.abs(val[0]) / max(scale[0], 1e-300))
+    _, residual, _ = _eigencondition(spec, np.array([energy]), parity)
+    return float(residual[0])
 
 
 def _phase_space_count(spec: PotentialSpec, energy: float) -> float:
@@ -232,8 +237,7 @@ def spectrum(spec: PotentialSpec, e_max: float) -> list[EigenLevel]:
     levels = []
     for parity in ("even", "odd"):
         roots = eigenvalues_closed_court(spec, e_max, parity)
-        val, scale, _ = _eigencondition(spec, roots, parity)
-        residuals = np.abs(val) / np.maximum(scale, 1e-300)
+        _, residuals, _ = _eigencondition(spec, roots, parity)
         levels += [EigenLevel(energy=float(e), parity=parity, index=i + 1, residual=float(r))
                    for i, (e, r) in enumerate(zip(roots, residuals))]
     levels.sort(key=lambda lv: lv.energy)
@@ -269,32 +273,27 @@ def eigenstate_closed_court(spec: PotentialSpec, energy: float, parity: str,
     parity, as :func:`spectrum` reports it.
     """
     _require_closed_court(spec)
-    residual = eigencondition_residual(spec, energy, parity)
-    if residual > _EIGEN_RESIDUAL_TOL:
-        raise NumericalError(
-            f"E={energy!r} is not a {parity} eigenvalue "
-            f"(normalized residual {residual:.2e} > {_EIGEN_RESIDUAL_TOL})")
     if n_grid % 2 == 0:
         n_grid += 1  # Simpson normalization needs an even interval count
     scales = AiryScales.from_spec(spec, energy)
     x = np.linspace(-spec.a, spec.a, n_grid)
-    z = (np.abs(x) - scales.sigma) / scales.rho
-    ai, bi, _, _ = airy_eval_many(z)
-    z0 = np.array([-scales.sigma / scales.rho])
-    ai0, bi0, aip0, bip0 = airy_eval_many(z0)
-    if parity == "odd":
-        coef_ai, coef_bi = float(bi0[0]), -float(ai0[0])
-    else:
-        coef_ai, coef_bi = float(bip0[0]), -float(aip0[0])
-    psi = coef_ai * ai + coef_bi * bi
-    if parity == "odd":
-        psi = np.where(x < 0.0, -psi, psi)
-    norm = _simpson_uniform(psi ** 2, x[1] - x[0])
-    scale = 1.0 / math.sqrt(norm)
-    psi = psi * scale
+    # z depends on |x| only: evaluate x >= 0, from exactly 0 (linspace may
+    # leave ~1e-15 at the centre) to the wall, and mirror
+    z = (np.concatenate([[0.0], x[n_grid // 2 + 1:]]) - scales.sigma) / scales.rho
+    vals = airy_eval_many(z)
+    _, residual, _ = _determinant(parity, z[0], [v[0] for v in vals],
+                                  [v[-1] for v in vals])
+    if residual > _EIGEN_RESIDUAL_TOL:
+        raise NumericalError(
+            f"E={energy!r} is not a {parity} eigenvalue "
+            f"(normalized residual {residual:.2e} > {_EIGEN_RESIDUAL_TOL})")
+    ai, bi, aip, bip = vals
+    odd = parity == "odd"
+    psi = bi[0] * ai - ai[0] * bi if odd else bip[0] * ai - aip[0] * bi
+    psi = np.concatenate([(-psi if odd else psi)[:0:-1], psi])
+    psi = psi / math.sqrt(_simpson_uniform(psi ** 2, x[1] - x[0]))
     return Eigenstate(parity=parity, index=index, energy=float(energy),
-                      grid=x, psi=psi, norm_constant=scale,
-                      source="airy_piecewise", spec=spec)
+                      grid=x, psi=psi, spec=spec)
 
 
 def infinite_well_energy(spec: PotentialSpec, n: int, parity: str) -> float:
@@ -321,8 +320,7 @@ def eigenstate_infinite_well(spec: PotentialSpec, n: int, parity: str,
     else:
         raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
     return Eigenstate(parity=parity, index=n, energy=infinite_well_energy(spec, n, parity),
-                      grid=x, psi=psi, norm_constant=1.0 / math.sqrt(spec.a),
-                      source="infinite_well_analytic", spec=spec)
+                      grid=x, psi=psi, spec=spec)
 
 
 def position_density(state: Eigenstate) -> DensityCurve:

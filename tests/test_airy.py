@@ -5,7 +5,7 @@ import pytest
 from scipy import special
 
 import wellprob as wp
-from wellprob.airy import _asym_neg, _asym_pos, _maclaurin
+from wellprob.airy import _asym_neg, _asym_pos, _taylor
 
 
 # High-precision references (50-digit mpmath, rounded to double).  The
@@ -45,29 +45,34 @@ MPMATH_REFS = {
 }
 
 
+def _airy_at(z):
+    """(ai, bi, ai', bi') at one point, from a one-element airy_eval_many call."""
+    return tuple(float(v[0]) for v in wp.airy_eval_many(np.array([z])))
+
+
 def test_values_at_zero_against_gamma_oracle():
     # Ai(0) = 3^(-2/3)/Gamma(2/3), Ai'(0) = -3^(-1/3)/Gamma(1/3),
     # Bi(0) = sqrt(3) Ai(0), Bi'(0) = -sqrt(3) Ai'(0).
-    v = wp.airy_eval(0.0)
+    ai, bi, aip, bip = _airy_at(0.0)
     ai0 = 3.0 ** (-2.0 / 3.0) / math.gamma(2.0 / 3.0)
     aip0 = -(3.0 ** (-1.0 / 3.0)) / math.gamma(1.0 / 3.0)
-    assert v.ai == pytest.approx(ai0, rel=1e-13)
-    assert v.ai_prime == pytest.approx(aip0, rel=1e-13)
-    assert v.bi == pytest.approx(math.sqrt(3.0) * ai0, rel=1e-13)
-    assert v.bi_prime == pytest.approx(-math.sqrt(3.0) * aip0, rel=1e-13)
+    assert ai == pytest.approx(ai0, rel=1e-13)
+    assert aip == pytest.approx(aip0, rel=1e-13)
+    assert bi == pytest.approx(math.sqrt(3.0) * ai0, rel=1e-13)
+    assert bip == pytest.approx(-math.sqrt(3.0) * aip0, rel=1e-13)
     # ten-digit values quoted for the same constants
-    assert v.ai == pytest.approx(0.3550280539, abs=1e-9)
-    assert v.bi == pytest.approx(0.6149266274, abs=1e-9)
-    assert v.ai_prime == pytest.approx(-0.2588194038, abs=1e-9)
-    assert v.bi_prime == pytest.approx(0.4482883574, abs=1e-9)
+    assert ai == pytest.approx(0.3550280539, abs=1e-9)
+    assert bi == pytest.approx(0.6149266274, abs=1e-9)
+    assert aip == pytest.approx(-0.2588194038, abs=1e-9)
+    assert bip == pytest.approx(0.4482883574, abs=1e-9)
 
 
 def test_first_zero_of_ai_by_bisection():
     lo, hi = -2.5, -2.0
-    flo = wp.airy_eval(lo).ai
+    flo = _airy_at(lo)[0]
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        fm = wp.airy_eval(mid).ai
+        fm = _airy_at(mid)[0]
         if (fm > 0) == (flo > 0):
             lo, flo = mid, fm
         else:
@@ -77,12 +82,9 @@ def test_first_zero_of_ai_by_bisection():
 
 
 def test_mpmath_reference_points():
-    for z, (ai, bi, aip, bip) in MPMATH_REFS.items():
-        v = wp.airy_eval(z)
-        assert v.ai == pytest.approx(ai, rel=5e-13), z
-        assert v.bi == pytest.approx(bi, rel=5e-13), z
-        assert v.ai_prime == pytest.approx(aip, rel=5e-13), z
-        assert v.bi_prime == pytest.approx(bip, rel=5e-13), z
+    for z, ref in MPMATH_REFS.items():
+        for got, want in zip(_airy_at(z), ref):
+            assert got == pytest.approx(want, rel=5e-13), z
 
 
 @pytest.mark.parametrize("batch", [
@@ -91,11 +93,12 @@ def test_mpmath_reference_points():
     [0.0, 1e-9, -1e-9, 2e-3, -3e-3, 6.5, -5.0, 9.3, -9.4, 9.6, -9.6],
 ], ids=str)
 def test_maclaurin_mixed_batches_against_mpmath(batch):
-    # The series stops once every point's terms are negligible, so a batch
-    # must still serve its largest |z| when it also holds tiny ones.
+    # Each point sums the series about its own nearest anchor (for
+    # |z| <= 1/4 the Maclaurin series), so a value must not depend on which
+    # other points share its batch.
     mpmath = pytest.importorskip("mpmath")
     mpmath.mp.dps = 50
-    values = _maclaurin(np.array(batch))
+    values = _taylor(np.array(batch))
     for i, z in enumerate(batch):
         ref = (mpmath.airyai(z), mpmath.airybi(z),
                mpmath.airyai(z, derivative=1), mpmath.airybi(z, derivative=1))
@@ -168,7 +171,7 @@ def test_ode_residual_wide_range_high_order():
 
 def test_crossover_continuity_band():
     for band in (np.linspace(9.0, 9.6, 31), -np.linspace(9.0, 9.6, 31)):
-        mac = _maclaurin(band)
+        mac = _taylor(band)
         asym = _asym_pos(band) if band[0] > 0 else _asym_neg(band)
         for m_vals, a_vals in zip(mac, asym):
             rel = np.abs(np.asarray(m_vals) - np.asarray(a_vals)) / np.abs(a_vals)
@@ -177,15 +180,35 @@ def test_crossover_continuity_band():
 
 def test_bi_overflow_and_domain_errors():
     with pytest.raises(wp.AiryOverflowError):
-        wp.airy_eval(110.0)
+        _airy_at(110.0)
     with pytest.raises(ValueError):
-        wp.airy_eval(1.1e4)
-    v = wp.airy_eval(103.0)  # just below the overflow boundary
-    assert math.isfinite(v.bi) and v.bi > 1e250
+        _airy_at(1.1e4)
+    bi = _airy_at(103.0)[1]  # just below the overflow boundary
+    assert math.isfinite(bi) and bi > 1e250
 
 
 def test_far_negative_axis_still_sane():
     # documented regime beyond the 1e-10 band: phase reduction limits accuracy
-    v = wp.airy_eval(-9999.0)
-    w = v.ai * v.bi_prime - v.ai_prime * v.bi
+    ai, bi, aip, bip = _airy_at(-9999.0)
+    w = ai * bip - aip * bi
     assert w * math.pi == pytest.approx(1.0, abs=1e-8)
+
+
+def test_anchor_series_against_mpmath():
+    # Every anchor value is derived at import by stepping the series from
+    # the closed forms at 0 (and the asymptotic Ai at the top anchor); check
+    # each anchor and the farthest points each series serves, |t| = 1/4.
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 50
+    for offset, bound in ((0.0, 1e-14), (-0.25, 5e-13), (0.25, 5e-13)):
+        z = 0.5 * np.arange(-20, 21) + offset  # the 41 anchors j/2, |j| <= 20
+        values = np.array(_taylor(z))
+        for i, zi in enumerate(z):
+            ref = np.array([float(f(zi, derivative=d)) for d in (0, 1)
+                            for f in (mpmath.airyai, mpmath.airybi)])
+            if zi >= 0:
+                err = np.abs(values[:, i] / ref - 1.0)
+            else:  # relative to the envelope: Ai and Bi oscillate on z < 0
+                env = np.hypot(ref[0], ref[1]), np.hypot(ref[2], ref[3])
+                err = np.abs(values[:, i] - ref) / np.repeat(env, 2)
+            assert np.max(err) < bound, zi

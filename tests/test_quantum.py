@@ -157,6 +157,23 @@ def test_eigenstate_wall_and_origin_conditions(table1_states):
             assert abs(slope) < 1e-8 * np.max(np.abs(state.psi))
 
 
+@pytest.mark.parametrize("n_grid", [12001, 2000])
+def test_eigenstate_evaluates_half_grid(monkeypatch, n_grid):
+    # z depends on |x| only, so a state needs Airy values on x >= 0 alone;
+    # the mirror keeps even states symmetric and odd ones antisymmetric, exactly.
+    calls = _count_airy_calls(monkeypatch)
+    levels = wp.spectrum(CC10, 10.4)
+    assert {lv.parity for lv in levels} == {"even", "odd"}
+    for lv in levels:
+        calls.clear()
+        state = wp.eigenstate_closed_court(CC10, lv.energy, lv.parity, n_grid,
+                                           index=lv.index)
+        assert len(state.grid) == n_grid | 1
+        assert sum(calls) <= n_grid // 2 + 2
+        sign = -1.0 if lv.parity == "odd" else 1.0
+        assert np.array_equal(state.psi, sign * state.psi[::-1])
+
+
 def test_eigenstate_normalized(table1_states):
     for spec, level, state in table1_states:
         h = state.grid[1] - state.grid[0]
@@ -165,7 +182,8 @@ def test_eigenstate_normalized(table1_states):
 
 
 def test_eigenstate_schrodinger_residual(table1_states):
-    # five-point second derivative at h = 1e-3 a; relative to ||E psi||
+    # five-point second derivative at h = 1e-3 a; relative to ||E psi||, so
+    # the unnormalized piecewise-Airy psi serves
     for spec, level, state in table1_states:
         h = 1e-3 * spec.a
         x = np.linspace(-spec.a + 3 * h, spec.a - 3 * h, 401)
@@ -180,7 +198,7 @@ def test_eigenstate_schrodinger_residual(table1_states):
             raw = ca * ai + cb * bi
             if level.parity == "odd":
                 raw = np.where(pts < 0, -raw, raw)
-            return state.norm_constant * raw
+            return raw
 
         stencil = (-psi_at(x + 2 * h) + 16 * psi_at(x + h) - 30 * psi_at(x)
                    + 16 * psi_at(x - h) - psi_at(x - 2 * h)) / (12.0 * h * h)

@@ -1,4 +1,5 @@
 import ast
+import os
 import subprocess
 import sys
 from dataclasses import fields
@@ -33,6 +34,40 @@ def test_model_does_not_import_classical():
 def test_public_surface_has_no_airy_cross():
     assert "airy_cross" not in wp.__all__
     assert not hasattr(wp.airy, "airy_cross")
+
+
+def test_public_surface_has_no_scalar_airy_eval():
+    # airy_eval_many is the one Airy entry point; the scalar wrapper and its
+    # NamedTuple had no caller in the package.
+    for name in ("airy_eval", "AiryValues"):
+        assert name not in wp.__all__
+        assert not hasattr(wp.airy, name)
+
+
+# Import the package with scipy and mpmath made unimportable: the only
+# declared runtime dependency is numpy, and the Airy anchors are derived at
+# import rather than computed with mpmath.
+_WITHOUT_TEST_DEPS = """
+import sys
+class Block:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] in ("scipy", "mpmath"):
+            raise ImportError("blocked: " + name)
+sys.meta_path.insert(0, Block())
+import numpy as np
+import wellprob
+ai, bi, aip, bip = wellprob.airy_eval_many(np.array([-50.0, -9.5, -3.0, 0.0, 3.0, 9.5, 50.0]))
+assert np.all(np.isfinite([ai, bi, aip, bip]))
+print(sorted(name for name in sys.modules if name.split(".")[0] in ("scipy", "mpmath")))
+"""
+
+
+def test_package_runs_without_scipy_and_mpmath():
+    cp = subprocess.run([sys.executable, "-c", _WITHOUT_TEST_DEPS],
+                        capture_output=True, text=True,
+                        env={**os.environ, "PYTHONPATH": str(Path(wp.__file__).parents[1])})
+    assert cp.returncode == 0, cp.stderr
+    assert cp.stdout.strip() == "[]"
 
 
 def test_every_task_option_is_read_by_the_cli():
