@@ -7,8 +7,7 @@ from .classical import (DensityCurve, HistogramRun, MeasurementDraws,
                         classical_momentum_density, classical_position_density,
                         measurement_histogram, momentum_delta_masses,
                         project_trajectory, sample_measurements, trajectory)
-from .compare import (ComparisonReport, local_average_compare, minimal_window,
-                      momentum_support_mass, plateau_height, v0_sweep)
+from .compare import ComparisonReport, momentum_support_mass, plateau_height, v0_sweep
 from .errors import (AiryOverflowError, ConfigError, NumericalError, RegimeError,
                      ResolutionError, SupportError, WellProbError)
 from .model import (ClassicalState, Constants, PotentialKind, PotentialSpec,
@@ -31,8 +30,7 @@ __all__ = [
     "closed_court", "eigenstate_closed_court", "eigenstate_infinite_well",
     "eigenvalues_closed_court", "evaluate_potential", "half_period",
     "infinite_well", "infinite_well_energy", "infinite_well_momentum",
-    "local_average_compare", "measurement_histogram", "minimal_window",
-    "momentum_delta_masses", "momentum_support_mass", "momentum_transform",
-    "nearest_level", "plateau_height", "position_density", "project_trajectory",
-    "sample_measurements", "spectrum", "trajectory", "v0_sweep",
+    "measurement_histogram", "momentum_delta_masses", "momentum_support_mass",
+    "momentum_transform", "nearest_level", "plateau_height", "position_density",
+    "project_trajectory", "sample_measurements", "spectrum", "trajectory", "v0_sweep",
 ]

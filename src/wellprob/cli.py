@@ -225,10 +225,9 @@ def cmd_sweep(cfg: RunConfig) -> list[Path]:
                        search_width=t.search_width)
     rows = []
     for v0, rep in zip(v0_list, reports):
-        plateau = plateau_height(rep) if rep.delta_p_classical == rep.delta_p_classical else float("nan")
         rows.append((v0, rep.energy, rep.parity, rep.index, rep.window,
                      rep.l2_gap_position, rep.support_mass_momentum,
-                     rep.delta_p_classical, plateau, rep.delta_p_intrinsic,
+                     rep.delta_p_classical, plateau_height(rep), rep.delta_p_intrinsic,
                      rep.classical_unreliable, rep.flag))
     header = ("v0", "energy", "parity", "index", "window", "l2_gap_position",
               "support_mass_momentum", "delta_p_classical", "plateau_height",

@@ -1,8 +1,9 @@
-"""Quantitative classical-vs-quantum comparisons.
+"""Quantitative classical-vs-quantum comparisons for closed-court eigenstates.
 
-Locally averaged quantum position densities are compared to the classical
-curve through a windowed relative L2 gap; momentum densities are compared
-through the fraction of quantum probability inside the (slightly widened)
+The quantum position density, averaged over one local de Broglie
+wavelength at the walls, is compared to the classical curve through a
+relative L2 gap on the interior; the momentum density is compared through
+the fraction of quantum probability inside the (slightly widened)
 classical momentum band.  A sweep over decreasing ramp heights V0 at fixed
 target energy exposes the approach to the infinite-well limit, where the
 classical band 1/(2 delta_p) sharpens toward a pair of point masses.
@@ -21,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import DensityCurve, classical_position_density
+from .classical import classical_position_density
 from .errors import NumericalError, RegimeError, SupportError
-from .model import ClassicalState, PotentialKind, PotentialSpec, classical_state, closed_court
+from .model import ClassicalState, PotentialSpec, classical_state, closed_court
 from .quantum import (MomentumWavefunction, eigenstate_closed_court,
                       momentum_transform, nearest_level, position_density)
 
@@ -46,33 +47,6 @@ class ComparisonReport:
     flag: str = ""
 
 
-def minimal_window(spec: PotentialSpec, energy: float) -> float:
-    """Smallest admissible averaging window: one local de Broglie wavelength.
-
-    The slowest interior point sets the wavelength.  For the bouncer the
-    turning-point neighborhood excluded by the window itself must be taken
-    into account, which turns the bound into a fixed point; a few iterations
-    converge to it.
-    """
-    return _minimal_window(spec, classical_state(spec, energy))
-
-
-def _minimal_window(spec: PotentialSpec, state: ClassicalState) -> float:
-    c = spec.constants
-    if spec.kind is PotentialKind.CLOSED_COURT:
-        return 2.0 * math.pi * c.hbar / state.p_minus
-    if spec.kind is PotentialKind.INFINITE_WELL:
-        return 2.0 * math.pi * c.hbar / state.p_plus
-    w = 2.0 * math.pi * c.hbar / state.p_plus
-    for _ in range(60):
-        p_floor = math.sqrt(2.0 * c.mass * c.mass * c.g * w)  # p at height H - w
-        w_new = 2.0 * math.pi * c.hbar / p_floor
-        if abs(w_new - w) < 1e-14 * w:
-            break
-        w = w_new
-    return w
-
-
 def moving_average(grid: np.ndarray, values: np.ndarray, window: float,
                    eval_points: np.ndarray) -> np.ndarray:
     """Boxcar average of a sampled curve via its cumulative trapezoid."""
@@ -82,76 +56,27 @@ def moving_average(grid: np.ndarray, values: np.ndarray, window: float,
     return (upper - lower) / window
 
 
-def local_average_compare(pqm: DensityCurve, pcl: DensityCurve, window: float,
-                          spec: PotentialSpec, energy: float) -> ComparisonReport:
-    """Relative L2 gap between the window-averaged quantum density and the
-    classical one, over the interior (turning-point strips excluded)."""
-    state = classical_state(spec, energy)
-    gap = _position_gap(pqm, pcl, window, _minimal_window(spec, state))
-    dp_int = spec.constants.hbar / spec.a if spec.a else math.inf
-    return ComparisonReport(
-        energy=energy, window=window, l2_gap_position=gap, support_mass_momentum=math.nan,
-        delta_p_classical=state.delta_p, delta_p_intrinsic=dp_int,
-        classical_unreliable=state.delta_p <= _BREAKDOWN_FACTOR * dp_int)
-
-
-def _position_gap(pqm: DensityCurve, pcl: DensityCurve, window: float, w_min: float) -> float:
-    if pqm.variable != "position" or pcl.variable != "position":
-        raise ValueError("local_average_compare expects position densities")
-    if pqm.support != pcl.support:
-        raise SupportError("densities must share a common support")
-    if window < w_min:
-        raise SupportError(
-            f"window {window:.4g} below one local de Broglie wavelength; "
-            f"minimal admissible window is {w_min:.6g}")
-    (lo, hi), = pqm.support
-    if hi - lo <= 2.0 * window:
-        raise SupportError("window leaves no interior to compare on")
-    interior = pcl.grid[(pcl.grid >= lo + window) & (pcl.grid <= hi - window)]
-    avg_qm = moving_average(pqm.grid, pqm.values, window, interior)
-    cl = np.interp(interior, pcl.grid, pcl.values)
-    return math.sqrt(float(np.trapezoid((avg_qm - cl) ** 2, interior))
-                     / float(np.trapezoid(cl ** 2, interior)))
-
-
-def momentum_support_mass(phi, state: ClassicalState, widen: float) -> float:
+def momentum_support_mass(phi: MomentumWavefunction, state: ClassicalState,
+                          widen: float) -> float:
     """Fraction of momentum probability inside the widened classical band.
 
-    ``phi`` may be a MomentumWavefunction, a momentum DensityCurve, or a
-    bare (grid, values) pair; each band [p_minus, p_plus] (and its mirror)
-    is widened by ``widen`` on both sides before integrating.  DensityCurve
-    inputs are integrated piecewise over their support intervals, so a
-    band-wise grid never contributes spurious mass across its gap; partial
-    cells at band edges are split by linear interpolation.
+    Each band [p_minus, p_plus] (and its mirror) is widened by ``widen`` on
+    both sides before integrating; partial cells at band edges are split by
+    linear interpolation.
     """
-    if isinstance(phi, MomentumWavefunction):
-        pieces = [(phi.grid, phi.density)]
-    elif isinstance(phi, DensityCurve):
-        if phi.variable != "momentum":
-            raise ValueError("need a momentum density")
-        pieces = []
-        for lo, hi in phi.support:
-            m = (phi.grid >= lo - 1e-12) & (phi.grid <= hi + 1e-12)
-            if np.count_nonzero(m) >= 2:
-                pieces.append((phi.grid[m], phi.values[m]))
-    else:
-        grid, dens = phi
-        pieces = [(np.asarray(grid, dtype=float), np.asarray(dens, dtype=float))]
-    total = sum(float(np.trapezoid(d, g)) for g, d in pieces)
+    grid, dens = phi.grid, phi.density
+    total = float(np.trapezoid(dens, grid))
     if total <= 0.0:
         raise NumericalError("momentum density has no mass on its grid")
     band_lo = max(state.p_minus - widen, 0.0)
     band_hi = state.p_plus + widen
     mass = 0.0
-    for band in ((-band_hi, -band_lo), (band_lo, band_hi)):
-        for grid, dens in pieces:
-            a, b = max(band[0], float(grid[0])), min(band[1], float(grid[-1]))
-            if b <= a:
-                continue
-            pts = grid[(grid > a) & (grid < b)]
-            xs = np.concatenate([[a], pts, [b]])
-            ys = np.interp(xs, grid, dens)
-            mass += float(np.trapezoid(ys, xs))
+    for lo, hi in ((-band_hi, -band_lo), (band_lo, band_hi)):
+        a, b = max(lo, float(grid[0])), min(hi, float(grid[-1]))
+        if b <= a:
+            continue
+        xs = np.concatenate([[a], grid[(grid > a) & (grid < b)], [b]])
+        mass += float(np.trapezoid(np.interp(xs, grid, dens), xs))
     return min(mass / total, 1.0)
 
 
@@ -161,8 +86,16 @@ def compare_state(spec: PotentialSpec, level_energy: float, parity: str,
     state = classical_state(spec, level_energy)
     eigen = eigenstate_closed_court(spec, level_energy, parity, index=index)
     pcl = classical_position_density(spec, level_energy, grid=eigen.grid)
-    window = _minimal_window(spec, state)
-    gap = _position_gap(position_density(eigen), pcl, window, window)
+    # one local de Broglie wavelength where the particle is slowest, at the walls
+    window = 2.0 * math.pi * spec.constants.hbar / state.p_minus
+    if spec.a <= window:
+        raise SupportError("window leaves no interior to compare on")
+    interior = pcl.grid[(pcl.grid >= window - spec.a) & (pcl.grid <= spec.a - window)]
+    pqm = position_density(eigen)
+    avg_qm = moving_average(pqm.grid, pqm.values, window, interior)
+    cl = np.interp(interior, pcl.grid, pcl.values)
+    gap = math.sqrt(float(np.trapezoid((avg_qm - cl) ** 2, interior))
+                    / float(np.trapezoid(cl ** 2, interior)))
     phi = momentum_transform(eigen)
     dp_int = spec.constants.hbar / spec.a
     frac = momentum_support_mass(phi, state, widen=2.0 * dp_int)

@@ -12,9 +12,9 @@ oscillatory range.
 Momentum-space wavefunctions come from the +i kernel Fourier transform
 phi(p) = (2 pi hbar)^(-1/2) int psi(x) exp(+i p x / hbar) dx, evaluated
 with a piecewise-quadratic Filon rule whose accuracy is independent of p.
-The rule's panel sums over N panel centres at M momenta are one chirp-z
-(Bluestein) transform, O((N + M) log(N + M)), when the momenta are evenly
-spaced, and a dense O(N M) sum otherwise.
+The momenta must be evenly spaced: the rule's panel sums over N panel
+centres at M momenta are then one chirp-z (Bluestein) transform,
+O((N + M) log(N + M)).
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ _NEWTON_MAX_ITERS = 64
 _NEWTON_STEP_TOL = 4.0 * np.finfo(float).eps  # relative to |E|
 _NEWTON_STALL_TOL = math.sqrt(np.finfo(float).eps)  # relative; see _newton_roots
 _SCAN_STEPS_PER_LEVEL = 5  # scan resolution relative to the local spacing pi hbar / tau
-_TRANSFORM_CHUNK = 256  # momenta per dense phase block in momentum_transform
 _UNIFORM_ULPS = 8.0  # tolerance of the uniform-p test, in ulps of max |p|
+_SUBNORMAL_ULPS = 32.0  # its floor, in subnormal ulps per point; see _is_uniform
 
 
 class SkippedRootWarning(UserWarning):
@@ -46,7 +46,8 @@ class SkippedRootWarning(UserWarning):
 @dataclass(frozen=True)
 class AiryScales:
     """Length scales of the linear-well solution: rho (Airy unit) and
-    sigma = E a / V0 (where the extended ramp would reach the energy)."""
+    sigma = E a / V0 (where the extended ramp would reach the energy; an
+    array for an array of energies)."""
 
     rho: float
     sigma: float
@@ -125,15 +126,12 @@ def _determinant(parity: str, z_origin, origin, wall):
 def _eigencondition(spec: PotentialSpec, energies: np.ndarray, parity: str):
     """Boundary determinant D, its normalized residual and dD/dE, vectorized over E;
     both Airy arguments move with dz/dE = -a / (V0 rho)."""
-    energies = np.asarray(energies, dtype=float)
-    c = spec.constants
-    rho = (c.hbar ** 2 * spec.a / (2.0 * c.mass * spec.v0)) ** (1.0 / 3.0)
-    sigma = energies * spec.a / spec.v0
-    z_origin = -sigma / rho
-    z_wall = (spec.a - sigma) / rho
+    scales = AiryScales.from_spec(spec, np.asarray(energies, dtype=float))
+    z_origin = -scales.sigma / scales.rho
+    z_wall = (spec.a - scales.sigma) / scales.rho
     val, residual, d_dz = _determinant(parity, z_origin, airy_eval_many(z_origin),
                                        airy_eval_many(z_wall))
-    return val, residual, d_dz * (-spec.a / (spec.v0 * rho))
+    return val, residual, d_dz * (-spec.a / (spec.v0 * scales.rho))
 
 
 def eigencondition_residual(spec: PotentialSpec, energy: float, parity: str) -> float:
@@ -384,28 +382,27 @@ def _filon_moments(q: np.ndarray, h: float):
     return m0, m1, m2
 
 
-def _panel_sums_dense(q: np.ndarray, centers: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """sum_j rows[r, j] exp(i q_m c_j) for any q, one phase block at a time."""
-    sums = np.empty((len(rows), len(q)), dtype=complex)
-    for start in range(0, len(q), _TRANSFORM_CHUNK):
-        block = slice(start, start + _TRANSFORM_CHUNK)
-        sums[:, block] = rows @ np.exp(1.0j * np.outer(centers, q[block]))
-    return sums
-
-
 def _step(v: np.ndarray) -> float:
     return float(v[-1] - v[0]) / (len(v) - 1) if len(v) > 1 else 0.0
 
 
 def _is_uniform(v: np.ndarray) -> bool:
-    """Every point within a few ulps of max |v| of v_0 + m (v_last - v_0) / (M - 1)."""
+    """Every point within a few ulps of max |v| of v_0 + m (v_last - v_0) / (M - 1).
+
+    Where the step is subnormal, rounding error is absolute instead: a
+    linspace's rounded step puts point m up to m/2 subnormal ulps off, a
+    later division by hbar scales that, and the step taken here adds as
+    much again.  So the tolerance never drops below _SUBNORMAL_ULPS such
+    ulps per point, which covers a division by hbar down to about 1/60.
+    """
     ideal = v[0] + _step(v) * np.arange(len(v))
-    return bool(np.max(np.abs(v - ideal)) <= _UNIFORM_ULPS * np.finfo(float).eps
-                * np.max(np.abs(v)))
+    tol = max(_UNIFORM_ULPS * np.finfo(float).eps * float(np.max(np.abs(v))),
+              _SUBNORMAL_ULPS * len(v) * np.finfo(float).smallest_subnormal)
+    return bool(np.max(np.abs(v - ideal)) <= tol)
 
 
 def _panel_sums_chirp(q: np.ndarray, centers: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """The sums of :func:`_panel_sums_dense` for uniform q, as one chirp-z transform.
+    """sum_j rows[r, j] exp(i q_m c_j) for uniform q, as one chirp-z transform.
 
     With c_j = c_0 + j dc and q_m = q_0 + m dq, the identity
     m j = (m^2 + j^2 - (m - j)^2) / 2 turns each sum into a convolution
@@ -436,12 +433,10 @@ def momentum_transform(state: Eigenstate, p_grid=None,
     admissible grid.
 
     The rule needs the panel sums sum_j g_j exp(i q c_j) over the N panel
-    centres c_j at M momenta.  An evenly spaced ``p_grid`` (the default one,
-    any ``np.linspace``, a single point) takes them as one chirp-z
-    transform, O((N + M) log(N + M)) time and O(N + M) memory; any other
-    grid takes the dense sum, O(N M) time.  Both compute the same exact
-    sums, so the path does not change the rule's accuracy, only rounding
-    (below 1e-12 in phi).
+    centres c_j at M momenta, taken as one chirp-z transform in
+    O((N + M) log(N + M)) time and O(N + M) memory.  So ``p_grid`` must be
+    evenly spaced (the default one, any ``np.linspace``, a single point, in
+    either direction); any other grid raises ValueError.
     """
     spec = state.spec
     c = spec.constants
@@ -454,6 +449,9 @@ def momentum_transform(state: Eigenstate, p_grid=None,
         raise ValueError("p_grid is empty")
     if not np.all(np.isfinite(p_grid)):
         raise ValueError("p_grid holds non-finite momenta")
+    q = p_grid / c.hbar
+    if not _is_uniform(q):
+        raise ValueError("p_grid must be evenly spaced")
     x = state.grid
     h = x[1] - x[0]
     if not np.allclose(np.diff(x), h, rtol=1e-9):
@@ -475,10 +473,8 @@ def momentum_transform(state: Eigenstate, p_grid=None,
     slope = (f_right - f_left) / (2.0 * h)
     curve = (f_right - 2.0 * f_center + f_left) / (2.0 * h * h)
 
-    q = p_grid / c.hbar
     rows = np.stack([f_center, slope, curve])
-    panel_sums = _panel_sums_chirp if _is_uniform(q) else _panel_sums_dense
-    phi = (np.stack(_filon_moments(q, h)) * panel_sums(q, centers, rows)).sum(axis=0)
+    phi = (np.stack(_filon_moments(q, h)) * _panel_sums_chirp(q, centers, rows)).sum(axis=0)
     phi /= math.sqrt(2.0 * math.pi * c.hbar)
     return MomentumWavefunction(grid=p_grid, phi=phi,
                                 density=np.abs(phi) ** 2, hbar=c.hbar)

@@ -2,10 +2,11 @@
 
 Everything here deliberately avoids the package's own algorithms:
 eigenvalues come from a finite-difference Hamiltonian (dense tridiagonal,
-Richardson-extrapolated), transforms from plain dense Simpson quadrature,
-derivatives from high-order stencils, half-periods from quadrature of the
-defining integral (the package uses closed forms), and the Airy boundary
-determinant from scipy's Airy functions.
+Richardson-extrapolated), transforms from plain dense Simpson quadrature
+and dense Filon panel sums, derivatives from high-order stencils,
+half-periods from quadrature of the defining integral (the package uses
+closed forms), and the Airy boundary determinant from scipy's Airy
+functions.
 """
 
 import math
@@ -45,6 +46,19 @@ def simpson_transform(x, psi, p_values, hbar=1.0):
     for i, p in enumerate(p_values):
         out[i] = simpson(psi * np.exp(1j * p * x / hbar), x=x)
     return out / np.sqrt(2.0 * np.pi * hbar)
+
+
+_TRANSFORM_CHUNK = 256  # momenta per dense phase block in panel_sums_dense
+
+
+def panel_sums_dense(q, centers, rows):
+    """sum_j rows[r, j] exp(i q_m c_j) for any q, one phase block at a time:
+    the dense O(N M) reference for the chirp-z panel sums of the transform."""
+    sums = np.empty((len(rows), len(q)), dtype=complex)
+    for start in range(0, len(q), _TRANSFORM_CHUNK):
+        block = slice(start, start + _TRANSFORM_CHUNK)
+        sums[:, block] = rows @ np.exp(1.0j * np.outer(centers, q[block]))
+    return sums
 
 
 def second_derivative_5pt(f, z, h=1e-3):

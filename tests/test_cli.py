@@ -115,6 +115,18 @@ def test_sweep_csv(tmp_path: Path):
     assert rows[0][header.index("classical_unreliable")] == "false"
 
 
+def test_sweep_csv_flagged_row(tmp_path: Path):
+    # no level within +-0.001 of E = 10.19 at V0 = 10: the row is flagged
+    # and its plateau height, 1/(2 delta_p) with delta_p = nan, is nan
+    cp = run_cli("sweep", "--out", str(tmp_path), "--set", "task.v0_list=10",
+                 "--set", "task.e_target=10.19", "--set", "task.search_width=0.001")
+    assert cp.returncode == 0, cp.stderr
+    header, rows = read_csv(tmp_path / "sweep.csv")
+    assert len(rows) == 1
+    assert rows[0][header.index("flag")].startswith("no-eigenvalue")
+    assert rows[0][header.index("plateau_height")] == "nan"
+
+
 def test_bounce_sim_outputs(tmp_path: Path):
     cp = run_cli("bounce-sim", "--out", str(tmp_path), "--seed", "12345")
     assert cp.returncode == 0, cp.stderr

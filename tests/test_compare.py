@@ -16,28 +16,10 @@ def sweep_reports():
                        v0_list=[10.0, 6.0, 2.0])
 
 
-def test_minimal_window_formulas():
-    assert wp.minimal_window(CC2, 10.105) == pytest.approx(
-        2.0 * math.pi / math.sqrt(10.105 - 2.0), rel=1e-12)
-    assert wp.minimal_window(IW, 4.0) == pytest.approx(2.0 * math.pi / 2.0, rel=1e-12)
-    w = wp.minimal_window(wp.bouncer(), 2.0)
-    # self-consistent: one wavelength at the slowest interior point
-    p_floor = math.sqrt(2.0 * 1.0 * w)  # 2 m^2 g w with m = g = 1... m=1
-    assert w == pytest.approx(2.0 * math.pi / p_floor, rel=1e-10)
-
-
-def test_identical_curves_have_zero_gap():
-    pcl = wp.classical_position_density(IW, 4.0)
-    rep = wp.local_average_compare(pcl, pcl, 5.0, IW, 4.0)
-    assert rep.l2_gap_position < 1e-10
-
-
-def test_infinite_well_high_state_local_average():
-    st = wp.eigenstate_infinite_well(IW, 20, "odd")
-    pqm = wp.position_density(st)
-    pcl = wp.classical_position_density(IW, st.energy, grid=st.grid)
-    rep = wp.local_average_compare(pqm, pcl, 2.0 * 25.0 / 10.0, IW, st.energy)
-    assert rep.l2_gap_position < 0.05
+def test_minimal_window_formulas(sweep_reports):
+    # one de Broglie wavelength 2 pi hbar / p_minus, p_minus = sqrt(2m (E - V0))
+    rep = sweep_reports[2]
+    assert rep.window == pytest.approx(2.0 * math.pi / math.sqrt(rep.energy - 2.0), rel=1e-12)
 
 
 def test_moving_average_matches_bruteforce_oracle():
@@ -52,21 +34,26 @@ def test_closed_court_row3_gap(sweep_reports):
     assert sweep_reports[2].l2_gap_position < 0.1
 
 
-def test_window_too_small_reports_minimum():
-    st = wp.eigenstate_infinite_well(IW, 20, "odd")
-    pqm = wp.position_density(st)
-    pcl = wp.classical_position_density(IW, st.energy, grid=st.grid)
-    w_min = wp.minimal_window(IW, st.energy)
-    with pytest.raises(wp.SupportError) as err:
-        wp.local_average_compare(pqm, pcl, 0.5 * w_min, IW, st.energy)
-    assert f"{w_min:.6g}" in str(err.value)
-
-
 def test_support_mass_of_classical_curve_is_one():
+    # the classical plateau sampled on an evenly spaced grid: every band edge
+    # falls inside a cell, whose part outside the band is a triangle
     state = wp.classical_state(CC2, 10.105)
-    curve = wp.classical_momentum_density(CC2, 10.105)
-    assert wp.momentum_support_mass(curve, state, widen=2.0 / 25.0) == 1.0
-    assert wp.momentum_support_mass(curve, state, widen=0.0) == 1.0
+    grid = np.linspace(-4.0, 4.0, 801)
+    h = grid[1] - grid[0]
+    plateau = 1.0 / (2.0 * state.delta_p)
+    inside = (np.abs(grid) >= state.p_minus) & (np.abs(grid) <= state.p_plus)
+    density = np.where(inside, plateau, 0.0)
+    wave = wp.MomentumWavefunction(grid=grid, phi=np.sqrt(density) + 0.0j,
+                                   density=density, hbar=1.0)
+    assert wp.momentum_support_mass(wave, state, widen=2.0 / 25.0) == 1.0
+    # an edge a fraction t of a cell from the last inside point leaves the
+    # triangle 0.5 h plateau (1 - t)^2 of that cell outside the band
+    band = grid[inside & (grid > 0.0)]
+    t_edges = ((band[0] - state.p_minus) / h, (state.p_plus - band[-1]) / h)
+    outside = 2.0 * sum(0.5 * h * plateau * (1.0 - t) ** 2 for t in t_edges)
+    total = np.trapezoid(density, grid)
+    assert wp.momentum_support_mass(wave, state, widen=0.0) == pytest.approx(
+        1.0 - outside / total, rel=1e-12)
 
 
 def test_support_mass_bounds(table1_waves):
@@ -119,6 +106,7 @@ def test_sweep_reproducible(sweep_reports):
 def test_breakdown_flag_turns_on_for_narrow_band():
     # delta_p ~ v0 / (2 sqrt(E)) = 0.063 < 2 hbar/a = 0.08
     spec = wp.closed_court(a=25.0, v0=0.4)
-    pcl = wp.classical_position_density(spec, 10.0)
-    rep = wp.local_average_compare(pcl, pcl, 3.0, spec, 10.0)
+    level = wp.nearest_level(spec, 10.0)
+    rep = wp.compare.compare_state(spec, level.energy, level.parity, level.index)
+    assert rep.delta_p_classical < 0.08
     assert rep.classical_unreliable

@@ -4,12 +4,13 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.optimize import brentq
 
 import wellprob as wp
 from wellprob import quantum
-from oracles import airy_cross, closed_court_determinant, fd_eigenvalues, simpson_transform
+from oracles import (airy_cross, closed_court_determinant, fd_eigenvalues, panel_sums_dense,
+                     simpson_transform)
 
 CC10 = wp.closed_court(a=25.0, v0=10.0)
 CC6 = wp.closed_court(a=25.0, v0=6.0)
@@ -319,6 +320,7 @@ def test_transform_grid_resolution_guard():
     ([-math.inf, 0.0], "non-finite"),
     ([[0.0, 0.5], [1.0, 1.5]], "one-dimensional"),
     (0.5, "one-dimensional"),
+    (np.geomspace(0.01, 4.0, 300), "evenly spaced"),
 ])
 def test_transform_rejects_bad_p_grid(p_grid, problem):
     st = wp.eigenstate_infinite_well(IW, 1, "even", n_grid=2001)
@@ -329,10 +331,10 @@ def test_transform_rejects_bad_p_grid(p_grid, problem):
 
 @pytest.fixture
 def dense_transform(monkeypatch):
-    """momentum_transform with the dense panel sums on every p grid."""
+    """momentum_transform with the dense oracle's panel sums."""
     def transform(st, p_grid):
         with monkeypatch.context() as patch:
-            patch.setattr(quantum, "_panel_sums_chirp", quantum._panel_sums_dense)
+            patch.setattr(quantum, "_panel_sums_chirp", panel_sums_dense)
             return wp.momentum_transform(st, p_grid=p_grid)
     return transform
 
@@ -356,7 +358,6 @@ def test_chirp_and_dense_paths_agree_on_default_grids(table1_states, dense_trans
     np.linspace(-1.3, 2.9, 777),  # offset, not symmetric
     [0.01 * k for k in range(256)],
     np.linspace(-2.0, 2.0, 2194),  # 6000 panels + 2194 - 1 = 2^13 + 1: the FFT length steps up
-    np.geomspace(0.01, 4.0, 300),  # not uniform: must take the dense path
 ])
 def test_transform_matches_dense_sums_on_any_grid(table1_states, dense_transform, p_grid):
     for _, _, st in table1_states:
@@ -374,12 +375,19 @@ def test_uniform_grid_detection_fixed_grids():
 @settings(max_examples=200, deadline=None)
 @given(lo=st.floats(-50.0, 50.0), hi=st.floats(-50.0, 50.0), n=st.integers(3, 5000),
        hbar=st.floats(0.05, 20.0))
+@example(lo=0.0, hi=2.2e-311, n=7, hbar=0.3)  # subnormal step: absolute rounding
+@example(lo=0.0, hi=5e-324, n=7, hbar=0.3)  # the 1e-9-of-span move rounds to 0
 def test_uniform_grid_detection_linspace(lo, hi, n, hbar):
     assume(abs(hi - lo) > 1e-5 * max(abs(lo), abs(hi)))
     q = np.linspace(lo, hi, n) / hbar
     assert quantum._is_uniform(q)
-    q[n // 2] += 1e-9 * (hi - lo) / hbar
-    assert not quantum._is_uniform(q)
+    moved = q.copy()
+    moved[n // 2] += 1e-9 * (hi - lo) / hbar
+    # a uniform grid may already sit up to the subnormal floor off its ideal
+    # points, so only a move beyond twice the floor must be seen
+    floor = quantum._SUBNORMAL_ULPS * n * np.finfo(float).smallest_subnormal
+    if abs(moved[n // 2] - q[n // 2]) > 2.0 * floor:
+        assert not quantum._is_uniform(moved)
 
 
 def test_transform_memory_budget_at_cli_defaults():

@@ -1,5 +1,6 @@
 import ast
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields
@@ -80,3 +81,34 @@ def test_every_task_option_is_read_by_the_cli():
                 or (isinstance(node.value, ast.Attribute) and node.value.attr == "task"))}
     unread = {f.name for f in fields(TaskOptions)} - read
     assert not unread, f"TaskOptions fields no command reads: {sorted(unread)}"
+
+
+def _names_used_in_src() -> set[str]:
+    """Names read anywhere in the package, except inside the top-level def or
+    class that defines the name itself."""
+    used = set()
+    for path in Path(wp.__file__).parent.glob("*.py"):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            own = getattr(stmt, "name", None)
+            for node in ast.walk(stmt):
+                name = (node.id if isinstance(node, ast.Name)
+                        else node.attr if isinstance(node, ast.Attribute) else None)
+                if name is not None and name != own:
+                    used.add(name)
+    return used
+
+
+def _library_surface_block() -> str:
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library surface", 1)[1].split("\n## ", 1)[0]
+    return section.split("```python", 1)[1].split("```", 1)[0]
+
+
+def test_every_public_name_is_used_or_documented():
+    # a public name that the package never calls and the README does not
+    # show is surface kept alive by tests alone
+    used = _names_used_in_src()
+    block = _library_surface_block()
+    orphans = [name for name in wp.__all__
+               if name not in used and not re.search(rf"\b{name}\b", block)]
+    assert not orphans, f"public names neither used in src/ nor in the README: {orphans}"
