@@ -25,7 +25,7 @@ import numpy as np
 from .classical import classical_position_density
 from .errors import NumericalError, RegimeError, SupportError
 from .model import ClassicalState, PotentialSpec, classical_state, closed_court
-from .quantum import (MomentumWavefunction, eigenstate_closed_court,
+from .quantum import (EigenLevel, MomentumWavefunction, eigenstate_closed_court,
                       momentum_transform, nearest_level, position_density)
 
 # delta_p at or below this multiple of hbar/a marks the classical band as
@@ -106,14 +106,24 @@ def compare_state(spec: PotentialSpec, level_energy: float, parity: str,
         parity=parity, index=index)
 
 
+def _flagged(flag: str, dp_int: float, level: EigenLevel | None = None) -> ComparisonReport:
+    """A sweep row without metrics: NaN but for the level found, if any."""
+    return ComparisonReport(
+        energy=level.energy if level else math.nan, window=math.nan,
+        l2_gap_position=math.nan, support_mass_momentum=math.nan,
+        delta_p_classical=math.nan, delta_p_intrinsic=dp_int, classical_unreliable=False,
+        parity=level.parity if level else "", index=level.index if level else 0, flag=flag)
+
+
 def v0_sweep(a: float, hbar: float, mass: float, e_target: float,
              v0_list, search_width: float | None = None,
              rel_tol: float = 0.02) -> list[ComparisonReport]:
     """Comparison reports along decreasing V0 at (approximately) fixed energy.
 
     For each V0 the eigenvalue nearest e_target is used; entries without an
-    eigenvalue within ``rel_tol`` of the target are flagged and skipped but
-    do not abort the sweep.
+    eigenvalue within ``rel_tol`` of the target, or whose averaging window
+    reaches across the half-width a, are flagged and skipped but do not
+    abort the sweep.
     """
     reports = []
     for v0 in v0_list:
@@ -122,21 +132,17 @@ def v0_sweep(a: float, hbar: float, mass: float, e_target: float,
         try:
             level = nearest_level(spec, e_target, search_width=width)
         except (NumericalError, RegimeError) as exc:
-            reports.append(ComparisonReport(
-                energy=math.nan, window=math.nan, l2_gap_position=math.nan,
-                support_mass_momentum=math.nan, delta_p_classical=math.nan,
-                delta_p_intrinsic=hbar / a,
-                classical_unreliable=False, flag=f"no-eigenvalue: {exc}"))
+            reports.append(_flagged(f"no-eigenvalue: {exc}", hbar / a))
             continue
         if abs(level.energy - e_target) > rel_tol * e_target:
-            reports.append(ComparisonReport(
-                energy=level.energy, window=math.nan, l2_gap_position=math.nan,
-                support_mass_momentum=math.nan, delta_p_classical=math.nan,
-                delta_p_intrinsic=hbar / a,
-                classical_unreliable=False, parity=level.parity, index=level.index,
-                flag=f"nearest-eigenvalue-off-target-by-{abs(level.energy-e_target)/e_target:.3%}"))
+            reports.append(_flagged(
+                f"nearest-eigenvalue-off-target-by-{abs(level.energy-e_target)/e_target:.3%}",
+                hbar / a, level))
             continue
-        reports.append(compare_state(spec, level.energy, level.parity, level.index))
+        try:
+            reports.append(compare_state(spec, level.energy, level.parity, level.index))
+        except SupportError as exc:
+            reports.append(_flagged(f"window-exceeds-well: {exc}", hbar / a, level))
     return reports
 
 

@@ -3,7 +3,8 @@
 Everything here deliberately avoids the package's own algorithms:
 eigenvalues come from a finite-difference Hamiltonian (dense tridiagonal,
 Richardson-extrapolated), transforms from plain dense Simpson quadrature
-and dense Filon panel sums, derivatives from high-order stencils,
+and a dense Filon rule over every panel (no parity fold, Gauss-Legendre
+panel moments), derivatives from high-order stencils,
 half-periods from quadrature of the defining integral (the package uses
 closed forms), and the Airy boundary determinant from scipy's Airy
 functions.
@@ -59,6 +60,24 @@ def panel_sums_dense(q, centers, rows):
         block = slice(start, start + _TRANSFORM_CHUNK)
         sums[:, block] = rows @ np.exp(1.0j * np.outer(centers, q[block]))
     return sums
+
+
+def filon_transform_full(grid, psi, p, hbar=1.0):
+    """phi(p) by the transform's piecewise-quadratic Filon rule over every
+    panel of the grid, with no use of parity: dense panel sums, and panel
+    moments int_{-h}^{h} s^j exp(i q s) ds by 24-point Gauss-Legendre, exact
+    to rounding while |q h| stays below a few (the transform's resolution
+    rule keeps it below 0.16)."""
+    h = grid[1] - grid[0]
+    f_left, f_center, f_right = psi[0:-2:2], psi[1:-1:2], psi[2::2]
+    rows = np.stack([f_center, (f_right - f_left) / (2.0 * h),
+                     (f_right - 2.0 * f_center + f_left) / (2.0 * h * h)])
+    q = np.asarray(p, dtype=float) / hbar
+    s = h * _GL_NODES
+    weighted = h * _GL_WEIGHTS * np.exp(1.0j * np.outer(q, s))
+    moments = np.stack([weighted.sum(axis=1), weighted @ s, weighted @ (s * s)])
+    sums = panel_sums_dense(q, grid[1:-1:2], rows)
+    return (moments * sums).sum(axis=0) / math.sqrt(2.0 * math.pi * hbar)
 
 
 def second_derivative_5pt(f, z, h=1e-3):

@@ -127,6 +127,21 @@ def test_sweep_csv_flagged_row(tmp_path: Path):
     assert rows[0][header.index("plateau_height")] == "nan"
 
 
+def test_sweep_flags_row_whose_window_exceeds_the_well(tmp_path: Path):
+    # at V0 = 10.01 the level nearest 10.07 has p_minus = 0.249, so the window
+    # 2 pi hbar / p_minus = 25.2 reaches past a = 25; the other rows compare
+    cp = run_cli("sweep", "--out", str(tmp_path), "--set", "task.v0_list=10,10.01,6",
+                 "--set", "task.e_target=10.07")
+    assert cp.returncode == 0, cp.stderr
+    header, rows = read_csv(tmp_path / "sweep.csv")
+    assert len(rows) == 3
+    flags = [row[header.index("flag")] for row in rows]
+    assert flags[0] == "" and flags[2] == ""
+    assert flags[1].startswith("window-exceeds-well")
+    assert rows[1][header.index("l2_gap_position")] == "nan"
+    assert rows[1][header.index("parity")] in ("even", "odd")
+
+
 def test_bounce_sim_outputs(tmp_path: Path):
     cp = run_cli("bounce-sim", "--out", str(tmp_path), "--seed", "12345")
     assert cp.returncode == 0, cp.stderr

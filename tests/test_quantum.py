@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -9,8 +10,8 @@ from scipy.optimize import brentq
 
 import wellprob as wp
 from wellprob import quantum
-from oracles import (airy_cross, closed_court_determinant, fd_eigenvalues, panel_sums_dense,
-                     simpson_transform)
+from oracles import (airy_cross, closed_court_determinant, fd_eigenvalues,
+                     filon_transform_full, simpson_transform)
 
 CC10 = wp.closed_court(a=25.0, v0=10.0)
 CC6 = wp.closed_court(a=25.0, v0=6.0)
@@ -329,26 +330,34 @@ def test_transform_rejects_bad_p_grid(p_grid, problem):
     assert problem in str(err.value)
 
 
-@pytest.fixture
-def dense_transform(monkeypatch):
-    """momentum_transform with the dense oracle's panel sums."""
-    def transform(st, p_grid):
-        with monkeypatch.context() as patch:
-            patch.setattr(quantum, "_panel_sums_chirp", panel_sums_dense)
-            return wp.momentum_transform(st, p_grid=p_grid)
-    return transform
+# n_grid with n_int = 0 and 2 (mod 4): x = 0 is a panel edge, or a panel centre
+FOLD_GRIDS = (12001, 6003)
 
 
-def test_chirp_and_dense_paths_agree_on_default_grids(table1_states, dense_transform):
-    states = [st for _, _, st in table1_states] + [
-        wp.eigenstate_infinite_well(wp.infinite_well(a), n, parity)
-        for a in (10.0, 40.0) for n in (1, 7, 20) for parity in ("even", "odd")]
+def _parity_states(table1_levels, n_grid, iw_states=((25.0, 3, "even"), (25.0, 4, "odd"))):
+    """Closed-court states of both parities (the Table-1 levels, all odd, and
+    the even level nearest the first) and infinite-well states."""
+    levels = list(table1_levels)
+    spec, odd = levels[0]
+    even = min((lv for lv in wp.spectrum(spec, odd.energy + 0.5) if lv.parity == "even"),
+               key=lambda lv: abs(lv.energy - odd.energy))
+    levels.append((spec, even))
+    return [wp.eigenstate_closed_court(spec, lv.energy, lv.parity, n_grid, index=lv.index)
+            for spec, lv in levels] + [
+        wp.eigenstate_infinite_well(wp.infinite_well(a), n, parity, n_grid)
+        for a, n, parity in iw_states]
+
+
+def test_chirp_and_dense_paths_agree_on_default_grids(table1_levels):
+    # the full-grid oracle sums every panel and never uses the parity
+    states = [st for n_grid in FOLD_GRIDS for st in _parity_states(table1_levels, n_grid, [
+        (a, n, parity) for a in (10.0, 40.0) for n in (1, 7, 20) for parity in ("even", "odd")])]
     for st in states:
         wave = wp.momentum_transform(st)
         # every fifth momentum (p = 0 and both ends included) keeps the
         # dense reference at a fifth of its full cost
-        dense = dense_transform(st, wave.grid[::5])
-        assert np.max(np.abs(wave.phi[::5] - dense.phi)) < 1e-10
+        dense = filon_transform_full(st.grid, st.psi, wave.grid[::5], st.spec.constants.hbar)
+        assert np.max(np.abs(wave.phi[::5] - dense)) < 1e-10
 
 
 @pytest.mark.parametrize("p_grid", [
@@ -357,13 +366,69 @@ def test_chirp_and_dense_paths_agree_on_default_grids(table1_states, dense_trans
     np.linspace(3.0, -2.0, 501),  # descending
     np.linspace(-1.3, 2.9, 777),  # offset, not symmetric
     [0.01 * k for k in range(256)],
-    np.linspace(-2.0, 2.0, 2194),  # 6000 panels + 2194 - 1 = 2^13 + 1: the FFT length steps up
+    # at n_grid = 12001, the 3000 panels with c_j >= 0 and 2198 momenta give
+    # 3000 + 2198 - 1 = 5197, a prime: the FFT length steps up to 5400
+    np.linspace(-2.0, 2.0, 2198),
 ])
-def test_transform_matches_dense_sums_on_any_grid(table1_states, dense_transform, p_grid):
-    for _, _, st in table1_states:
+def test_transform_matches_dense_sums_on_any_grid(table1_levels, p_grid):
+    for st in (st for n_grid in FOLD_GRIDS for st in _parity_states(table1_levels, n_grid)):
         wave = wp.momentum_transform(st, p_grid=p_grid)
-        dense = dense_transform(st, p_grid)
-        assert np.max(np.abs(wave.phi - dense.phi)) < 1e-11
+        dense = filon_transform_full(st.grid, st.psi, p_grid, st.spec.constants.hbar)
+        assert np.max(np.abs(wave.phi - dense)) < 1e-11
+
+
+@pytest.mark.parametrize("n_grid", FOLD_GRIDS)
+def test_transform_parity_is_exact(table1_levels, n_grid):
+    # the two mirror halves combine as S + eps conj(S), which leaves no rounding
+    # in the part that parity makes zero
+    for st in _parity_states(table1_levels, n_grid, [(1.0, 1, "even"), (1.0, 2, "odd")]):
+        wave = wp.momentum_transform(st, n_points=1001)
+        part = wave.phi.imag if st.parity == "even" else wave.phi.real
+        assert np.all(part == 0.0), st.parity
+        assert np.max(np.abs(wave.phi)) > 0.1
+
+
+def test_transform_rejects_mislabelled_parity(table1_states):
+    _, _, odd = table1_states[0]
+    even = wp.eigenstate_infinite_well(IW, 1, "even", n_grid=2001)
+    for st, label in ((even, "odd"), (odd, "even"), (even, "both")):
+        with pytest.raises(ValueError, match=label):
+            wp.momentum_transform(dataclasses.replace(st, parity=label))
+
+
+def _is_5_smooth(v):
+    for d in (2, 3, 5):
+        while v % d == 0:
+            v //= d
+    return v == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 20000))
+@example(n=1)
+@example(n=7000)  # the CLI defaults
+@example(n=5197)  # prime
+def test_smooth_length_is_smallest_5_smooth(n):
+    size = quantum._smooth_length(n)
+    assert size >= n and _is_5_smooth(size)
+    assert not any(_is_5_smooth(v) for v in range(n, size))
+
+
+def test_transform_fft_length_at_cli_defaults(table1_states, monkeypatch):
+    # 6000 panels, 3000 with c_j >= 0, and 4001 momenta: 3000 + 4001 - 1 = 7000,
+    # whose smallest 5-smooth cover is 7200 = 2^5 3^2 5^2
+    _, _, st = table1_states[0]
+    calls = []
+    fft = np.fft.fft
+
+    def recorded(a, n=None, *args, **kwargs):
+        calls.append((np.shape(a)[-1], n))
+        return fft(a, n, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fft", recorded)
+    wp.momentum_transform(st, n_points=4001)
+    assert {n for _, n in calls} == {7200}
+    assert (3000, 7200) in calls
 
 
 def test_uniform_grid_detection_fixed_grids():
