@@ -3,12 +3,15 @@
 Commands: classical, eigensolve, momentum, table1, sweep, bounce-sim.
 Exit codes: 0 success, 2 bad configuration or unsupported regime,
 3 numerical failure.  All floats are written with 17 significant digits
-and LF line endings so repeated runs are byte-identical.
+and LF line endings so repeated runs are byte-identical.  ``_write_csv``
+takes each table as columns and streams it in blocks of rows, formatting a
+block with one %-format: the same bytes as formatting each value alone.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -46,10 +49,30 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, header, rows) -> Path:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+# Rows per formatted block: bounds the writer's memory by the block, not the file.
+_BLOCK_ROWS = 1024
+
+
+def _write_csv(path: Path, header, columns) -> Path:
+    """Write ``header`` and one equal-length sequence per column as CSV.
+
+    A float64 array column is formatted with %.17g, which gives the same
+    string as ``format(v, ".17g")``; any other column goes through ``_fmt``
+    value by value.
+    """
+    n_rows = len(columns[0]) if columns else 0
+    if len(columns) != len(header) or any(len(col) != n_rows for col in columns):
+        raise ValueError(f"CSV columns of lengths {[len(col) for col in columns]} "
+                         f"do not fill a {len(header)}-column table")
+    floats = [isinstance(col, np.ndarray) and col.dtype == np.float64 for col in columns]
+    template = ",".join("%.17g" if f else "%s" for f in floats) + "\n"
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, n_rows, _BLOCK_ROWS):
+            stop = start + _BLOCK_ROWS
+            block = [col[start:stop].tolist() if f else list(map(_fmt, col[start:stop]))
+                     for col, f in zip(columns, floats)]
+            fh.write("".join(map(template.__mod__, zip(*block))))
     return path
 
 
@@ -115,22 +138,23 @@ def cmd_classical(cfg: RunConfig) -> list[Path]:
 
     pos = classical_position_density(spec, energy, n_points=cfg.task.n_points)
     written.append(_write_csv(out / "classical_position.csv", ("x", "density"),
-                              zip(pos.grid, pos.values)))
+                              (pos.grid, pos.values)))
     meta = [("energy", energy), ("tau", state.tau), ("period", state.period),
             ("p_minus", state.p_minus), ("p_plus", state.p_plus),
             ("delta_p", state.delta_p),
             ("turning_lo", state.turning_points[0]),
             ("turning_hi", state.turning_points[1]),
             ("position_omitted_mass", pos.omitted_mass)]
-    written.append(_write_csv(out / "classical_meta.csv", ("key", "value"), meta))
+    written.append(_write_csv(out / "classical_meta.csv", ("key", "value"),
+                              list(zip(*meta))))
 
     if spec.kind is PotentialKind.INFINITE_WELL:
-        written.append(_write_csv(out / "classical_momentum_delta.csv",
-                                  ("p", "mass"), momentum_delta_masses(spec, energy)))
+        written.append(_write_csv(out / "classical_momentum_delta.csv", ("p", "mass"),
+                                  list(zip(*momentum_delta_masses(spec, energy)))))
     else:
         mom = classical_momentum_density(spec, energy, n_points=cfg.task.n_points)
         written.append(_write_csv(out / "classical_momentum.csv", ("p", "density"),
-                                  zip(mom.grid, mom.values)))
+                                  (mom.grid, mom.values)))
 
     if cfg.task.n_bins:
         for variable in ("position", "momentum"):
@@ -138,11 +162,11 @@ def cmd_classical(cfg: RunConfig) -> list[Path]:
                                          max(cfg.task.n_draws, 0) or 1, cfg.task.seed)
             written.append(_write_csv(
                 out / f"histogram_{variable}.csv", ("bin_lo", "bin_hi", "mass"),
-                zip(hist.bin_edges[:-1], hist.bin_edges[1:], hist.bin_mass)))
+                (hist.bin_edges[:-1], hist.bin_edges[1:], hist.bin_mass)))
     if cfg.task.n_draws > 0:
         draws = sample_measurements(spec, energy, cfg.task.n_draws, cfg.task.seed)
         written.append(_write_csv(out / "draws.csv", ("t", "position", "momentum"),
-                                  zip(draws.times, draws.positions, draws.momenta)))
+                                  (draws.times, draws.positions, draws.momenta)))
     return written
 
 
@@ -168,11 +192,12 @@ def cmd_eigensolve(cfg: RunConfig) -> list[Path]:
     selected = _select_state(cfg, spec, levels)
     written = [_write_csv(out / "eigenvalues.csv",
                           ("index", "parity", "energy", "residual"),
-                          [(lv.index, lv.parity, lv.energy, lv.residual) for lv in levels])]
+                          ([lv.index for lv in levels], [lv.parity for lv in levels],
+                           [lv.energy for lv in levels], [lv.residual for lv in levels]))]
     if selected is not None:
         state = selected[1]
         written.append(_write_csv(out / "wavefunction.csv", ("x", "psi", "density"),
-                                  zip(state.grid, state.psi, state.psi ** 2)))
+                                  (state.grid, state.psi, state.psi ** 2)))
     return written
 
 
@@ -187,14 +212,15 @@ def cmd_momentum(cfg: RunConfig) -> list[Path]:
     else:
         overlay = np.zeros_like(wave.grid)
         written.append(_write_csv(out / "classical_momentum_delta.csv", ("p", "mass"),
-                                  momentum_delta_masses(spec, level.energy)))
+                                  list(zip(*momentum_delta_masses(spec, level.energy)))))
     written.insert(0, _write_csv(
         out / "momentum_wavefunction.csv",
         ("p", "phi_re", "phi_im", "density", "classical_density"),
-        zip(wave.grid, wave.phi.real, wave.phi.imag, wave.density, overlay)))
+        (wave.grid, wave.phi.real, wave.phi.imag, wave.density, overlay)))
     meta = [("energy", level.energy), ("parity", level.parity), ("index", level.index),
             ("residual", level.residual), ("hbar", spec.constants.hbar)]
-    written.append(_write_csv(out / "momentum_meta.csv", ("key", "value"), meta))
+    written.append(_write_csv(out / "momentum_meta.csv", ("key", "value"),
+                              list(zip(*meta))))
     return written
 
 
@@ -212,7 +238,7 @@ def cmd_table1(cfg: RunConfig) -> list[Path]:
     header = ("v0", "a", "energy", "parity", "index", "p_minus", "p_plus",
               "delta_p", "hbar_over_a", "energy_ref", "p_minus_ref", "p_plus_ref",
               "delta_p_ref", "dev_energy", "dev_p_minus", "dev_p_plus", "dev_delta_p")
-    return [_write_csv(_outdir(cfg) / "table1.csv", header, rows)]
+    return [_write_csv(_outdir(cfg) / "table1.csv", header, list(zip(*rows)))]
 
 
 def cmd_sweep(cfg: RunConfig) -> list[Path]:
@@ -224,7 +250,7 @@ def cmd_sweep(cfg: RunConfig) -> list[Path]:
                        e_target=e_target, v0_list=v0_list,
                        search_width=t.search_width)
     rows = []
-    for v0, rep in zip(v0_list, reports):
+    for v0, rep in zip(v0_list, reports, strict=True):
         rows.append((v0, rep.energy, rep.parity, rep.index, rep.window,
                      rep.l2_gap_position, rep.support_mass_momentum,
                      rep.delta_p_classical, plateau_height(rep), rep.delta_p_intrinsic,
@@ -232,7 +258,7 @@ def cmd_sweep(cfg: RunConfig) -> list[Path]:
     header = ("v0", "energy", "parity", "index", "window", "l2_gap_position",
               "support_mass_momentum", "delta_p_classical", "plateau_height",
               "delta_p_intrinsic", "classical_unreliable", "flag")
-    return [_write_csv(_outdir(cfg) / "sweep.csv", header, rows)]
+    return [_write_csv(_outdir(cfg) / "sweep.csv", header, list(zip(*rows)))]
 
 
 def cmd_bounce_sim(cfg: RunConfig) -> list[Path]:
@@ -251,15 +277,15 @@ def cmd_bounce_sim(cfg: RunConfig) -> list[Path]:
     times = np.linspace(0.0, state.period, 801)
     z, p = trajectory(spec, energy, times)
     written = [_write_csv(out / "bounce_trajectory.csv", ("t", "z", "p"),
-                          zip(times, z, p))]
+                          (times, z, p))]
     for variable in ("position", "momentum"):
         hist = measurement_histogram(spec, energy, n_bins, variable, n_draws, t.seed)
         written.append(_write_csv(
             out / f"bounce_histogram_{variable}.csv", ("bin_lo", "bin_hi", "mass"),
-            zip(hist.bin_edges[:-1], hist.bin_edges[1:], hist.bin_mass)))
+            (hist.bin_edges[:-1], hist.bin_edges[1:], hist.bin_mass)))
     draws = sample_measurements(spec, energy, n_draws, t.seed)
     written.append(_write_csv(out / "bounce_draws.csv", ("t", "z", "p"),
-                              zip(draws.times, draws.positions, draws.momenta)))
+                              (draws.times, draws.positions, draws.momenta)))
     return written
 
 
@@ -273,7 +299,9 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls."""
     parser = argparse.ArgumentParser(
         prog="wellprob",
         description="Classical and quantum probability densities for 1D wells "

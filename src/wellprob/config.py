@@ -11,6 +11,10 @@ Four sections, all optional, unknown keys rejected:
                   search_width)
     [output]      directory, format
 
+Task sizes are checked when a config is built: n_grid and n_points are at
+least 16, n_bins is 0 (no histograms) or at least 2, and no grid, bin or
+draw count exceeds 10^7.
+
 ``parse_text`` -> ``emit_text`` round-trips: emitting writes every field in
 canonical order, so parse(emit(parse(s))) == parse(s).  Individual keys can
 be overridden with strings of the form ``section.key=value``.
@@ -99,6 +103,10 @@ _SECTIONS = {
     "output": OutputOptions,
 }
 
+# Largest grid, bin or draw count a run may ask for, checked before any
+# array is allocated (10^7 float64 samples are 80 MB per array).
+_MAX_SAMPLES = 10_000_000
+
 _FLOAT_KEYS = {"a", "v0", "g", "hbar", "mass", "energy", "e_max", "e_target",
                "search_width"}
 _INT_KEYS = {"index", "n_grid", "n_points", "n_bins", "n_draws", "seed"}
@@ -159,6 +167,12 @@ def _build(raw: dict[str, dict]) -> RunConfig:
     for name in ("n_grid", "n_points"):
         if getattr(t, name) < 16:
             raise ConfigError(f"task.{name} unreasonably small")
+    if t.n_bins is not None and (t.n_bins < 0 or t.n_bins == 1):
+        raise ConfigError(f"task.n_bins must be 0 (no histograms) or >= 2, got {t.n_bins}")
+    for name in ("n_grid", "n_points", "n_bins", "n_draws"):
+        if (getattr(t, name) or 0) > _MAX_SAMPLES:
+            raise ConfigError(f"task.{name} = {getattr(t, name)} exceeds the cap of "
+                              f"{_MAX_SAMPLES} samples")
     return cfg
 
 

@@ -366,23 +366,21 @@ def _filon_moments(q: np.ndarray, h: float):
     """Panel moments M_j = int_{-h}^{h} s^j exp(i q s) ds for j = 0, 1, 2."""
     theta = q * h
     small = np.abs(theta) < 0.1
-    ts = np.where(small, theta, 1.0)  # safe placeholder off-branch
+    m0, m1, m2 = np.empty_like(theta), np.empty_like(theta), np.empty_like(theta)
+    ts = theta[small]
     t2 = ts * ts
-    m0_s = 2.0 * h * (1.0 - t2 / 6.0 + t2 * t2 / 120.0 - t2 * t2 * t2 / 5040.0)
-    m1_s = 2.0 * h * h * ts * (1.0 / 3.0 - t2 / 30.0 + t2 * t2 / 840.0
-                               - t2 * t2 * t2 / 45360.0)
-    m2_s = 2.0 * h ** 3 * (1.0 / 3.0 - t2 / 10.0 + t2 * t2 / 168.0
-                           - t2 * t2 * t2 / 6480.0)
-    qq = np.where(small, 1.0, q)
-    tb = np.where(small, 1.0, theta)
+    m0[small] = 2.0 * h * (1.0 - t2 / 6.0 + t2 * t2 / 120.0 - t2 * t2 * t2 / 5040.0)
+    m1[small] = 2.0 * h * h * ts * (1.0 / 3.0 - t2 / 30.0 + t2 * t2 / 840.0
+                                    - t2 * t2 * t2 / 45360.0)
+    m2[small] = 2.0 * h ** 3 * (1.0 / 3.0 - t2 / 10.0 + t2 * t2 / 168.0
+                                - t2 * t2 * t2 / 6480.0)
+    big = ~small
+    qq, tb = q[big], theta[big]
     sin_t, cos_t = np.sin(tb), np.cos(tb)
-    m0_b = 2.0 * sin_t / qq
-    m1_b = 2.0 * (sin_t - tb * cos_t) / (qq * qq)
-    m2_b = 2.0 * ((tb * tb - 2.0) * sin_t + 2.0 * tb * cos_t) / (qq ** 3)
-    m0 = np.where(small, m0_s, m0_b)
-    m1 = 1.0j * np.where(small, m1_s, m1_b)
-    m2 = np.where(small, m2_s, m2_b)
-    return m0, m1, m2
+    m0[big] = 2.0 * sin_t / qq
+    m1[big] = 2.0 * (sin_t - tb * cos_t) / (qq * qq)
+    m2[big] = 2.0 * ((tb * tb - 2.0) * sin_t + 2.0 * tb * cos_t) / (qq ** 3)
+    return m0, 1.0j * m1, m2
 
 
 def _step(v: np.ndarray) -> float:

@@ -6,8 +6,9 @@ Richardson-extrapolated), transforms from plain dense Simpson quadrature
 and a dense Filon rule over every panel (no parity fold, Gauss-Legendre
 panel moments), derivatives from high-order stencils,
 half-periods from quadrature of the defining integral (the package uses
-closed forms), and the Airy boundary determinant from scipy's Airy
-functions.
+closed forms), the Airy boundary determinant from scipy's Airy
+functions, and CSV bytes from formatting each value on its own (the
+package formats blocks of rows with one %-format per block).
 """
 
 import math
@@ -215,3 +216,24 @@ def closed_court_determinant(spec, energy, parity):
     _, aip0, _, bip0 = special.airy(z0)
     aiw, _, biw, _ = special.airy(zw)
     return float(aip0 * biw - aiw * bip0)
+
+
+# ---------------------------------------------------------------------------
+# CSV reference: one value at a time, one joined line per row
+
+def _csv_cell(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return format(value, ".17g")
+    return str(value)
+
+
+def write_csv_rows(path, header, rows):
+    """Write header and rows as LF-terminated CSV lines, every value
+    formatted by itself: floats (numpy float64 included) with 17 significant
+    digits, bools as true/false, anything else by str."""
+    lines = [",".join(header)]
+    lines.extend(",".join(_csv_cell(v) for v in row) for row in rows)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    return path

@@ -1,11 +1,16 @@
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
+import oracles
 import wellprob as wp
+from wellprob import cli
 
 
 def run_cli(*args: str) -> subprocess.CompletedProcess:
@@ -255,3 +260,170 @@ def test_eigensolve_listing_without_state(tmp_path: Path, args):
     assert cp.returncode == 0, cp.stderr
     assert (tmp_path / "eigenvalues.csv").exists()
     assert not (tmp_path / "wavefunction.csv").exists()
+
+
+# ---------------------------------------------------------------------------
+# the column-wise CSV writer against the one-value-at-a-time reference
+
+_BLOCK = cli._BLOCK_ROWS
+_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=6)
+_SCALARS = st.one_of(st.floats(), st.integers(), st.booleans(), _TEXT)
+_EDGE_FLOATS = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -2.2250738585072014e-308,
+                1e308, -1.7976931348623157e308, 0.1, 1.0 / 3.0]
+
+
+@st.composite
+def _column(draw, n_rows: int):
+    kind = draw(st.sampled_from(["float64", "float64-view", "float32", "int", "str",
+                                 "bool", "mixed"]))
+    if kind.startswith("float64"):
+        col = draw(hnp.arrays(np.float64, 2 * n_rows,
+                              elements=st.floats(allow_subnormal=True)
+                              | st.sampled_from(_EDGE_FLOATS)))
+        return col[::2] if kind == "float64-view" else col[:n_rows]
+    if kind == "float32":
+        return draw(hnp.arrays(np.float32, n_rows, elements=st.floats(width=32)))
+    if kind == "int":
+        return draw(hnp.arrays(np.int64, n_rows)).tolist()
+    if kind == "bool":
+        return draw(hnp.arrays(np.bool_, n_rows)).tolist()
+    pool = draw(st.lists(_TEXT if kind == "str" else _SCALARS, min_size=1, max_size=8))
+    return [pool[i % len(pool)] for i in range(n_rows)]
+
+
+@st.composite
+def _tables(draw):
+    n_rows = draw(st.sampled_from([0, 1, _BLOCK, _BLOCK + 1]) | st.integers(0, 3 * _BLOCK))
+    columns = draw(st.lists(_column(n_rows), min_size=1, max_size=5))
+    return [f"c{i}" for i in range(len(columns))], columns
+
+
+@settings(max_examples=60, deadline=None)
+@example(table=(["x", "y"], [np.array(_EDGE_FLOATS), np.array(_EDGE_FLOATS[::-1])]))
+@example(table=(["key", "value"], [["energy", "parity", "index", "flag"],
+                                   [10.066, "odd", 3, True]]))
+@given(table=_tables())
+def test_writer_bytes_equal_reference(tmp_path_factory, table):
+    header, columns = table
+    d = tmp_path_factory.mktemp("csv")
+    got = cli._write_csv(d / "columns.csv", header, columns)
+    ref = oracles.write_csv_rows(d / "rows.csv", header, zip(*columns))
+    assert got == d / "columns.csv"
+    assert got.read_bytes() == ref.read_bytes()
+
+
+@pytest.mark.parametrize("columns", [
+    (np.zeros(3), np.zeros(4)),
+    (np.zeros(_BLOCK + 1), list(range(_BLOCK))),
+    (["a"], []),
+    (np.zeros(3),),
+], ids=["short-second", "short-list", "empty-second", "missing-column"])
+def test_writer_rejects_columns_that_do_not_fill_the_table(tmp_path: Path, columns):
+    with pytest.raises(ValueError, match="do not fill"):
+        cli._write_csv(tmp_path / "bad.csv", ("a", "b"), columns)
+
+
+def test_writer_memory_is_bounded_by_the_block(tmp_path: Path):
+    # a 12001-row table is the default eigenstate grid; formatting it whole
+    # holds every line at once (about 2.1 MB), one block about 0.3 MB
+    x = np.linspace(-25.0, 25.0, 12001)
+    columns = (x, np.sin(x), np.sin(x) ** 2)
+    tracemalloc.start()
+    try:
+        cli._write_csv(tmp_path / "table.csv", ("x", "psi", "density"), columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.5e6, peak
+    assert (tmp_path / "table.csv").read_bytes().count(b"\n") == 12002
+
+
+_BYTE_IDENTITY_RUNS = {
+    "table1": ("table1",),
+    "sweep": ("sweep",),
+    "eigensolve-closed-court": ("eigensolve", *CC10_ARGS, "--set", "task.energy=10.066"),
+    "eigensolve-infinite-well": ("eigensolve", *IW_ARGS, "--set", "task.e_max=0.1",
+                                 "--set", "task.index=2", "--set", "task.parity=odd"),
+    "momentum-closed-court": ("momentum", "--set", "potential.kind=closed_court",
+                              "--set", "potential.a=25", "--set", "potential.v0=10",
+                              "--set", "task.energy=10.066"),
+    "momentum-infinite-well": ("momentum", *IW_ARGS, "--set", "task.index=3",
+                               "--set", "task.parity=even"),
+    "classical-bouncer": ("classical", "--set", "potential.kind=bouncer",
+                          "--set", "task.energy=2", "--set", "task.n_bins=20",
+                          "--set", "task.n_draws=1500"),
+    "classical-infinite-well": ("classical", *IW_ARGS, "--set", "task.energy=4",
+                                "--set", "task.n_bins=20", "--set", "task.n_draws=500"),
+    "classical-closed-court": ("classical", "--set", "potential.kind=closed_court",
+                               "--set", "potential.a=25", "--set", "potential.v0=10",
+                               "--set", "task.energy=10.5", "--set", "task.n_bins=20",
+                               "--set", "task.n_draws=500"),
+    "bounce-sim": ("bounce-sim",),
+}
+
+
+def _reference_writer(path, header, columns):
+    assert len(columns) == len(header)
+    assert len({len(col) for col in columns}) <= 1
+    return oracles.write_csv_rows(path, header, zip(*columns))
+
+
+def test_cli_csv_bytes_equal_reference_writer(tmp_path: Path, monkeypatch, capsys):
+    for name, argv in _BYTE_IDENTITY_RUNS.items():
+        assert cli.main([*argv, "--out", str(tmp_path / "package" / name)]) == 0, name
+    monkeypatch.setattr(cli, "_write_csv", _reference_writer)
+    for name, argv in _BYTE_IDENTITY_RUNS.items():
+        assert cli.main([*argv, "--out", str(tmp_path / "reference" / name)]) == 0, name
+    capsys.readouterr()
+    for name in _BYTE_IDENTITY_RUNS:
+        package = sorted((tmp_path / "package" / name).iterdir())
+        reference = sorted((tmp_path / "reference" / name).iterdir())
+        assert [p.name for p in package] == [p.name for p in reference], name
+        for got, ref in zip(package, reference):
+            assert got.read_bytes() == ref.read_bytes(), (name, got.name)
+
+
+# ---------------------------------------------------------------------------
+# the parser is built once; configs are checked before anything runs
+
+def test_parser_is_shared_without_leaking_overrides(tmp_path: Path, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    bouncer = ("classical", "--set", "potential.kind=bouncer", "--set", "task.energy=2")
+    assert cli.main([*bouncer, "--set", "task.n_bins=8", "--set", "task.n_draws=50",
+                     "--out", str(tmp_path / "first")]) == 0
+    assert cli.main([*bouncer, "--out", str(tmp_path / "second")]) == 0
+    capsys.readouterr()
+    first = {p.name for p in (tmp_path / "first").iterdir()}
+    second = {p.name for p in (tmp_path / "second").iterdir()}
+    assert {"draws.csv", "histogram_position.csv"} <= first
+    assert second == {"classical_position.csv", "classical_momentum.csv",
+                      "classical_meta.csv"}
+
+
+@pytest.mark.parametrize("args", [
+    ("classical", "--set", "potential.kind=bouncer", "--set", "task.energy=2",
+     "--set", "task.n_bins=1"),
+    ("classical", "--set", "potential.kind=bouncer", "--set", "task.energy=2",
+     "--set", "task.n_bins=-3"),
+    ("bounce-sim", "--set", "task.n_bins=1"),
+    ("bounce-sim", "--set", "task.n_bins=-3"),
+    ("bounce-sim", "--set", "task.n_draws=10000001"),
+    ("classical", "--set", "potential.kind=bouncer", "--set", "task.energy=2",
+     "--set", "task.n_draws=10000001"),
+], ids=["classical-n_bins-1", "classical-n_bins-negative", "bounce-sim-n_bins-1",
+        "bounce-sim-n_bins-negative", "bounce-sim-n_draws-over-cap",
+        "classical-n_draws-over-cap"])
+def test_bad_task_sizes_exit_2_before_any_work(tmp_path: Path, capsys, args):
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        code = cli.main([*args, "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config:") and "task.n_" in err
+    assert "\n" not in err.strip()
+    assert peak < 1e6, peak  # nothing sized by the task was allocated
+    assert not out.exists()

@@ -85,3 +85,23 @@ def test_spec_validation_becomes_config_error():
     cfg = apply_overrides(RunConfig(), ["potential.kind=infinite_well"])
     with pytest.raises(wp.ConfigError):
         cfg.spec()  # missing half-width a
+
+
+@pytest.mark.parametrize("n_bins", [1, -3])
+def test_n_bins_must_be_zero_or_at_least_two(n_bins):
+    with pytest.raises(wp.ConfigError, match="task.n_bins"):
+        parse_text(f"[task]\nn_bins = {n_bins}\n")
+    with pytest.raises(wp.ConfigError, match="task.n_bins"):
+        apply_overrides(RunConfig(), [f"task.n_bins={n_bins}"])
+    for ok in (0, 2):
+        assert apply_overrides(RunConfig(), [f"task.n_bins={ok}"]).task.n_bins == ok
+
+
+@pytest.mark.parametrize("name", ["n_grid", "n_points", "n_bins", "n_draws"])
+def test_task_sizes_are_capped(name):
+    cap = 10 ** 7
+    assert getattr(apply_overrides(RunConfig(), [f"task.{name}={cap}"]).task, name) == cap
+    with pytest.raises(wp.ConfigError, match=f"task.{name} = {cap + 1} exceeds"):
+        apply_overrides(RunConfig(), [f"task.{name}={cap + 1}"])
+    with pytest.raises(wp.ConfigError, match="exceeds"):
+        parse_text(f"[task]\n{name} = {cap + 1}\n")
