@@ -11,9 +11,10 @@ Four sections, all optional, unknown keys rejected:
                   search_width)
     [output]      directory, format
 
-Task sizes are checked when a config is built: n_grid and n_points are at
-least 16, n_bins is 0 (no histograms) or at least 2, and no grid, bin or
-draw count exceeds 10^7.
+Values are checked when a config is built: every real value (v0_list
+entries too) is finite, hbar, mass, g and search_width are > 0, n_grid and
+n_points are at least 16, n_bins is 0 (no histograms) or at least 2, and no
+grid, bin or draw count exceeds 10^7.
 
 ``parse_text`` -> ``emit_text`` round-trips: emitting writes every field in
 canonical order, so parse(emit(parse(s))) == parse(s).  Individual keys can
@@ -23,6 +24,7 @@ be overridden with strings of the form ``section.key=value``.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError
@@ -113,15 +115,22 @@ _INT_KEYS = {"index", "n_grid", "n_points", "n_bins", "n_draws", "seed"}
 _STR_KEYS = {"kind", "parity", "directory", "format"}
 
 
+def _finite(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"{raw!r} is not finite")
+    return value
+
+
 def _convert(section: str, key: str, raw: str):
     raw = raw.strip()
     try:
         if key in _FLOAT_KEYS:
-            return float(raw)
+            return _finite(raw)
         if key in _INT_KEYS:
             return int(raw)
         if key == "v0_list":
-            return tuple(float(tok) for tok in raw.split(",") if tok.strip())
+            return tuple(_finite(tok) for tok in raw.split(",") if tok.strip())
         if key in _STR_KEYS:
             return raw
     except ValueError:
@@ -159,7 +168,12 @@ def _build(raw: dict[str, dict]) -> RunConfig:
         except TypeError as exc:
             raise ConfigError(f"bad [{section}] block: {exc}") from None
     cfg = RunConfig(**kwargs)
-    t = cfg.task
+    t, c = cfg.task, cfg.constants
+    for name, v in (("constants.hbar", c.hbar), ("constants.mass", c.mass),
+                    ("constants.g", c.g), ("potential.g", cfg.potential.g),
+                    ("task.search_width", t.search_width)):
+        if v is not None and not v > 0.0:
+            raise ConfigError(f"{name} must be > 0, got {v!r}")
     if t.parity not in ("even", "odd", "both"):
         raise ConfigError(f"task.parity must be even|odd|both, got {t.parity!r}")
     if cfg.output.format != "csv":

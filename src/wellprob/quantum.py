@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .airy import airy_eval_many
+from .airy import Z_MAX, airy_eval_many
 from .classical import DensityCurve
 from .errors import NumericalError, RegimeError, ResolutionError
 from .model import PotentialKind, PotentialSpec, half_period
@@ -37,6 +37,7 @@ _NEWTON_MAX_ITERS = 64
 _NEWTON_STEP_TOL = 4.0 * np.finfo(float).eps  # relative to |E|
 _NEWTON_STALL_TOL = math.sqrt(np.finfo(float).eps)  # relative; see _newton_roots
 _SCAN_STEPS_PER_LEVEL = 5  # scan resolution relative to the local spacing pi hbar / tau
+_MAX_LEVELS = 100_000  # phase-space level count a scan may face, both parities
 _UNIFORM_ULPS = 8.0  # tolerance of the uniform-p test, in ulps of max |p|
 _SUBNORMAL_ULPS = 32.0  # its floor, in subnormal ulps per point; see _is_uniform
 _PARITY_TOL = 1e-12  # max |psi(x) - parity psi(-x)| / max |psi| the transform accepts
@@ -108,38 +109,44 @@ def _require_closed_court(spec: PotentialSpec) -> None:
         raise RegimeError("closed court needs v0 > 0; use infinite_well for v0 = 0")
 
 
-def _determinant(parity: str, z_origin, origin, wall):
+def _is_odd(parity: str) -> bool:
+    if parity not in ("even", "odd"):
+        raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
+    return parity == "odd"
+
+
+def _determinant(odd, z_origin, origin, wall):
     """Boundary determinant D, its residual |D| / envelope and dD/dz (via
     Ai'' = z Ai, Bi'' = z Bi) from the Airy values (ai, bi, aip, bip) at
-    z_origin and the wall."""
+    z_origin and the wall.  ``odd`` is a bool, or a bool array that picks
+    each point's parity, so points of both parities share one Airy call."""
     ai1, bi1, aip1, bip1 = origin
     ai2, bi2, aip2, bip2 = wall
-    if parity == "odd":
-        t1, t2 = ai1 * bi2, ai2 * bi1
-        d_dz = aip1 * bi2 + ai1 * bip2 - aip2 * bi1 - ai2 * bip1
-    elif parity == "even":
-        t1, t2 = aip1 * bi2, ai2 * bip1
-        d_dz = z_origin * (ai1 * bi2 - ai2 * bi1) + aip1 * bip2 - aip2 * bip1
-    else:
-        raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
+    t1 = np.where(odd, ai1 * bi2, aip1 * bi2)
+    t2 = np.where(odd, ai2 * bi1, ai2 * bip1)
+    d_dz = np.where(odd, aip1 * bi2 + ai1 * bip2 - aip2 * bi1 - ai2 * bip1,
+                    z_origin * (ai1 * bi2 - ai2 * bi1) + aip1 * bip2 - aip2 * bip1)
     det = t1 - t2
     return det, np.abs(det) / np.maximum(np.abs(t1) + np.abs(t2), 1e-300), d_dz
 
 
-def _eigencondition(spec: PotentialSpec, energies: np.ndarray, parity: str):
-    """Boundary determinant D, its normalized residual and dD/dE, vectorized over E;
-    both Airy arguments move with dz/dE = -a / (V0 rho)."""
+def _eigencondition(spec: PotentialSpec, energies: np.ndarray, odd):
+    """Boundary determinant D, its normalized residual and dD/dE, vectorized over E
+    (and over ``odd``, as in :func:`_determinant`) with one Airy call on the
+    origin and wall arguments together; both move with dz/dE = -a / (V0 rho)."""
     scales = AiryScales.from_spec(spec, np.asarray(energies, dtype=float))
     z_origin = -scales.sigma / scales.rho
     z_wall = (spec.a - scales.sigma) / scales.rho
-    val, residual, d_dz = _determinant(parity, z_origin, airy_eval_many(z_origin),
-                                       airy_eval_many(z_wall))
+    n = len(z_origin)
+    vals = airy_eval_many(np.concatenate([z_origin, z_wall]))
+    val, residual, d_dz = _determinant(odd, z_origin, [v[:n] for v in vals],
+                                       [v[n:] for v in vals])
     return val, residual, d_dz * (-spec.a / (spec.v0 * scales.rho))
 
 
 def eigencondition_residual(spec: PotentialSpec, energy: float, parity: str) -> float:
     """|determinant| / envelope at one energy; ~0 at an eigenvalue."""
-    _, residual, _ = _eigencondition(spec, np.array([energy]), parity)
+    _, residual, _ = _eigencondition(spec, np.array([energy]), _is_odd(parity))
     return float(residual[0])
 
 
@@ -165,9 +172,10 @@ def _scan_grid(spec: PotentialSpec, e_min: float, e_max: float) -> np.ndarray:
     return np.array(pts)
 
 
-def _newton_roots(spec: PotentialSpec, parity: str, left: np.ndarray, right: np.ndarray,
+def _newton_roots(spec: PotentialSpec, odd: np.ndarray, left: np.ndarray, right: np.ndarray,
                   f_left: np.ndarray, f_right: np.ndarray) -> np.ndarray:
-    """Bracket-safeguarded Newton iteration, vectorized over the brackets.
+    """Bracket-safeguarded Newton iteration, vectorized over the brackets,
+    whose parities the bool array ``odd`` gives.
 
     Each root starts at the false-position point of its bracket.  Every
     evaluation shrinks the bracket to the side that keeps the sign change;
@@ -177,7 +185,8 @@ def _newton_roots(spec: PotentialSpec, parity: str, left: np.ndarray, right: np.
     the determinant's noise floor, which the Airy phase error zeta * eps
     lifts above 4 eps |E| for |z| beyond about 50.  Near a root the
     determinant's sign is noise too, so neither the bracket width nor a
-    bisection step is a usable stop test.
+    bisection step is a usable stop test.  Each root stops on its own test,
+    so it takes the same steps whatever other roots share the loop.
     """
     x = left - f_left * (right - left) / (f_right - f_left)
     sign_left = np.sign(f_left)  # the bracket's left end keeps this sign
@@ -187,7 +196,7 @@ def _newton_roots(spec: PotentialSpec, parity: str, left: np.ndarray, right: np.
         if not len(todo):
             break
         xs = x[todo]
-        f, _, df = _eigencondition(spec, xs, parity)
+        f, _, df = _eigencondition(spec, xs, odd[todo])
         keeps_left = np.sign(f) == sign_left[todo]
         lo = left[todo] = np.where(keeps_left, xs, left[todo])
         hi = right[todo] = np.where(keeps_left, right[todo], xs)
@@ -202,45 +211,53 @@ def _newton_roots(spec: PotentialSpec, parity: str, left: np.ndarray, right: np.
     return x
 
 
-def eigenvalues_closed_court(spec: PotentialSpec, e_max: float, parity: str) -> np.ndarray:
-    """All eigenvalues of one parity in (V0, e_max], sorted ascending.
+def _levels(spec: PotentialSpec, e_max: float, above: float) -> list[EigenLevel]:
+    """The levels of both parities in (V0, e_max] whose scan bracket ends
+    above ``above``, sorted by energy and indexed as in :func:`spectrum`.
 
-    Roots of the boundary determinant are bracketed on an energy scan finer
-    than the semiclassical level spacing and refined by a bracket-safeguarded
-    Newton iteration to machine-level relative accuracy.  A warning is
-    raised if the number of sign changes disagrees with the phase-space
-    count estimate by more than 2 (a bracket may have straddled two roots).
+    One scan serves both parities: the grid does not depend on parity, so
+    one Airy call on it gives both determinants.  A level's index is the
+    rank of its bracket among the sign changes of its parity, so only the
+    brackets that end above ``above`` need refining; they share one Newton
+    loop and one residual call.
     """
     _require_closed_court(spec)
+    if not math.isfinite(e_max):
+        raise ValueError(f"e_max must be finite, got {e_max!r}")
     lo = spec.v0 * (1.0 + 1e-12) + 1e-300
     if e_max <= lo:
-        return np.array([])
-    grid = _scan_grid(spec, lo, e_max)
-    vals, _, _ = _eigencondition(spec, grid, parity)
-    sign_change = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
-    roots = _newton_roots(spec, parity, grid[sign_change], grid[sign_change + 1],
-                          vals[sign_change], vals[sign_change + 1])
-
+        return []
+    scales = AiryScales.from_spec(spec, e_max)
+    if scales.sigma / scales.rho > Z_MAX:
+        raise RegimeError(f"e_max={e_max:g} puts the Airy argument at the origin past "
+                          f"-{Z_MAX:g}")
     expected = 0.5 * (_phase_space_count(spec, e_max) - _phase_space_count(spec, lo))
-    if abs(len(roots) - expected) > 2.0:
-        warnings.warn(
-            f"found {len(roots)} {parity} levels in ({lo:.4g}, {e_max:.4g}] but "
-            f"phase-space estimate is {expected:.1f}; scan may have skipped roots",
-            SkippedRootWarning)
-    return roots
+    if 2.0 * expected > _MAX_LEVELS:
+        raise RegimeError(f"about {2.0 * expected:.3g} levels lie in (V0, {e_max:g}]; "
+                          f"a spectrum holds at most {_MAX_LEVELS}")
 
+    grid = _scan_grid(spec, lo, e_max)
+    vals = _eigencondition(spec, grid, np.array([[False], [True]]))[0]  # rows: even, odd
+    odd, index, k = [], [], []
+    for row, parity in enumerate(("even", "odd")):
+        brackets = np.nonzero(np.sign(vals[row, :-1]) * np.sign(vals[row, 1:]) < 0)[0]
+        if abs(len(brackets) - expected) > 2.0:
+            warnings.warn(
+                f"found {len(brackets)} {parity} levels in ({lo:.4g}, {e_max:.4g}] but "
+                f"phase-space estimate is {expected:.1f}; scan may have skipped roots",
+                SkippedRootWarning)
+        rank = np.nonzero(grid[brackets + 1] > above)[0]
+        odd += [bool(row)] * len(rank)
+        index += (rank + 1).tolist()
+        k += brackets[rank].tolist()
+    odd, k = np.array(odd, dtype=bool), np.array(k, dtype=int)
+    rows = odd.astype(int)
+    roots = _newton_roots(spec, odd, grid[k], grid[k + 1], vals[rows, k], vals[rows, k + 1])
+    _, residuals, _ = _eigencondition(spec, roots, odd)
 
-def spectrum(spec: PotentialSpec, e_max: float) -> list[EigenLevel]:
-    """Both parities merged and indexed; also checks even/odd interlacing.
-
-    A level's index is its rank among the levels of its parity above V0.
-    """
-    levels = []
-    for parity in ("even", "odd"):
-        roots = eigenvalues_closed_court(spec, e_max, parity)
-        _, residuals, _ = _eigencondition(spec, roots, parity)
-        levels += [EigenLevel(energy=float(e), parity=parity, index=i + 1, residual=float(r))
-                   for i, (e, r) in enumerate(zip(roots, residuals))]
+    levels = [EigenLevel(energy=float(e), parity="odd" if o else "even", index=i,
+                         residual=float(r))
+              for e, o, i, r in zip(roots, odd, index, residuals)]
     levels.sort(key=lambda lv: lv.energy)
     parities = [lv.parity for lv in levels]
     if any(a == b for a, b in zip(parities, parities[1:])):
@@ -249,11 +266,41 @@ def spectrum(spec: PotentialSpec, e_max: float) -> list[EigenLevel]:
     return levels
 
 
+def eigenvalues_closed_court(spec: PotentialSpec, e_max: float, parity: str) -> np.ndarray:
+    """All eigenvalues of one parity in (V0, e_max], sorted ascending: the
+    levels of that parity from :func:`spectrum`."""
+    _is_odd(parity)  # rejects any other label
+    return np.array([lv.energy for lv in spectrum(spec, e_max) if lv.parity == parity])
+
+
+def spectrum(spec: PotentialSpec, e_max: float) -> list[EigenLevel]:
+    """Every level of both parities in (V0, e_max], sorted by energy.
+
+    Roots of the boundary determinant are bracketed on one energy scan
+    finer than the semiclassical level spacing, shared by both parities,
+    and refined by a bracket-safeguarded Newton iteration to machine-level
+    relative accuracy; every determinant evaluation is one Airy call.  A
+    level's index is its rank among the levels of its parity above V0.
+    :class:`SkippedRootWarning` is raised if a parity's number of sign
+    changes disagrees with the phase-space count estimate by more than 2
+    (a bracket may have straddled two roots), or if the levels do not
+    interlace.  ValueError for a non-finite ``e_max``; RegimeError when
+    ``e_max`` takes the Airy argument at the origin past -1e4 or holds
+    more than 10^5 levels by the phase-space count.
+    """
+    return _levels(spec, e_max, spec.v0)
+
+
 def nearest_level(spec: PotentialSpec, e_target: float, search_width: float = 1.0) -> EigenLevel:
     """The level closest to e_target within (max(V0, e_target - search_width),
-    e_target + search_width], indexed as in :func:`spectrum`."""
+    e_target + search_width], indexed as in :func:`spectrum`.
+
+    The scan runs from V0 to the top of the window, since the index counts
+    the sign changes below it, but only the brackets that reach into the
+    window are refined.
+    """
     lo = max(spec.v0, e_target - search_width)
-    levels = [lv for lv in spectrum(spec, e_target + search_width) if lv.energy > lo]
+    levels = [lv for lv in _levels(spec, e_target + search_width, lo) if lv.energy > lo]
     if not levels:
         raise NumericalError(
             f"no eigenvalue within +-{search_width} of E={e_target} (V0={spec.v0})")
@@ -281,15 +328,14 @@ def eigenstate_closed_court(spec: PotentialSpec, energy: float, parity: str,
     # z depends on |x| only: evaluate x >= 0, from exactly 0 (linspace may
     # leave ~1e-15 at the centre) to the wall, and mirror
     z = (np.concatenate([[0.0], x[n_grid // 2 + 1:]]) - scales.sigma) / scales.rho
+    odd = _is_odd(parity)
     vals = airy_eval_many(z)
-    _, residual, _ = _determinant(parity, z[0], [v[0] for v in vals],
-                                  [v[-1] for v in vals])
+    _, residual, _ = _determinant(odd, z[0], [v[0] for v in vals], [v[-1] for v in vals])
     if residual > _EIGEN_RESIDUAL_TOL:
         raise NumericalError(
             f"E={energy!r} is not a {parity} eigenvalue "
             f"(normalized residual {residual:.2e} > {_EIGEN_RESIDUAL_TOL})")
     ai, bi, aip, bip = vals
-    odd = parity == "odd"
     psi = bi[0] * ai - ai[0] * bi if odd else bip[0] * ai - aip[0] * bi
     psi = np.concatenate([(-psi if odd else psi)[:0:-1], psi])
     psi = psi / math.sqrt(_simpson_uniform(psi ** 2, x[1] - x[0]))

@@ -427,3 +427,32 @@ def test_bad_task_sizes_exit_2_before_any_work(tmp_path: Path, capsys, args):
     assert "\n" not in err.strip()
     assert peak < 1e6, peak  # nothing sized by the task was allocated
     assert not out.exists()
+
+
+CC10_KIND = ("--set", "potential.kind=closed_court", "--set", "potential.a=25",
+             "--set", "potential.v0=10")
+
+
+@pytest.mark.parametrize("args", [
+    ("eigensolve", *CC10_KIND, "--set", "task.e_max=inf"),
+    ("eigensolve", *CC10_KIND, "--set", "task.e_max=nan"),
+    ("eigensolve", *CC10_KIND, "--set", "task.e_max=6000"),
+    ("table1", "--set", "task.search_width=-1"),
+    ("table1", "--set", "task.search_width=0"),
+    ("table1", "--set", "task.search_width=nan"),
+    ("sweep", "--set", "task.search_width=-2"),
+    ("sweep", "--set", "task.e_target=nan"),
+    ("classical", "--set", "potential.kind=bouncer", "--set", "task.energy=2",
+     "--set", "constants.hbar=-1"),
+    ("sweep", "--set", "task.v0_list=10,nan"),
+], ids=["eigensolve-e_max-inf", "eigensolve-e_max-nan", "eigensolve-e_max-past-airy-range",
+        "table1-search_width-negative", "table1-search_width-0", "table1-search_width-nan",
+        "sweep-search_width-negative", "sweep-e_target-nan", "classical-hbar-negative",
+        "sweep-v0_list-nan"])
+def test_unusable_values_exit_2(tmp_path: Path, capsys, args):
+    # before these checks: a scan without end, a header-only listing,
+    # "no eigenvalue" (exit 3), every row flagged (exit 0) or a traceback (exit 1)
+    assert cli.main([*args, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config:")
+    assert "\n" not in err.strip()

@@ -105,3 +105,28 @@ def test_task_sizes_are_capped(name):
         apply_overrides(RunConfig(), [f"task.{name}={cap + 1}"])
     with pytest.raises(wp.ConfigError, match="exceeds"):
         parse_text(f"[task]\n{name} = {cap + 1}\n")
+
+
+@pytest.mark.parametrize("key", ["potential.a", "potential.v0", "potential.g", "constants.hbar",
+                                 "constants.mass", "constants.g", "task.energy", "task.e_max",
+                                 "task.e_target", "task.search_width"])
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+def test_real_values_must_be_finite(key, value):
+    with pytest.raises(wp.ConfigError, match=key):
+        apply_overrides(RunConfig(), [f"{key}={value}"])
+    section, name = key.split(".")
+    with pytest.raises(wp.ConfigError, match=key):
+        parse_text(f"[{section}]\n{name} = {value}\n")
+
+
+def test_v0_list_entries_must_be_finite():
+    with pytest.raises(wp.ConfigError, match="task.v0_list"):
+        parse_text("[task]\nv0_list = 10, nan, 2\n")
+
+
+@pytest.mark.parametrize("key", ["constants.hbar", "constants.mass", "constants.g",
+                                 "potential.g", "task.search_width"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_scales_and_search_width_must_be_positive(key, value):
+    with pytest.raises(wp.ConfigError, match=f"{key} must be > 0"):
+        apply_overrides(RunConfig(), [f"{key}={value}"])

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import time
 import tracemalloc
 import warnings
 
@@ -11,7 +12,8 @@ from scipy.optimize import brentq
 import wellprob as wp
 from wellprob import quantum
 from oracles import (airy_cross, closed_court_determinant, fd_eigenvalues,
-                     filon_transform_full, simpson_transform)
+                     filon_transform_full, nearest_level_one_parity_at_a_time,
+                     roots_one_parity, simpson_transform, spectrum_one_parity_at_a_time)
 
 CC10 = wp.closed_court(a=25.0, v0=10.0)
 CC6 = wp.closed_court(a=25.0, v0=6.0)
@@ -141,6 +143,75 @@ def test_spectrum_airy_call_budget(monkeypatch):
     calls = _count_airy_calls(monkeypatch)
     wp.spectrum(CC10, 12.0)
     assert len(calls) <= 40
+
+
+@pytest.mark.parametrize("v0,e_ref", [(10.0, 10.066), (6.0, 10.073), (2.0, 10.105)])
+def test_nearest_level_one_airy_call_per_evaluation(monkeypatch, v0, e_ref):
+    # one scan call for both parities, one per Newton step, one for the residuals
+    calls = _count_airy_calls(monkeypatch)
+    wp.nearest_level(wp.closed_court(a=25.0, v0=v0), e_ref)
+    assert len(calls) <= 8
+
+
+def test_spectrum_one_airy_call_per_evaluation(monkeypatch):
+    calls = _count_airy_calls(monkeypatch)
+    wp.spectrum(CC10, 12.0)
+    assert len(calls) <= 8
+
+
+def test_nearest_level_refines_only_in_window_brackets(monkeypatch):
+    # 35 levels lie in (V0, 11.105], 5 of them in the window (9.105, 11.105];
+    # a bracket straddling the window's lower edge may add one root (two points)
+    n_window = sum(lv.energy > 9.105 for lv in wp.spectrum(CC2, 11.105))
+    calls = _count_airy_calls(monkeypatch)
+    wp.nearest_level(CC2, 10.105)
+    assert len(calls) > 1 and max(calls[1:]) <= 2 * n_window + 2
+
+
+@settings(max_examples=40, deadline=None)
+@given(a=st.floats(10.0, 40.0), v0=st.floats(1.0, 12.0), gap=st.floats(0.5, 6.0),
+       width=st.floats(0.05, 2.0))
+def test_levels_equal_the_one_parity_reference_exactly(a, v0, gap, width):
+    # same arithmetic per root, so energy, parity, index and residual are equal
+    spec = wp.closed_court(a=a, v0=v0)
+    e_max = v0 + gap
+    assert wp.spectrum(spec, e_max) == spectrum_one_parity_at_a_time(spec, e_max)
+    for parity in ("even", "odd"):
+        assert np.array_equal(wp.eigenvalues_closed_court(spec, e_max, parity),
+                              roots_one_parity(spec, e_max, parity))
+    try:
+        level = wp.nearest_level(spec, e_max, width)
+    except wp.NumericalError:
+        level = None
+    assert level == nearest_level_one_parity_at_a_time(spec, e_max, width)
+
+
+@pytest.mark.parametrize("e_max", [math.inf, -math.inf, math.nan])
+def test_scan_rejects_non_finite_e_max(e_max):
+    with pytest.raises(ValueError, match="e_max"):
+        wp.spectrum(CC10, e_max)
+    with pytest.raises(ValueError, match="e_max"):
+        wp.nearest_level(CC10, e_max)
+
+
+def test_scan_past_the_airy_range_fails_fast():
+    # at (25, 10) the origin argument reaches -1e4 near E = 5428
+    start = time.perf_counter()
+    for e_max in (6000.0, 1e12):
+        with pytest.raises(wp.RegimeError, match="Airy argument"):
+            wp.spectrum(CC10, e_max)
+    with pytest.raises(wp.RegimeError, match="Airy argument"):
+        wp.nearest_level(CC10, 6000.0)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_scan_level_count_is_capped():
+    # about 1.1e5 levels, though the origin argument stays above -1e4
+    spec = wp.closed_court(a=1e4, v0=1000.0)
+    start = time.perf_counter()
+    with pytest.raises(wp.RegimeError, match="levels"):
+        wp.spectrum(spec, 2000.0)
+    assert time.perf_counter() - start < 1.0
 
 
 # ---------------------------------------------------------------------------
