@@ -1,9 +1,12 @@
 """Command-line frontend writing plain-CSV data files.
 
-Commands: classical, eigensolve, momentum, table1, sweep, bounce-sim.
-Exit codes: 0 success, 2 bad configuration or unsupported regime,
-3 numerical failure.  All floats are written with 17 significant digits
-and LF line endings so repeated runs are byte-identical.  ``_write_csv``
+Commands: classical, eigensolve, momentum, table1, sweep, bounce-sim, each
+a thin wrapper over the library.  A package error is printed as one line,
+``error: <category>: <message>``, with the category its class names
+(config, regime, support, resolution or numerical).  Exit codes: 0
+success, 3 numerical failure, 2 any other error.  All floats are written
+with 17 significant digits and LF line endings so repeated runs are
+byte-identical.  ``_write_csv``
 takes each table as columns and streams it in blocks of rows, formatting a
 block with one %-format: the same bytes as formatting each value alone.
 """
@@ -23,12 +26,11 @@ from .classical import (classical_momentum_density, classical_position_density,
                         sample_measurements, trajectory)
 from .compare import plateau_height, v0_sweep
 from .config import RunConfig, apply_overrides, parse_file
-from .errors import (ConfigError, RegimeError, ResolutionError, SupportError,
-                     WellProbError)
+from .errors import ConfigError, WellProbError
 from .model import PotentialKind, PotentialSpec, bouncer, classical_state, closed_court
 from .quantum import (EigenLevel, Eigenstate, eigenstate_closed_court,
-                      eigenstate_infinite_well, infinite_well_energy, momentum_transform,
-                      nearest_level, spectrum)
+                      eigenstate_infinite_well, momentum_transform, nearest_level,
+                      spectrum)
 
 # Reference closed-court parameters being reproduced: (v0, a, E, p-, p+, dp)
 # with hbar = 2m = 1.  Note the quoted (6, 25) row is internally inconsistent:
@@ -110,9 +112,8 @@ def _select_state(cfg: RunConfig, spec: PotentialSpec, levels: list[EigenLevel] 
     if spec.kind is PotentialKind.INFINITE_WELL:
         if not by_index:
             raise ConfigError("infinite well needs task.index and task.parity=even|odd")
-        level = EigenLevel(energy=infinite_well_energy(spec, t.index, t.parity),
-                           parity=t.parity, index=t.index, residual=0.0)
-        return level, eigenstate_infinite_well(spec, t.index, t.parity, n_grid=t.n_grid)
+        state = eigenstate_infinite_well(spec, t.index, t.parity, n_grid=t.n_grid)
+        return EigenLevel(state.energy, t.parity, t.index, residual=0.0), state
     if spec.kind is not PotentialKind.CLOSED_COURT:
         raise ConfigError("no quantum states for this potential kind in this artifact")
     if levels is not None and by_index:
@@ -127,6 +128,18 @@ def _select_state(cfg: RunConfig, spec: PotentialSpec, levels: list[EigenLevel] 
                           "task.parity=even|odd in eigensolve, to select a state")
     return level, eigenstate_closed_court(spec, level.energy, level.parity,
                                           n_grid=t.n_grid, index=level.index)
+
+
+def _write_histograms(out: Path, prefix: str, spec: PotentialSpec, energy: float,
+                      n_bins: int, n_draws: int, seed: int) -> list[Path]:
+    """The position and momentum projection histograms, one CSV file each."""
+    written = []
+    for variable in ("position", "momentum"):
+        hist = measurement_histogram(spec, energy, n_bins, variable, n_draws, seed)
+        written.append(_write_csv(out / f"{prefix}histogram_{variable}.csv",
+                                  ("bin_lo", "bin_hi", "mass"),
+                                  (hist.bin_edges[:-1], hist.bin_edges[1:], hist.bin_mass)))
+    return written
 
 
 def cmd_classical(cfg: RunConfig) -> list[Path]:
@@ -157,12 +170,8 @@ def cmd_classical(cfg: RunConfig) -> list[Path]:
                                   (mom.grid, mom.values)))
 
     if cfg.task.n_bins:
-        for variable in ("position", "momentum"):
-            hist = measurement_histogram(spec, energy, cfg.task.n_bins, variable,
-                                         max(cfg.task.n_draws, 0) or 1, cfg.task.seed)
-            written.append(_write_csv(
-                out / f"histogram_{variable}.csv", ("bin_lo", "bin_hi", "mass"),
-                (hist.bin_edges[:-1], hist.bin_edges[1:], hist.bin_mass)))
+        written += _write_histograms(out, "", spec, energy, cfg.task.n_bins,
+                                     max(cfg.task.n_draws, 0) or 1, cfg.task.seed)
     if cfg.task.n_draws > 0:
         draws = sample_measurements(spec, energy, cfg.task.n_draws, cfg.task.seed)
         written.append(_write_csv(out / "draws.csv", ("t", "position", "momentum"),
@@ -172,24 +181,12 @@ def cmd_classical(cfg: RunConfig) -> list[Path]:
 
 def cmd_eigensolve(cfg: RunConfig) -> list[Path]:
     spec = cfg.spec()
-    t = cfg.task
-    out = _outdir(cfg)
-    e_max = _e_max(cfg)
-    parities = ("even", "odd") if t.parity == "both" else (t.parity,)
-    levels: list[EigenLevel] = []
-    if spec.kind is PotentialKind.CLOSED_COURT:
-        levels = [lv for lv in spectrum(spec, e_max) if lv.parity in parities]
-    elif spec.kind is PotentialKind.INFINITE_WELL:
-        for parity in parities:
-            n = 1
-            while infinite_well_energy(spec, n, parity) <= e_max:
-                levels.append(EigenLevel(energy=infinite_well_energy(spec, n, parity),
-                                         parity=parity, index=n, residual=0.0))
-                n += 1
-        levels.sort(key=lambda lv: lv.energy)
-    else:
+    if spec.kind is PotentialKind.BOUNCER:
         raise ConfigError("eigensolve supports the well potentials only")
+    parity = cfg.task.parity
+    levels = [lv for lv in spectrum(spec, _e_max(cfg)) if parity in ("both", lv.parity)]
     selected = _select_state(cfg, spec, levels)
+    out = _outdir(cfg)
     written = [_write_csv(out / "eigenvalues.csv",
                           ("index", "parity", "energy", "residual"),
                           ([lv.index for lv in levels], [lv.parity for lv in levels],
@@ -270,7 +267,6 @@ def cmd_bounce_sim(cfg: RunConfig) -> list[Path]:
             raise ConfigError("bounce-sim needs a bouncer potential")
     t = cfg.task
     energy = t.energy if t.energy is not None else 2.0
-    n_bins = t.n_bins if t.n_bins else 25
     n_draws = t.n_draws if t.n_draws > 0 else 1000
     out = _outdir(cfg)
     state = classical_state(spec, energy)
@@ -278,11 +274,7 @@ def cmd_bounce_sim(cfg: RunConfig) -> list[Path]:
     z, p = trajectory(spec, energy, times)
     written = [_write_csv(out / "bounce_trajectory.csv", ("t", "z", "p"),
                           (times, z, p))]
-    for variable in ("position", "momentum"):
-        hist = measurement_histogram(spec, energy, n_bins, variable, n_draws, t.seed)
-        written.append(_write_csv(
-            out / f"bounce_histogram_{variable}.csv", ("bin_lo", "bin_hi", "mass"),
-            (hist.bin_edges[:-1], hist.bin_edges[1:], hist.bin_mass)))
+    written += _write_histograms(out, "bounce_", spec, energy, t.n_bins or 25, n_draws, t.seed)
     draws = sample_measurements(spec, energy, n_draws, t.seed)
     written.append(_write_csv(out / "bounce_draws.csv", ("t", "z", "p"),
                               (draws.times, draws.positions, draws.momenta)))
@@ -321,7 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", metavar="PATH", help="INI run configuration")
         p.add_argument("--out", metavar="DIR", help="output directory")
         p.add_argument("--seed", metavar="N", type=int, help="random seed override")
-        p.add_argument("--format", metavar="FMT", help="output format (csv)")
         p.add_argument("--set", metavar="SECTION.KEY=VALUE", action="append",
                        default=[], help="override one config key (repeatable)")
     return parser
@@ -336,16 +327,11 @@ def main(argv=None) -> int:
             overrides.append(f"output.directory={args.out}")
         if args.seed is not None:
             overrides.append(f"task.seed={args.seed}")
-        if args.format:
-            overrides.append(f"output.format={args.format}")
         cfg = apply_overrides(cfg, overrides)
         written = _COMMANDS[args.command](cfg)
-    except (ConfigError, RegimeError, SupportError, ResolutionError) as exc:
-        print(f"error: config: {exc}", file=sys.stderr)
-        return 2
     except WellProbError as exc:
-        print(f"error: numerical: {exc}", file=sys.stderr)
-        return 3
+        print(f"error: {exc.category}: {exc}", file=sys.stderr)
+        return 3 if exc.category == "numerical" else 2
     for path in written:
         print(path)
     return 0

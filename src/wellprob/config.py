@@ -9,12 +9,12 @@ Four sections, all optional, unknown keys rejected:
     [task]        command parameters (energy, e_max, parity, index, n_grid,
                   n_points, n_bins, n_draws, seed, e_target, v0_list,
                   search_width)
-    [output]      directory, format
+    [output]      directory             (CSV files are written there)
 
 Values are checked when a config is built: every real value (v0_list
-entries too) is finite, hbar, mass, g and search_width are > 0, n_grid and
-n_points are at least 16, n_bins is 0 (no histograms) or at least 2, and no
-grid, bin or draw count exceeds 10^7.
+entries too) is finite, hbar, mass, g and search_width are > 0, index is
+at least 1, n_grid and n_points are at least 16, n_bins is 0 (no
+histograms) or at least 2, and no grid, bin or draw count exceeds 10^7.
 
 ``parse_text`` -> ``emit_text`` round-trips: emitting writes every field in
 canonical order, so parse(emit(parse(s))) == parse(s).  Individual keys can
@@ -39,7 +39,7 @@ class TaskOptions:
     index: int | None = None
     n_grid: int = 12001
     n_points: int = 4001
-    n_bins: int | None = None
+    n_bins: int = 0
     n_draws: int = 0
     seed: int = 12345
     e_target: float | None = None
@@ -50,7 +50,6 @@ class TaskOptions:
 @dataclass(frozen=True)
 class OutputOptions:
     directory: str = "out"
-    format: str = "csv"
 
 
 @dataclass(frozen=True)
@@ -58,7 +57,6 @@ class PotentialOptions:
     kind: str | None = None
     a: float | None = None
     v0: float | None = None
-    g: float | None = None
 
 
 @dataclass(frozen=True)
@@ -86,8 +84,8 @@ class RunConfig:
             raise ConfigError(
                 f"unknown potential.kind {p.kind!r} "
                 f"(expected bouncer | infinite_well | closed_court)") from None
-        g = p.g if p.g is not None else self.constants.g
-        consts = Constants(hbar=self.constants.hbar, mass=self.constants.mass, g=g)
+        c = self.constants
+        consts = Constants(hbar=c.hbar, mass=c.mass, g=c.g)
         try:
             if kind is PotentialKind.BOUNCER:
                 return PotentialSpec(kind, consts)
@@ -112,7 +110,7 @@ _MAX_SAMPLES = 10_000_000
 _FLOAT_KEYS = {"a", "v0", "g", "hbar", "mass", "energy", "e_max", "e_target",
                "search_width"}
 _INT_KEYS = {"index", "n_grid", "n_points", "n_bins", "n_draws", "seed"}
-_STR_KEYS = {"kind", "parity", "directory", "format"}
+_STR_KEYS = {"kind", "parity", "directory"}
 
 
 def _finite(raw: str) -> float:
@@ -170,21 +168,20 @@ def _build(raw: dict[str, dict]) -> RunConfig:
     cfg = RunConfig(**kwargs)
     t, c = cfg.task, cfg.constants
     for name, v in (("constants.hbar", c.hbar), ("constants.mass", c.mass),
-                    ("constants.g", c.g), ("potential.g", cfg.potential.g),
-                    ("task.search_width", t.search_width)):
-        if v is not None and not v > 0.0:
+                    ("constants.g", c.g), ("task.search_width", t.search_width)):
+        if not v > 0.0:
             raise ConfigError(f"{name} must be > 0, got {v!r}")
     if t.parity not in ("even", "odd", "both"):
         raise ConfigError(f"task.parity must be even|odd|both, got {t.parity!r}")
-    if cfg.output.format != "csv":
-        raise ConfigError(f"output.format {cfg.output.format!r} unsupported (only csv)")
+    if t.index is not None and t.index < 1:
+        raise ConfigError(f"task.index must be >= 1, got {t.index}")
     for name in ("n_grid", "n_points"):
         if getattr(t, name) < 16:
             raise ConfigError(f"task.{name} unreasonably small")
-    if t.n_bins is not None and (t.n_bins < 0 or t.n_bins == 1):
+    if t.n_bins < 0 or t.n_bins == 1:
         raise ConfigError(f"task.n_bins must be 0 (no histograms) or >= 2, got {t.n_bins}")
     for name in ("n_grid", "n_points", "n_bins", "n_draws"):
-        if (getattr(t, name) or 0) > _MAX_SAMPLES:
+        if getattr(t, name) > _MAX_SAMPLES:
             raise ConfigError(f"task.{name} = {getattr(t, name)} exceeds the cap of "
                               f"{_MAX_SAMPLES} samples")
     return cfg
@@ -213,35 +210,17 @@ def apply_overrides(cfg: RunConfig, overrides) -> RunConfig:
 
 
 def _as_raw(cfg: RunConfig) -> dict[str, dict]:
-    out: dict[str, dict] = {}
-    for section, cls in _SECTIONS.items():
-        block = getattr(cfg, section)
-        vals = {}
-        for f in fields(cls):
-            v = getattr(block, f.name)
-            if v is not None:
-                vals[f.name] = v
-        out[section] = vals
-    return out
+    return {section: {key: v for key, v in vars(getattr(cfg, section)).items() if v is not None}
+            for section in _SECTIONS}
 
 
 def emit_text(cfg: RunConfig) -> str:
     """Canonical text form: every non-None field, fixed order, LF endings."""
     lines = []
-    for section, cls in _SECTIONS.items():
-        block = getattr(cfg, section)
-        entries = []
-        for f in fields(cls):
-            v = getattr(block, f.name)
-            if v is None:
-                continue
-            if isinstance(v, tuple):
-                v = ",".join(repr(x) for x in v)
-            elif isinstance(v, float):
-                v = repr(v)
-            entries.append(f"{f.name} = {v}")
-        if entries:
+    for section, vals in _as_raw(cfg).items():
+        if vals:
             lines.append(f"[{section}]")
-            lines.extend(entries)
+            lines += [f"{key} = {','.join(map(repr, v)) if isinstance(v, tuple) else v}"
+                      for key, v in vals.items()]
             lines.append("")
     return "\n".join(lines)

@@ -7,7 +7,7 @@ condition at the origin (psi = 0 for odd states, psi' = 0 for even states)
 and the infinite wall requires psi(a) = 0; eigenvalues are the zeros of the
 resulting 2x2 determinant, a cross product of Airy functions.  Only the
 regime E > V0 is supported, where both Airy arguments stay in the
-oscillatory range.
+oscillatory range.  Infinite-well levels and states are closed forms.
 
 Momentum-space wavefunctions come from the +i kernel Fourier transform
 phi(p) = (2 pi hbar)^(-1/2) int psi(x) exp(+i p x / hbar) dx, evaluated
@@ -269,6 +269,7 @@ def _levels(spec: PotentialSpec, e_max: float, above: float) -> list[EigenLevel]
 def eigenvalues_closed_court(spec: PotentialSpec, e_max: float, parity: str) -> np.ndarray:
     """All eigenvalues of one parity in (V0, e_max], sorted ascending: the
     levels of that parity from :func:`spectrum`."""
+    _require_closed_court(spec)
     _is_odd(parity)  # rejects any other label
     return np.array([lv.energy for lv in spectrum(spec, e_max) if lv.parity == parity])
 
@@ -276,11 +277,18 @@ def eigenvalues_closed_court(spec: PotentialSpec, e_max: float, parity: str) -> 
 def spectrum(spec: PotentialSpec, e_max: float) -> list[EigenLevel]:
     """Every level of both parities in (V0, e_max], sorted by energy.
 
-    Roots of the boundary determinant are bracketed on one energy scan
-    finer than the semiclassical level spacing, shared by both parities,
-    and refined by a bracket-safeguarded Newton iteration to machine-level
-    relative accuracy; every determinant evaluation is one Airy call.  A
-    level's index is its rank among the levels of its parity above V0.
+    Infinite-well levels (V0 = 0) are listed in closed form: level k = 1..K,
+    K = floor(2a sqrt(2m e_max) / (pi hbar)) + 1, is state (k + 1) // 2 of
+    parity even (k odd) or odd (k even), kept when its
+    :func:`infinite_well_energy` is <= e_max.  RegimeError, before any
+    level is computed, when K exceeds 10^5 (e_max = inf or nan included).
+
+    Closed-court roots of the boundary determinant are bracketed on one
+    energy scan finer than the semiclassical level spacing, shared by both
+    parities, and refined by a bracket-safeguarded Newton iteration to
+    machine-level relative accuracy; every determinant evaluation is one
+    Airy call.  A level's index is its rank among the levels of its parity
+    above V0.
     :class:`SkippedRootWarning` is raised if a parity's number of sign
     changes disagrees with the phase-space count estimate by more than 2
     (a bracket may have straddled two roots), or if the levels do not
@@ -288,7 +296,20 @@ def spectrum(spec: PotentialSpec, e_max: float) -> list[EigenLevel]:
     ``e_max`` takes the Airy argument at the origin past -1e4 or holds
     more than 10^5 levels by the phase-space count.
     """
-    return _levels(spec, e_max, spec.v0)
+    if spec.kind is not PotentialKind.INFINITE_WELL:
+        return _levels(spec, e_max, spec.v0)
+    c = spec.constants
+    count = 2.0 * spec.a * math.sqrt(2.0 * c.mass * max(e_max, 0.0)) / (math.pi * c.hbar)
+    if not count < _MAX_LEVELS:
+        raise RegimeError(f"about {count:.3g} levels lie below e_max={e_max:g}; "
+                          f"a spectrum holds at most {_MAX_LEVELS}")
+    levels = []
+    for k in range(1, math.floor(count) + 2):
+        n, parity = (k + 1) // 2, "even" if k % 2 else "odd"
+        energy = infinite_well_energy(spec, n, parity)
+        if energy <= e_max:
+            levels.append(EigenLevel(energy=energy, parity=parity, index=n, residual=0.0))
+    return levels
 
 
 def nearest_level(spec: PotentialSpec, e_target: float, search_width: float = 1.0) -> EigenLevel:
@@ -344,9 +365,14 @@ def eigenstate_closed_court(spec: PotentialSpec, energy: float, parity: str,
 
 
 def infinite_well_energy(spec: PotentialSpec, n: int, parity: str) -> float:
-    """E = hbar^2 k^2 / 2m with k = (n - 1/2) pi / a (even) or n pi / a (odd)."""
+    """E = hbar^2 k^2 / 2m with k = (n - 1/2) pi / a (even) or n pi / a (odd).
+
+    ValueError for n < 1 or a parity label other than even | odd.
+    """
+    if n < 1:
+        raise ValueError(f"state index n must be >= 1, got {n!r}")
     c = spec.constants
-    k = ((n - 0.5) if parity == "even" else float(n)) * math.pi / spec.a
+    k = (float(n) if _is_odd(parity) else n - 0.5) * math.pi / spec.a
     return (c.hbar * k) ** 2 / (2.0 * c.mass)
 
 
@@ -355,19 +381,15 @@ def eigenstate_infinite_well(spec: PotentialSpec, n: int, parity: str,
     """Analytic infinite-well eigenstate of the given parity (n >= 1)."""
     if spec.kind is not PotentialKind.INFINITE_WELL:
         raise RegimeError("eigenstate_infinite_well needs an infinite-well spec")
-    if n < 1:
-        raise ValueError("state index n must be >= 1")
+    energy = infinite_well_energy(spec, n, parity)  # rejects n < 1 and unknown labels
     if n_grid % 2 == 0:
         n_grid += 1
     x = np.linspace(-spec.a, spec.a, n_grid)
-    if parity == "even":
-        psi = np.cos((n - 0.5) * math.pi * x / spec.a) / math.sqrt(spec.a)
-    elif parity == "odd":
+    if _is_odd(parity):
         psi = np.sin(n * math.pi * x / spec.a) / math.sqrt(spec.a)
     else:
-        raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
-    return Eigenstate(parity=parity, index=n, energy=infinite_well_energy(spec, n, parity),
-                      grid=x, psi=psi, spec=spec)
+        psi = np.cos((n - 0.5) * math.pi * x / spec.a) / math.sqrt(spec.a)
+    return Eigenstate(parity=parity, index=n, energy=energy, grid=x, psi=psi, spec=spec)
 
 
 def position_density(state: Eigenstate) -> DensityCurve:

@@ -10,10 +10,13 @@ closed forms), the Airy boundary determinant from scipy's Airy
 functions, and CSV bytes from formatting each value on its own (the
 package formats blocks of rows with one %-format per block).
 
-One reference is the package's own earlier path, kept to show that a
-faster one changed no bit: closed-court levels from one scan per parity,
+Two references are the package's own earlier paths, kept to show that a
+new one changed no bit: closed-court levels from one scan per parity,
 two Airy calls per determinant evaluation and every bracket refined (the
-package scans once for both parities and refines only what it returns).
+package scans once for both parities and refines only what it returns),
+and infinite-well levels listed parity by parity in an open-ended loop,
+then sorted (the package lists them in energy order up to a closed-form
+count).
 """
 
 import math
@@ -299,6 +302,23 @@ def nearest_level_one_parity_at_a_time(spec, e_target, search_width):
     levels = [lv for lv in spectrum_one_parity_at_a_time(spec, e_target + search_width)
               if lv.energy > lo]
     return min(levels, key=lambda lv: abs(lv.energy - e_target)) if levels else None
+
+
+# ---------------------------------------------------------------------------
+# infinite-well levels, one parity at a time
+
+def infinite_well_levels_loop(spec, e_max):
+    """Every infinite-well level with energy <= e_max: each parity counted
+    up from n = 1 until its energy passes e_max, then sorted by energy."""
+    levels = []
+    for parity in ("even", "odd"):
+        n = 1
+        while quantum.infinite_well_energy(spec, n, parity) <= e_max:
+            levels.append(quantum.EigenLevel(energy=quantum.infinite_well_energy(spec, n, parity),
+                                             parity=parity, index=n, residual=0.0))
+            n += 1
+    levels.sort(key=lambda lv: lv.energy)
+    return levels
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -160,11 +161,13 @@ def test_bounce_sim_outputs(tmp_path: Path):
 
 
 def test_exit_code_config_error():
+    # E = 5 < V0 = 10 is outside the supported regime, which the computation
+    # (not the config) rejects
     cp = run_cli("classical", "--set", "potential.kind=closed_court",
                  "--set", "potential.a=25", "--set", "potential.v0=10",
                  "--set", "task.energy=5.0")
     assert cp.returncode == 2
-    assert cp.stderr.startswith("error: config:")
+    assert cp.stderr.startswith("error: regime:")
     assert "\n" not in cp.stderr.strip()
 
 
@@ -433,26 +436,73 @@ CC10_KIND = ("--set", "potential.kind=closed_court", "--set", "potential.a=25",
              "--set", "potential.v0=10")
 
 
-@pytest.mark.parametrize("args", [
-    ("eigensolve", *CC10_KIND, "--set", "task.e_max=inf"),
-    ("eigensolve", *CC10_KIND, "--set", "task.e_max=nan"),
-    ("eigensolve", *CC10_KIND, "--set", "task.e_max=6000"),
-    ("table1", "--set", "task.search_width=-1"),
-    ("table1", "--set", "task.search_width=0"),
-    ("table1", "--set", "task.search_width=nan"),
-    ("sweep", "--set", "task.search_width=-2"),
-    ("sweep", "--set", "task.e_target=nan"),
-    ("classical", "--set", "potential.kind=bouncer", "--set", "task.energy=2",
-     "--set", "constants.hbar=-1"),
-    ("sweep", "--set", "task.v0_list=10,nan"),
+@pytest.mark.parametrize("args, category", [
+    (("eigensolve", *CC10_KIND, "--set", "task.e_max=inf"), "config"),
+    (("eigensolve", *CC10_KIND, "--set", "task.e_max=nan"), "config"),
+    (("eigensolve", *CC10_KIND, "--set", "task.e_max=6000"), "regime"),
+    (("table1", "--set", "task.search_width=-1"), "config"),
+    (("table1", "--set", "task.search_width=0"), "config"),
+    (("table1", "--set", "task.search_width=nan"), "config"),
+    (("sweep", "--set", "task.search_width=-2"), "config"),
+    (("sweep", "--set", "task.e_target=nan"), "config"),
+    (("classical", "--set", "potential.kind=bouncer", "--set", "task.energy=2",
+      "--set", "constants.hbar=-1"), "config"),
+    (("sweep", "--set", "task.v0_list=10,nan"), "config"),
 ], ids=["eigensolve-e_max-inf", "eigensolve-e_max-nan", "eigensolve-e_max-past-airy-range",
         "table1-search_width-negative", "table1-search_width-0", "table1-search_width-nan",
         "sweep-search_width-negative", "sweep-e_target-nan", "classical-hbar-negative",
         "sweep-v0_list-nan"])
-def test_unusable_values_exit_2(tmp_path: Path, capsys, args):
+def test_unusable_values_exit_2(tmp_path: Path, capsys, args, category):
     # before these checks: a scan without end, a header-only listing,
-    # "no eigenvalue" (exit 3), every row flagged (exit 0) or a traceback (exit 1)
+    # "no eigenvalue" (exit 3), every row flagged (exit 0) or a traceback (exit 1);
+    # an e_max past the Airy range is rejected by the scan, as a regime error
     assert cli.main([*args, "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: config:")
+    assert err.startswith(f"error: {category}:")
+    assert "\n" not in err.strip()
+
+
+@pytest.mark.parametrize("command", ["momentum", "eigensolve"])
+@pytest.mark.parametrize("index", ["0", "-2"])
+def test_state_index_below_one_exits_2(tmp_path: Path, command, index):
+    # index 0 under momentum once ended in a ValueError traceback (exit 1)
+    cp = run_cli(command, *IW_ARGS, "--set", f"task.index={index}",
+                 "--set", "task.parity=even", "--out", str(tmp_path / "out"))
+    assert cp.returncode == 2
+    assert cp.stderr.startswith("error: config: task.index must be >= 1")
+    assert not (tmp_path / "out").exists()
+
+
+def test_infinite_well_listing_past_the_level_cap_fails_fast(tmp_path: Path, capsys):
+    # at a = 25, e_max = 1e8 holds about 1.6e5 levels, more than a spectrum holds
+    out = tmp_path / "out"
+    start = time.perf_counter()
+    code = cli.main(["eigensolve", *IW_ARGS, "--set", "task.e_max=1e8", "--out", str(out)])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: regime:")
+    assert not out.exists()
+
+
+def _raise_support_error(*args, **kwargs):
+    raise wp.SupportError("grid leaves the allowed region")
+
+
+@pytest.mark.parametrize("args, category, code", [
+    (("momentum", *IW_ARGS), "config", 2),
+    (("classical", *CC10_KIND, "--set", "task.energy=5"), "regime", 2),
+    (("classical", "--set", "potential.kind=bouncer", "--set", "task.energy=2"), "support", 2),
+    (("momentum", *IW_ARGS, "--set", "task.index=3", "--set", "task.parity=even",
+      "--set", "task.n_grid=101"), "resolution", 2),
+    (("momentum", *CC10_KIND, "--set", "task.energy=10.2", "--set", "task.search_width=0.01"),
+     "numerical", 3),
+], ids=["config", "regime", "support", "resolution", "numerical"])
+def test_each_error_category_has_its_label_and_exit_code(tmp_path: Path, capsys, monkeypatch,
+                                                          args, category, code):
+    if category == "support":  # no CLI input reaches a SupportError: the default grids
+        # stay inside the allowed region, so the density raises it here
+        monkeypatch.setattr(cli, "classical_position_density", _raise_support_error)
+    assert cli.main([*args, "--out", str(tmp_path / "out")]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {category}: ")
     assert "\n" not in err.strip()

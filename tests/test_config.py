@@ -21,7 +21,6 @@ v0_list = 10, 6, 2
 
 [output]
 directory = out
-format = csv
 """
 
 
@@ -107,7 +106,7 @@ def test_task_sizes_are_capped(name):
         parse_text(f"[task]\n{name} = {cap + 1}\n")
 
 
-@pytest.mark.parametrize("key", ["potential.a", "potential.v0", "potential.g", "constants.hbar",
+@pytest.mark.parametrize("key", ["potential.a", "potential.v0", "constants.hbar",
                                  "constants.mass", "constants.g", "task.energy", "task.e_max",
                                  "task.e_target", "task.search_width"])
 @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
@@ -125,8 +124,43 @@ def test_v0_list_entries_must_be_finite():
 
 
 @pytest.mark.parametrize("key", ["constants.hbar", "constants.mass", "constants.g",
-                                 "potential.g", "task.search_width"])
+                                 "task.search_width"])
 @pytest.mark.parametrize("value", ["0", "-1"])
 def test_scales_and_search_width_must_be_positive(key, value):
     with pytest.raises(wp.ConfigError, match=f"{key} must be > 0"):
         apply_overrides(RunConfig(), [f"{key}={value}"])
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan", "0", "-1", "2.5"])
+def test_potential_g_is_an_unknown_key(value):
+    # g is set once, under [constants]; the [potential] spelling is gone
+    with pytest.raises(wp.ConfigError, match="unknown key potential.g"):
+        apply_overrides(RunConfig(), [f"potential.g={value}"])
+    with pytest.raises(wp.ConfigError, match="unknown key potential.g"):
+        parse_text(f"[potential]\ng = {value}\n")
+
+
+def test_constants_g_reaches_the_spec():
+    cfg = apply_overrides(RunConfig(), ["potential.kind=bouncer", "constants.g=2.5"])
+    assert cfg.spec().constants.g == 2.5
+
+
+@pytest.mark.parametrize("index", [0, -2])
+def test_index_must_be_at_least_one(index):
+    with pytest.raises(wp.ConfigError, match="task.index must be >= 1"):
+        apply_overrides(RunConfig(), [f"task.index={index}"])
+    with pytest.raises(wp.ConfigError, match="task.index must be >= 1"):
+        parse_text(f"[task]\nindex = {index}\n")
+    assert apply_overrides(RunConfig(), ["task.index=1"]).task.index == 1
+
+
+def test_n_bins_is_an_int_defaulting_to_zero():
+    assert RunConfig().task.n_bins == 0
+    assert "n_bins = 0" in emit_text(RunConfig())
+    with pytest.raises(wp.ConfigError, match="task.n_bins"):
+        apply_overrides(RunConfig(), ["task.n_bins=none"])
+
+
+def test_output_format_is_an_unknown_key():
+    with pytest.raises(wp.ConfigError, match="unknown key output.format"):
+        apply_overrides(RunConfig(), ["output.format=csv"])

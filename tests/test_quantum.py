@@ -12,8 +12,9 @@ from scipy.optimize import brentq
 import wellprob as wp
 from wellprob import quantum
 from oracles import (airy_cross, closed_court_determinant, fd_eigenvalues,
-                     filon_transform_full, nearest_level_one_parity_at_a_time,
-                     roots_one_parity, simpson_transform, spectrum_one_parity_at_a_time)
+                     filon_transform_full, infinite_well_levels_loop,
+                     nearest_level_one_parity_at_a_time, roots_one_parity,
+                     simpson_transform, spectrum_one_parity_at_a_time)
 
 CC10 = wp.closed_court(a=25.0, v0=10.0)
 CC6 = wp.closed_court(a=25.0, v0=6.0)
@@ -214,6 +215,52 @@ def test_scan_level_count_is_capped():
     assert time.perf_counter() - start < 1.0
 
 
+def _iw_level_energy(spec, k):
+    """Energy of level k = 1, 2, ... of the infinite well (even, odd, even, ...)."""
+    return wp.infinite_well_energy(spec, (k + 1) // 2, "even" if k % 2 else "odd")
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=st.floats(0.05, 50.0), hbar=st.floats(0.2, 5.0), mass=st.floats(0.01, 10.0),
+       e_max=st.floats(-1.0, 100.0), on_level=st.none() | st.integers(1, 60))
+@example(a=25.0, hbar=1.0, mass=0.5, e_max=0.1, on_level=None)
+@example(a=25.0, hbar=1.0, mass=0.5, e_max=0.0, on_level=None)
+@example(a=25.0, hbar=1.0, mass=0.5, e_max=0.0, on_level=13)
+@example(a=3.7, hbar=0.8, mass=1.3, e_max=0.0, on_level=1)
+def test_infinite_well_listing_equals_the_loop_reference(a, hbar, mass, e_max, on_level):
+    # one infinite_well_energy call per level in both, so every field is equal
+    spec = wp.infinite_well(a, hbar=hbar, mass=mass)
+    if on_level is not None:  # e_max equal to a level's energy keeps that level
+        e_max = _iw_level_energy(spec, on_level)
+    levels = wp.spectrum(spec, e_max)
+    assert levels == infinite_well_levels_loop(spec, e_max)
+    if on_level is not None:
+        assert len(levels) == on_level and levels[-1].energy == e_max
+
+
+def test_infinite_well_listing_is_in_energy_order():
+    levels = wp.spectrum(IW, 2.0)
+    assert [(lv.parity, lv.index) for lv in levels[:4]] == [
+        ("even", 1), ("odd", 1), ("even", 2), ("odd", 2)]
+    assert all(lo.energy < hi.energy for lo, hi in zip(levels, levels[1:]))
+    assert wp.spectrum(IW, 0.0) == [] and wp.spectrum(IW, -math.inf) == []
+
+
+@pytest.mark.parametrize("e_max", [1e8, 1e300, math.inf, math.nan])
+def test_infinite_well_level_count_is_capped(e_max):
+    # at a = 25, e_max = 1e8 holds about 1.6e5 levels
+    start = time.perf_counter()
+    with pytest.raises(wp.RegimeError, match="levels"):
+        wp.spectrum(IW, e_max)
+    assert time.perf_counter() - start < 0.1
+
+
+def test_eigenvalues_closed_court_rejects_other_kinds():
+    for spec in (IW, wp.bouncer()):
+        with pytest.raises(wp.RegimeError, match="closed-court"):
+            wp.eigenvalues_closed_court(spec, 1.0, "even")
+
+
 # ---------------------------------------------------------------------------
 # eigenstates
 
@@ -313,6 +360,17 @@ def test_infinite_well_states():
     st_odd = wp.eigenstate_infinite_well(IW, 3, "odd")
     k = 3 * math.pi / 25.0
     assert st_odd.energy == pytest.approx(k * k, rel=1e-14)  # hbar = 2m = 1
+
+
+@pytest.mark.parametrize("n, parity", [(1, "evn"), (1, "Even"), (1, "both"), (0, "even"),
+                                       (-2, "odd")])
+def test_infinite_well_rejects_bad_index_and_parity(n, parity):
+    # "evn" once gave the odd energy 0.01579 and n = 0 gave 0.00395
+    match = "parity" if n >= 1 else "n must be >= 1"
+    with pytest.raises(ValueError, match=match):
+        wp.infinite_well_energy(IW, n, parity)
+    with pytest.raises(ValueError, match=match):
+        wp.eigenstate_infinite_well(IW, n, parity, n_grid=101)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
+import argparse
 import ast
+import configparser
 import os
 import re
 import subprocess
@@ -7,8 +9,8 @@ from dataclasses import fields
 from pathlib import Path
 
 import wellprob as wp
-from wellprob import cli
-from wellprob.config import TaskOptions
+from wellprob import cli, config
+from wellprob.config import TaskOptions, parse_text
 
 # Load wellprob.model under a bare package (so the package __init__, which
 # imports everything, does not run) and use it; classical must stay unloaded.
@@ -98,17 +100,41 @@ def _names_used_in_src() -> set[str]:
     return used
 
 
-def _library_surface_block() -> str:
+def _readme_block(heading: str, language: str) -> str:
+    """The first ``language`` code block under the README's ``heading``."""
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
-    section = readme.split("## Library surface", 1)[1].split("\n## ", 1)[0]
-    return section.split("```python", 1)[1].split("```", 1)[0]
+    section = readme.split(f"{heading}\n", 1)[1]
+    return section.split(f"```{language}\n", 1)[1].split("```", 1)[0]
 
 
 def test_every_public_name_is_used_or_documented():
     # a public name that the package never calls and the README does not
     # show is surface kept alive by tests alone
     used = _names_used_in_src()
-    block = _library_surface_block()
+    block = _readme_block("## Library surface", "python")
     orphans = [name for name in wp.__all__
                if name not in used and not re.search(rf"\b{name}\b", block)]
     assert not orphans, f"public names neither used in src/ nor in the README: {orphans}"
+
+
+def test_readme_config_example_parses_and_sets_every_key():
+    block = _readme_block("### Config format", "ini")
+    parse_text(block)  # a bad key or value raises ConfigError
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read_string(block)
+    keys = {(section, key) for section in parser.sections() for key in parser[section]}
+    schema = {(section, f.name) for section, cls in config._SECTIONS.items()
+              for f in fields(cls)}
+    assert keys == schema
+
+
+def test_readme_synopsis_lists_every_command_option():
+    synopsis = _readme_block("## Command line", "sh")
+    flags = set(re.findall(r"--[a-z][a-z-]*", synopsis))
+    commands = next(action for action in cli.build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction)).choices
+    assert set(commands) == set(cli._COMMANDS)
+    for name, sub in commands.items():
+        options = {opt for action in sub._actions for opt in action.option_strings
+                   if opt.startswith("--")} - {"--help"}
+        assert options == flags, name
