@@ -2,9 +2,9 @@
 
 The classical position density is 1/(tau v(x)) and the momentum density is
 the branch-summed 1/(T_CL |F(p)|), both normalized by construction.  Orbits
-are piecewise analytic (no time stepping anywhere): linear segments of the
-potential give parabolic or linear arcs, and histogram masses come from the
-closed-form time CDFs of those arcs.
+are cycles of the constant-force arc of :mod:`wellprob.model` (no time
+stepping anywhere), and histogram masses come from the closed-form time
+CDFs of that arc.
 
 Measurement draws use the counter-based Philox generator keyed by the seed,
 so runs are reproducible across platforms.
@@ -12,18 +12,18 @@ so runs are reproducible across platforms.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import RegimeError, SupportError
-from .model import (ClassicalState, PotentialKind, PotentialSpec, check_energy,
-                    classical_state, evaluate_potential, half_period)
+from .model import (PotentialKind, PotentialSpec, _arc, _Arc, classical_state,
+                    evaluate_potential)
 
-# Fraction of the bouncer's apex mass left to the analytic sliver by the
-# default graded grid; trapezoids cannot track the inverse-sqrt divergence.
-_BOUNCER_EDGE_FRACTION = 0.02
+# Fraction of the time on an arc that ends at rest (the bouncer apex) left
+# to the analytic sliver by the default grid; trapezoids cannot track the
+# inverse-sqrt divergence.
+_APEX_FRACTION = 0.02
 
 
 @dataclass(frozen=True)
@@ -98,46 +98,28 @@ def speed(spec: PotentialSpec, energy: float, x):
 
 
 def default_position_grid(spec: PotentialSpec, energy: float, n_points: int = 4001) -> np.ndarray:
-    """Grid covering the allowed region, graded where the density peaks.
+    """Grid covering the allowed region at equal time steps along the orbit.
 
-    Nodes are uniform in u = sqrt(E - V), which makes the mass per cell
-    constant; a uniform grid cannot integrate the near-wall peaks (closed
-    court with E barely above V0) or the bouncer apex to the 1e-6 budget.
+    Equal times make the mass per cell constant; a uniform grid cannot
+    integrate the near-wall peaks (closed court with E barely above V0) or
+    the bouncer apex to the 1e-6 budget.  A well with a ramp takes an odd
+    count (2 (n_points // 2) - 1), which puts its kink at x = 0 on a node.
     """
-    check_energy(spec, energy)
-    if spec.kind is PotentialKind.BOUNCER:
-        height = energy / (spec.constants.mass * spec.constants.g)
-        s = np.linspace(0.0, 1.0 - _BOUNCER_EDGE_FRACTION, n_points)
-        return height * (1.0 - (1.0 - s) ** 2)
-    if spec.kind is PotentialKind.INFINITE_WELL:
-        return np.linspace(-spec.a, spec.a, n_points)
-    half_n = max(n_points // 2, 2)
-    u = np.linspace(math.sqrt(energy - spec.v0), math.sqrt(energy), half_n)
-    right = np.clip(spec.a * (energy - u ** 2) / spec.v0, 0.0, spec.a)[::-1]  # 0 .. a
-    left = -right[::-1]  # -a .. 0
-    return np.concatenate([left[:-1], right])
+    arc = _arc(spec, energy)
+    if arc.sides == 2 and arc.force > 0.0:
+        n_points = 2 * max(n_points // 2, 2) - 1
+    reach = 1.0 - _APEX_FRACTION if arc.p_out == 0.0 else 1.0
+    return _orbit(arc, np.linspace(0.0, reach * arc.sides * arc.duration, n_points))[0]
 
 
 def position_cdf(spec: PotentialSpec, energy: float, x):
-    """Fraction of the classical period spent left of x."""
-    check_energy(spec, energy)
-    c = spec.constants
+    """Fraction of the classical period spent left of x:
+    (sides - 1)/2 + sign(x) t(|x|)/tau, with t the time from 0 out to |x|."""
+    arc = _arc(spec, energy)
     xa = np.asarray(x, dtype=float)
-    if spec.kind is PotentialKind.BOUNCER:
-        height = energy / (c.mass * c.g)
-        out = 1.0 - np.sqrt(np.clip((height - xa) / height, 0.0, 1.0))
-    elif spec.kind is PotentialKind.INFINITE_WELL:
-        out = np.clip((xa + spec.a) / (2.0 * spec.a), 0.0, 1.0)
-    else:
-        tau = half_period(spec, energy)
-        k = math.sqrt(2.0 * c.mass) * spec.a / spec.v0
-        root_e_v = np.sqrt(np.clip(energy - spec.v0 * np.abs(xa) / spec.a, 0.0, None))
-        t_from_wall = k * (root_e_v - math.sqrt(energy - spec.v0))
-        out = np.where(xa <= 0.0, t_from_wall / tau, 1.0 - t_from_wall / tau)
-        out = np.clip(np.where(np.abs(xa) > spec.a, np.where(xa > 0, 1.0, 0.0), out), 0.0, 1.0)
-    if np.isscalar(x) or np.ndim(x) == 0:
-        return float(out)
-    return out
+    t = arc.time_to(np.minimum(np.abs(xa), arc.x_out))
+    return np.clip((arc.sides - 1) / 2 + np.sign(xa) * t / (arc.sides * arc.duration),
+                   0.0, 1.0)[()]
 
 
 def classical_position_density(spec: PotentialSpec, energy: float, grid=None,
@@ -157,7 +139,7 @@ def classical_position_density(spec: PotentialSpec, energy: float, grid=None,
     if np.any(grid < lo - 1e-12) or np.any(grid > hi + 1e-12):
         raise SupportError(f"grid leaves the allowed region [{lo}, {hi}]")
     singular = ()
-    if spec.kind is PotentialKind.BOUNCER:
+    if _arc(spec, energy).p_out == 0.0:  # the arc ends at rest: P_CL diverges there
         singular = (hi,)
         if np.any(grid >= hi):
             raise SupportError(
@@ -170,46 +152,44 @@ def classical_position_density(spec: PotentialSpec, energy: float, grid=None,
 
 
 def momentum_support(spec: PotentialSpec, energy: float) -> tuple[tuple[float, float], ...]:
-    state = classical_state(spec, energy)
-    if spec.kind is PotentialKind.CLOSED_COURT:
-        return ((-state.p_plus, -state.p_minus), (state.p_minus, state.p_plus))
-    return ((-state.p_plus, state.p_plus),)
+    s = classical_state(spec, energy)
+    bands = ((-s.p_plus, -s.p_minus), (s.p_minus, s.p_plus))
+    return bands if s.p_minus > 0.0 else ((-s.p_plus, s.p_plus),)
 
 
 def default_momentum_grid(spec: PotentialSpec, energy: float, n_points: int = 2001) -> np.ndarray:
-    """Grid covering the momentum support band by band."""
+    """Grid covering the momentum support band by band; a band narrower than
+    its points' spacing in floating point keeps each representable value once."""
     bands = momentum_support(spec, energy)
     per = max(n_points // len(bands), 2)
-    return np.concatenate([np.linspace(lo, hi, per) for lo, hi in bands])
+    grid = np.concatenate([np.linspace(lo, hi, per) for lo, hi in bands])
+    return grid if np.all(np.diff(grid) > 0.0) else np.unique(grid)
 
 
 def classical_momentum_density(spec: PotentialSpec, energy: float, grid=None,
                                n_points: int = 2001) -> DensityCurve:
     """P_CL(p): sum over orbit branches of 1/(T_CL |F|), zero off support.
 
-    The infinite well has zero force, so its classical momentum density is a
-    pair of point masses at +-sqrt(2mE); that is not representable as a
-    sampled curve and raises :class:`RegimeError` (use
-    :func:`momentum_delta_masses` or :func:`project_trajectory` instead).
+    The infinite well has zero force, so its momentum band has no width and
+    its classical momentum density is a pair of point masses at
+    +-sqrt(2mE); that is not representable as a sampled curve and raises
+    :class:`RegimeError` (use :func:`momentum_delta_masses` or
+    :func:`project_trajectory` instead).
     """
-    if spec.kind is PotentialKind.INFINITE_WELL:
+    arc = _arc(spec, energy)
+    if arc.p_out == arc.p_plus:
         raise RegimeError(
-            "infinite-well momentum density is two delta masses at +-sqrt(2mE); "
-            "see momentum_delta_masses / project_trajectory")
+            "the momentum band has zero width (the infinite well, or V0 below the rounding "
+            "of E): the density is two delta masses at +-sqrt(2mE); see "
+            "momentum_delta_masses / project_trajectory")
     state = classical_state(spec, energy)
     if grid is None:
         grid = default_momentum_grid(spec, energy, n_points)
     grid = np.asarray(grid, dtype=float)
     p_abs = np.abs(grid)
     on_support = (p_abs >= state.p_minus - 1e-12) & (p_abs <= state.p_plus + 1e-12)
-
-    c = spec.constants
-    bouncer = spec.kind is PotentialKind.BOUNCER
-    force = c.mass * c.g if bouncer else spec.v0 / spec.a
-    per_branch = 1.0 / (state.period * force)
-    # orbit points with a given |p|: one for the bouncer, +-x in the closed court
-    n_branches = 1 if bouncer else 2
-    values = np.where(on_support, n_branches * per_branch, 0.0)
+    # one orbit point per side of x = 0 has a given |p|
+    values = np.where(on_support, arc.sides / (state.period * arc.force), 0.0)
     return DensityCurve(variable="momentum", grid=grid, values=values,
                         support=momentum_support(spec, energy))
 
@@ -225,63 +205,46 @@ def momentum_delta_masses(spec: PotentialSpec, energy: float) -> list[tuple[floa
 # ---------------------------------------------------------------------------
 # orbits, histograms, sampling
 
+def _orbit(arc: _Arc, t):
+    """(x, p) at times t after the orbit leaves the left end of its allowed
+    region moving right.
+
+    One period is 2 ``sides`` arcs.  Arc j runs, in a well's order, 0: in on
+    the left, 1: out on the right, 2: in on the right, 3: out on the left;
+    the bouncer's period is arcs 1 and 2.
+    """
+    k, s = np.divmod(np.asarray(t, dtype=float), arc.duration)
+    j = np.mod(k, 2 * arc.sides) + 2 - arc.sides
+    outward = np.mod(j, 2) == 1
+    d = np.where(outward, s, arc.duration - s)  # time since the arc was at x = 0
+    r = np.minimum(d * (arc.p_plus - 0.5 * arc.force * d) / arc.mass, arc.x_out)
+    q = arc.p_plus - arc.force * d
+    return np.where((j == 1) | (j == 2), r, -r), np.where(j < 2, q, -q)
+
+
 def trajectory(spec: PotentialSpec, energy: float, t):
     """Phase-space point (x, p) at time t on the periodic orbit.
 
     Conventions: the bouncer launches upward from the floor at t = 0; the
     wells start at x = -a moving right.  Vectorized over t.
     """
-    state = classical_state(spec, energy)
-    c = spec.constants
-    ta = np.asarray(t, dtype=float)
-    tau, period = state.tau, state.period
-    tr = np.mod(ta, period)
-    if spec.kind is PotentialKind.BOUNCER:
-        v0 = state.p_plus / c.mass
-        x = v0 * tr - 0.5 * c.g * tr ** 2
-        p = c.mass * (v0 - c.g * tr)
-    elif spec.kind is PotentialKind.INFINITE_WELL:
-        v = state.p_plus / c.mass
-        first = tr < tau
-        x = np.where(first, -spec.a + v * tr, spec.a - v * (tr - tau))
-        p = np.where(first, state.p_plus, -state.p_plus)
-    else:
-        forward = tr < tau
-        s = np.where(forward, tr, tr - tau)
-        accel = spec.v0 / (spec.a * c.mass)  # |F|/m
-        rising = s < 0.5 * tau
-        r = np.where(rising, s, s - 0.5 * tau)
-        x_half = np.where(rising,
-                          -spec.a + (state.p_minus / c.mass) * r + 0.5 * accel * r ** 2,
-                          (state.p_plus / c.mass) * r - 0.5 * accel * r ** 2)
-        p_half = np.where(rising, state.p_minus + c.mass * accel * r,
-                          state.p_plus - c.mass * accel * r)
-        x = np.where(forward, x_half, -x_half)
-        p = np.where(forward, p_half, -p_half)
-    if np.isscalar(t) or np.ndim(t) == 0:
-        return float(x), float(p)
-    return x, p
+    x, p = _orbit(_arc(spec, energy), t)
+    return x[()], p[()]
 
 
 def momentum_cdf(spec: PotentialSpec, energy: float, q):
-    """Fraction of the classical period with momentum <= q."""
-    state = classical_state(spec, energy)
+    """Fraction of the classical period with momentum <= q: uniform on
+    p_out <= |p| <= p_plus, or point masses at +-p_plus when that band has
+    no width (each counted from its own q on)."""
+    arc = _arc(spec, energy)
     qa = np.asarray(q, dtype=float)
-    if spec.kind is PotentialKind.BOUNCER:
-        out = np.clip((qa + state.p_plus) / (2.0 * state.p_plus), 0.0, 1.0)
-    elif spec.kind is PotentialKind.INFINITE_WELL:
-        out = np.where(qa < -state.p_plus, 0.0, np.where(qa < state.p_plus, 0.5, 1.0))
+    r = np.abs(qa)
+    width = arc.p_plus - arc.p_out
+    if width > 0.0:
+        inside = np.clip((r - arc.p_out) / width, 0.0, 1.0)
     else:
-        dp = state.delta_p
-        out = np.where(
-            qa <= -state.p_plus, 0.0,
-            np.where(qa <= -state.p_minus, (qa + state.p_plus) / (2.0 * dp),
-                     np.where(qa < state.p_minus, 0.5,
-                              np.where(qa < state.p_plus,
-                                       0.5 + (qa - state.p_minus) / (2.0 * dp), 1.0))))
-    if np.isscalar(q) or np.ndim(q) == 0:
-        return float(out)
-    return out
+        inside = np.where(qa < 0.0, r > arc.p_plus, r >= arc.p_plus)
+    return (0.5 + np.copysign(0.5, qa) * inside)[()]
 
 
 def project_trajectory(spec: PotentialSpec, energy: float, n_bins: int,

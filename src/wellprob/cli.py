@@ -171,8 +171,8 @@ def cmd_classical(cfg: RunConfig) -> list[Path]:
 
     if cfg.task.n_bins:
         written += _write_histograms(out, "", spec, energy, cfg.task.n_bins,
-                                     max(cfg.task.n_draws, 0) or 1, cfg.task.seed)
-    if cfg.task.n_draws > 0:
+                                     cfg.task.n_draws or 1, cfg.task.seed)
+    if cfg.task.n_draws:
         draws = sample_measurements(spec, energy, cfg.task.n_draws, cfg.task.seed)
         written.append(_write_csv(out / "draws.csv", ("t", "position", "momentum"),
                                   (draws.times, draws.positions, draws.momenta)))
@@ -267,7 +267,7 @@ def cmd_bounce_sim(cfg: RunConfig) -> list[Path]:
             raise ConfigError("bounce-sim needs a bouncer potential")
     t = cfg.task
     energy = t.energy if t.energy is not None else 2.0
-    n_draws = t.n_draws if t.n_draws > 0 else 1000
+    n_draws = t.n_draws or 1000
     out = _outdir(cfg)
     state = classical_state(spec, energy)
     times = np.linspace(0.0, state.period, 801)

@@ -12,9 +12,11 @@ Four sections, all optional, unknown keys rejected:
     [output]      directory             (CSV files are written there)
 
 Values are checked when a config is built: every real value (v0_list
-entries too) is finite, hbar, mass, g and search_width are > 0, index is
-at least 1, n_grid and n_points are at least 16, n_bins is 0 (no
-histograms) or at least 2, and no grid, bin or draw count exceeds 10^7.
+entries too) is finite, a, hbar, mass, g and search_width are > 0, v0,
+the v0_list entries and n_draws are >= 0, seed is a Philox key in
+[0, 2^128), index is at least 1, n_grid and n_points are at least 16,
+n_bins is 0 (no histograms) or at least 2, and no grid, bin or draw count
+exceeds 10^7.
 
 ``parse_text`` -> ``emit_text`` round-trips: emitting writes every field in
 canonical order, so parse(emit(parse(s))) == parse(s).  Individual keys can
@@ -166,11 +168,18 @@ def _build(raw: dict[str, dict]) -> RunConfig:
         except TypeError as exc:
             raise ConfigError(f"bad [{section}] block: {exc}") from None
     cfg = RunConfig(**kwargs)
-    t, c = cfg.task, cfg.constants
+    t, c, p = cfg.task, cfg.constants, cfg.potential
     for name, v in (("constants.hbar", c.hbar), ("constants.mass", c.mass),
-                    ("constants.g", c.g), ("task.search_width", t.search_width)):
-        if not v > 0.0:
+                    ("constants.g", c.g), ("task.search_width", t.search_width),
+                    ("potential.a", p.a)):
+        if v is not None and not v > 0.0:
             raise ConfigError(f"{name} must be > 0, got {v!r}")
+    for name, v in (("potential.v0", p.v0), ("task.n_draws", t.n_draws),
+                    *(("task.v0_list entry", v) for v in t.v0_list or ())):
+        if v is not None and v < 0:
+            raise ConfigError(f"{name} must be >= 0, got {v!r}")
+    if not 0 <= t.seed < 2 ** 128:
+        raise ConfigError(f"task.seed must be in [0, 2^128), the Philox key range, got {t.seed}")
     if t.parity not in ("even", "odd", "both"):
         raise ConfigError(f"task.parity must be even|odd|both, got {t.parity!r}")
     if t.index is not None and t.index < 1:

@@ -9,6 +9,13 @@ Three one-dimensional bound-state systems are supported:
                        infinite walls at x = +-a.  Interpolates between the
                        linear well (large V0) and the infinite well (V0 -> 0).
 
+Each is V = F |x| inside its walls, so every orbit is made of arcs under a
+constant force F toward x = 0.  An arc leaves x = 0 with |p| = p_plus and
+reaches |x| = x_out with |p| = p_out, on one side of x = 0 (the bouncer:
+F = m g, x_out = E/F, p_out = 0) or on both (the closed court: F = V0/a,
+x_out = a, p_out = sqrt(2m(E - V0)); the infinite well is its F = 0 case,
+p_out = p_plus).  Every classical quantity is derived from that one arc.
+
 All quantities are in scaled units; the default constants are
 hbar = 2m = 1, which is the convention required to reproduce the reference
 parameter table for the closed court.
@@ -19,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,7 +62,8 @@ class PotentialSpec:
     """One of the three potential families plus its constants.
 
     ``a`` is the half-width of the well (well kinds only, must be > 0).
-    ``v0`` is the ramp height at the wall edge (closed court only, >= 0).
+    ``v0`` is the ramp height at the wall edge (closed court only, >= 0;
+    0 for the other kinds).
     """
 
     kind: PotentialKind
@@ -70,6 +79,8 @@ class PotentialSpec:
                 raise ValueError(f"well half-width a must be > 0, got {self.a}")
         if self.v0 < 0.0 or not math.isfinite(self.v0):
             raise ValueError(f"v0 must be >= 0, got {self.v0}")
+        if self.v0 != 0.0 and kind is not PotentialKind.CLOSED_COURT:
+            raise ValueError(f"v0 applies to the closed court only, got {self.v0}")
 
 
 def bouncer(mass: float = 1.0, g: float = 1.0, hbar: float = 1.0) -> PotentialSpec:
@@ -84,14 +95,52 @@ def closed_court(a: float, v0: float, hbar: float = 1.0, mass: float = 0.5) -> P
     return PotentialSpec(PotentialKind.CLOSED_COURT, Constants(hbar=hbar, mass=mass), a=a, v0=v0)
 
 
+class _Arc(NamedTuple):
+    """An orbit's arc: from x = 0, |p| = p_plus, out to |x| = x_out, |p| = p_out,
+    under a force ``force`` toward x = 0, on ``sides`` sides; ``time_to(x_out)``
+    equals ``duration`` bit for bit, so the position CDF ends at exactly 0 and 1."""
+
+    mass: float
+    force: float
+    sides: int
+    x_out: float
+    p_plus: float
+    p_out: float
+
+    @property
+    def duration(self) -> float:
+        return 2.0 * self.mass * self.x_out / (self.p_plus + self.p_out)
+
+    def time_to(self, r):
+        """Time from x = 0 out to |x| = r, 2 m r / (p_plus + p(r)): no 1/F, no cancellation."""
+        p = np.sqrt(self.p_out ** 2 + 2.0 * self.mass * self.force * (self.x_out - r))
+        return 2.0 * self.mass * r / (self.p_plus + p)
+
+
+def _arc_ends(spec: PotentialSpec, energy: float) -> tuple:
+    """(force, sides, x_out, p_plus, p_out) at ``energy``, as the module
+    docstring lists them; a plain tuple, cheap enough for the level scan."""
+    check_energy(spec, energy)
+    c = spec.constants
+    p_plus = math.sqrt(2.0 * c.mass * energy)
+    if spec.kind is PotentialKind.BOUNCER:
+        return c.mass * c.g, 1, energy / (c.mass * c.g), p_plus, 0.0
+    return spec.v0 / spec.a, 2, spec.a, p_plus, math.sqrt(2.0 * c.mass * (energy - spec.v0))
+
+
+def _arc(spec: PotentialSpec, energy: float) -> _Arc:
+    return _Arc(spec.constants.mass, *_arc_ends(spec, energy))
+
+
 @dataclass(frozen=True)
 class ClassicalState:
     """Energy bookkeeping for one classical orbit.
 
-    ``p_minus`` is the smallest momentum magnitude on the orbit (0 except
-    for the closed court, where it is the value at the walls), ``p_plus``
-    the largest, ``tau`` the one-way traversal time (half-period), and
-    ``turning_points`` the endpoints of the allowed region.
+    ``p_plus`` is |p| at x = 0 and ``p_minus`` |p| at the ends of an arc (0
+    for the bouncer's apex; the infinite well, whose arcs keep |p| = p_plus,
+    reports 0 too), ``tau`` the one-way traversal time (half-period): one arc
+    for the bouncer, two for a well.  ``turning_points`` are the endpoints of
+    the allowed region.
     """
 
     energy: float
@@ -110,23 +159,18 @@ class ClassicalState:
 
 
 def evaluate_potential(spec: PotentialSpec, x):
-    """V(x), with ``inf`` as the sentinel outside the allowed region.
+    """V(x) = F |x| inside the walls, ``inf`` outside the allowed region.
 
     Accepts scalars or arrays; the infinite walls are represented exactly
     so that density supports are exact intervals.
     """
     xa = np.asarray(x, dtype=float)
-    k = spec.kind
-    if k is PotentialKind.BOUNCER:
-        mg = spec.constants.mass * spec.constants.g
-        v = np.where(xa < 0.0, np.inf, mg * xa)
-    elif k is PotentialKind.INFINITE_WELL:
-        v = np.where(np.abs(xa) > spec.a, np.inf, 0.0)
+    c = spec.constants
+    if spec.kind is PotentialKind.BOUNCER:
+        force, outside = c.mass * c.g, xa < 0.0
     else:
-        v = np.where(np.abs(xa) > spec.a, np.inf, spec.v0 * np.abs(xa) / spec.a)
-    if np.isscalar(x) or xa.ndim == 0:
-        return float(v)
-    return v
+        force, outside = spec.v0 / spec.a, np.abs(xa) > spec.a
+    return np.where(outside, np.inf, force * np.abs(xa))[()]
 
 
 def check_energy(spec: PotentialSpec, energy: float) -> None:
@@ -145,33 +189,16 @@ def check_energy(spec: PotentialSpec, energy: float) -> None:
 def half_period(spec: PotentialSpec, energy: float) -> float:
     """One-way traversal time tau = sqrt(m/2) * int dx / sqrt(E - V(x)).
 
-    Exact piecewise closed forms: sqrt(2H/g) with apex height H = E/(m g)
-    for the bouncer, 2a sqrt(m/(2E)) for the infinite well, and
-    sqrt(2m) (2a/V0) (sqrt(E) - sqrt(E - V0)) for the closed court.
+    ``sides`` arcs of 2 m x_out / (p_plus + p_out) each, with no division by
+    F: the closed court tends to the infinite well's 2 a sqrt(m/(2E)) as V0 -> 0.
     """
-    check_energy(spec, energy)
-    c = spec.constants
-    if spec.kind is PotentialKind.BOUNCER:
-        height = energy / (c.mass * c.g)
-        return math.sqrt(2.0 * height / c.g)
-    if spec.kind is PotentialKind.INFINITE_WELL:
-        return 2.0 * spec.a * math.sqrt(c.mass / (2.0 * energy))
-    return (math.sqrt(2.0 * c.mass) * (2.0 * spec.a / spec.v0)
-            * (math.sqrt(energy) - math.sqrt(energy - spec.v0)))
+    _, sides, x_out, p_plus, p_out = _arc_ends(spec, energy)
+    return sides * (2.0 * spec.constants.mass * x_out / (p_plus + p_out))  # sides * _Arc.duration
 
 
 def classical_state(spec: PotentialSpec, energy: float) -> ClassicalState:
     """Turning points, momentum bounds, and half-period at a given energy."""
-    check_energy(spec, energy)
-    c = spec.constants
-    p_plus = math.sqrt(2.0 * c.mass * energy)
-    if spec.kind is PotentialKind.CLOSED_COURT:
-        p_minus = math.sqrt(2.0 * c.mass * (energy - spec.v0))
-    else:
-        p_minus = 0.0
-    if spec.kind is PotentialKind.BOUNCER:
-        turning = (0.0, energy / (c.mass * c.g))
-    else:
-        turning = (-spec.a, spec.a)
-    return ClassicalState(energy=energy, p_minus=p_minus, p_plus=p_plus,
-                          tau=half_period(spec, energy), turning_points=turning)
+    arc = _arc(spec, energy)
+    return ClassicalState(energy=energy, p_minus=arc.p_out if arc.force > 0.0 else 0.0,
+                          p_plus=arc.p_plus, tau=arc.sides * arc.duration,
+                          turning_points=(-arc.x_out if arc.sides == 2 else 0.0, arc.x_out))

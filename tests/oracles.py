@@ -17,6 +17,12 @@ package scans once for both parities and refines only what it returns),
 and infinite-well levels listed parity by parity in an open-ended loop,
 then sorted (the package lists them in energy order up to a closed-form
 count).
+
+The classical quantities also keep their earlier per-kind closed forms
+(the package derives them all from one constant-force arc): the
+potential, half-period, position and momentum CDFs, orbit, default
+position grid and momentum density, each with a separate formula for the
+bouncer, the infinite well and the closed court.
 """
 
 import math
@@ -340,3 +346,138 @@ def write_csv_rows(path, header, rows):
     lines.extend(",".join(_csv_cell(v) for v in row) for row in rows)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
     return path
+
+
+# ---------------------------------------------------------------------------
+# classical quantities, one closed form per potential kind
+
+def _scalar_or_array(x, out):
+    return float(out) if np.ndim(x) == 0 else out
+
+
+def potential_by_kind(spec, x):
+    """V(x): m g z above the floor, 0 in the infinite well, V0 |x| / a in
+    the closed court; inf outside the allowed region."""
+    xa = np.asarray(x, dtype=float)
+    if spec.kind is PotentialKind.BOUNCER:
+        mg = spec.constants.mass * spec.constants.g
+        v = np.where(xa < 0.0, np.inf, mg * xa)
+    elif spec.kind is PotentialKind.INFINITE_WELL:
+        v = np.where(np.abs(xa) > spec.a, np.inf, 0.0)
+    else:
+        v = np.where(np.abs(xa) > spec.a, np.inf, spec.v0 * np.abs(xa) / spec.a)
+    return _scalar_or_array(x, v)
+
+
+def half_period_by_kind(spec, energy):
+    """sqrt(2H/g) with H = E/(m g), 2a sqrt(m/(2E)), and
+    sqrt(2m) (2a/V0) (sqrt(E) - sqrt(E - V0))."""
+    c = spec.constants
+    if spec.kind is PotentialKind.BOUNCER:
+        height = energy / (c.mass * c.g)
+        return math.sqrt(2.0 * height / c.g)
+    if spec.kind is PotentialKind.INFINITE_WELL:
+        return 2.0 * spec.a * math.sqrt(c.mass / (2.0 * energy))
+    return (math.sqrt(2.0 * c.mass) * (2.0 * spec.a / spec.v0)
+            * (math.sqrt(energy) - math.sqrt(energy - spec.v0)))
+
+
+def p_minus_by_kind(spec, energy):
+    """|p| at the walls for the closed court, 0 for the other kinds."""
+    if spec.kind is PotentialKind.CLOSED_COURT:
+        return math.sqrt(2.0 * spec.constants.mass * (energy - spec.v0))
+    return 0.0
+
+
+def position_cdf_by_kind(spec, energy, x):
+    """Fraction of the period left of x from each kind's own time integral."""
+    c = spec.constants
+    xa = np.asarray(x, dtype=float)
+    if spec.kind is PotentialKind.BOUNCER:
+        height = energy / (c.mass * c.g)
+        out = 1.0 - np.sqrt(np.clip((height - xa) / height, 0.0, 1.0))
+    elif spec.kind is PotentialKind.INFINITE_WELL:
+        out = np.clip((xa + spec.a) / (2.0 * spec.a), 0.0, 1.0)
+    else:
+        tau = half_period_by_kind(spec, energy)
+        k = math.sqrt(2.0 * c.mass) * spec.a / spec.v0
+        root_e_v = np.sqrt(np.clip(energy - spec.v0 * np.abs(xa) / spec.a, 0.0, None))
+        t_from_wall = k * (root_e_v - math.sqrt(energy - spec.v0))
+        out = np.where(xa <= 0.0, t_from_wall / tau, 1.0 - t_from_wall / tau)
+        out = np.clip(np.where(np.abs(xa) > spec.a, np.where(xa > 0, 1.0, 0.0), out), 0.0, 1.0)
+    return _scalar_or_array(x, out)
+
+
+def momentum_cdf_by_kind(spec, energy, q):
+    """Fraction of the period with momentum <= q: flat on [-p+, p+] for the
+    bouncer, point masses at +-p+ for the infinite well, two flat bands for
+    the closed court."""
+    p_plus = math.sqrt(2.0 * spec.constants.mass * energy)
+    qa = np.asarray(q, dtype=float)
+    if spec.kind is PotentialKind.BOUNCER:
+        out = np.clip((qa + p_plus) / (2.0 * p_plus), 0.0, 1.0)
+    elif spec.kind is PotentialKind.INFINITE_WELL:
+        out = np.where(qa < -p_plus, 0.0, np.where(qa < p_plus, 0.5, 1.0))
+    else:
+        p_minus = p_minus_by_kind(spec, energy)
+        dp = p_plus - p_minus
+        out = np.where(
+            qa <= -p_plus, 0.0,
+            np.where(qa <= -p_minus, (qa + p_plus) / (2.0 * dp),
+                     np.where(qa < p_minus, 0.5,
+                              np.where(qa < p_plus, 0.5 + (qa - p_minus) / (2.0 * dp), 1.0))))
+    return _scalar_or_array(q, out)
+
+
+def trajectory_by_kind(spec, energy, t):
+    """(x, p) at time t: one parabola per period for the bouncer, two
+    straight crossings for the infinite well, four half-crossings for the
+    closed court (starting at x = -a moving right)."""
+    c = spec.constants
+    p_plus = math.sqrt(2.0 * c.mass * energy)
+    p_minus = p_minus_by_kind(spec, energy)
+    tau = half_period_by_kind(spec, energy)
+    tr = np.mod(np.asarray(t, dtype=float), 2.0 * tau)
+    if spec.kind is PotentialKind.BOUNCER:
+        v0 = p_plus / c.mass
+        x, p = v0 * tr - 0.5 * c.g * tr ** 2, c.mass * (v0 - c.g * tr)
+    elif spec.kind is PotentialKind.INFINITE_WELL:
+        first = tr < tau
+        x = np.where(first, -spec.a + p_plus / c.mass * tr, spec.a - p_plus / c.mass * (tr - tau))
+        p = np.where(first, p_plus, -p_plus)
+    else:
+        forward = tr < tau
+        s = np.where(forward, tr, tr - tau)
+        accel = spec.v0 / (spec.a * c.mass)
+        rising = s < 0.5 * tau
+        r = np.where(rising, s, s - 0.5 * tau)
+        x_half = np.where(rising, -spec.a + (p_minus / c.mass) * r + 0.5 * accel * r ** 2,
+                          (p_plus / c.mass) * r - 0.5 * accel * r ** 2)
+        p_half = np.where(rising, p_minus + c.mass * accel * r, p_plus - c.mass * accel * r)
+        x, p = np.where(forward, x_half, -x_half), np.where(forward, p_half, -p_half)
+    return _scalar_or_array(t, x), _scalar_or_array(t, p)
+
+
+def position_grid_by_kind(spec, energy, n_points=4001, apex_fraction=0.02):
+    """Apex-graded nodes H (1 - (1 - s)^2) for the bouncer, a linspace for
+    the infinite well, nodes uniform in u = sqrt(E - V) for the closed court."""
+    if spec.kind is PotentialKind.BOUNCER:
+        height = energy / (spec.constants.mass * spec.constants.g)
+        s = np.linspace(0.0, 1.0 - apex_fraction, n_points)
+        return height * (1.0 - (1.0 - s) ** 2)
+    if spec.kind is PotentialKind.INFINITE_WELL:
+        return np.linspace(-spec.a, spec.a, n_points)
+    half_n = max(n_points // 2, 2)
+    u = np.linspace(math.sqrt(energy - spec.v0), math.sqrt(energy), half_n)
+    right = np.clip(spec.a * (energy - u ** 2) / spec.v0, 0.0, spec.a)[::-1]
+    return np.concatenate([-right[::-1][:-1], right])
+
+
+def momentum_density_by_kind(spec, energy):
+    """The flat classical momentum density 1/(T |F|) per branch: one branch
+    with F = m g for the bouncer, two with F = V0/a for the closed court."""
+    c = spec.constants
+    period = 2.0 * half_period_by_kind(spec, energy)
+    if spec.kind is PotentialKind.BOUNCER:
+        return 1.0 / (period * c.mass * c.g)
+    return 2.0 / (period * spec.v0 / spec.a)

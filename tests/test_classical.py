@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.integrate import quad
 
 import wellprob as wp
 from wellprob.classical import position_cdf, momentum_cdf
+import oracles
 from oracles import half_period_quadrature, half_period_tanh_sinh, tanh_sinh
 
 CC10 = wp.closed_court(a=25.0, v0=10.0)
@@ -312,3 +313,114 @@ def test_measurement_histogram_bundles_draws():
     assert h.n_draws == 250
     assert h.draws.shape == (250, 2)
     assert np.all(np.abs(h.draws[:, 1]) <= 2.0 + 1e-12)
+
+
+# ---------------------------------------------------------------------------
+# one constant-force arc against the per-kind closed forms
+
+EPS = np.finfo(float).eps
+# closed courts with V0/E >= 1e-3: below that the closed forms' own
+# cancellation (sqrt(E) - sqrt(E - V0) over V0) passes 1e-12
+ARC_CASES = st.one_of(
+    st.builds(lambda a, v0, ratio: (wp.closed_court(a=a, v0=v0), ratio * v0),
+              st.floats(1.0, 100.0), st.floats(0.01, 20.0), st.floats(1.001, 1000.0)),
+    INFINITE_WELLS, BOUNCERS)
+
+
+@settings(max_examples=200)
+@given(case=ARC_CASES)
+def test_arc_state_and_potential_match_closed_forms(case):
+    spec, e = case
+    s = wp.classical_state(spec, e)
+    assert s.tau == pytest.approx(oracles.half_period_by_kind(spec, e), rel=1e-12)
+    assert wp.half_period(spec, e) == s.tau
+    assert s.p_plus == math.sqrt(2.0 * spec.constants.mass * e)
+    assert s.p_minus == oracles.p_minus_by_kind(spec, e)
+    lo, hi = s.turning_points
+    assert lo == (0.0 if spec.kind is wp.PotentialKind.BOUNCER else -spec.a)
+    assert hi == pytest.approx(e / (spec.constants.mass * spec.constants.g)
+                               if spec.kind is wp.PotentialKind.BOUNCER else spec.a, rel=1e-15)
+    x = np.linspace(lo - 1.0, hi + 1.0, 101)
+    v, ref = wp.evaluate_potential(spec, x), oracles.potential_by_kind(spec, x)
+    assert np.array_equal(np.isinf(v), np.isinf(ref))
+    assert np.allclose(v[np.isfinite(v)], ref[np.isfinite(ref)], rtol=1e-12, atol=0.0)
+
+
+@settings(max_examples=200)
+@given(case=ARC_CASES)
+def test_arc_cdfs_match_closed_forms(case):
+    spec, e = case
+    s = wp.classical_state(spec, e)
+    lo, hi = s.turning_points
+    x = np.concatenate([np.linspace(lo - 0.1 * (hi - lo), hi + 0.1 * (hi - lo), 241), [0.0]])
+    assert np.max(np.abs(position_cdf(spec, e, x)
+                         - oracles.position_cdf_by_kind(spec, e, x))) <= 1e-12
+    q = np.concatenate([np.linspace(-1.2 * s.p_plus, 1.2 * s.p_plus, 241),
+                        [-s.p_plus, -s.p_minus, 0.0, s.p_minus, s.p_plus]])
+    assert np.max(np.abs(momentum_cdf(spec, e, q)
+                         - oracles.momentum_cdf_by_kind(spec, e, q))) <= 1e-12
+
+
+@settings(max_examples=200)
+@given(case=ARC_CASES, phase=st.floats(0.0, 1.0, exclude_max=True))
+def test_arc_trajectory_matches_closed_forms(case, phase):
+    # one period: the closed form's tau, off by up to ~eps E/V0, shifts its
+    # orbit further with every period
+    spec, e = case
+    s = wp.classical_state(spec, e)
+    arcs = 2 if spec.kind is wp.PotentialKind.BOUNCER else 4
+    # a wall or the floor flips p; the two forms may put that instant on either side
+    assume(abs(phase * arcs - round(phase * arcs)) > 1e-9)
+    x, p = wp.trajectory(spec, e, phase * s.period)
+    x_ref, p_ref = oracles.trajectory_by_kind(spec, e, phase * s.period)
+    x_scale = max(-s.turning_points[0], s.turning_points[1])
+    assert x == pytest.approx(x_ref, abs=1e-12 * x_scale)
+    assert p == pytest.approx(p_ref, abs=1e-12 * s.p_plus)
+
+
+@settings(max_examples=100)
+@given(case=ARC_CASES, n_points=st.integers(16, 600))
+def test_arc_default_grid_matches_closed_forms(case, n_points):
+    spec, e = case
+    grid = wp.classical.default_position_grid(spec, e, n_points)
+    ref = oracles.position_grid_by_kind(spec, e, n_points)
+    assert grid.shape == ref.shape
+    s = wp.classical_state(spec, e)
+    assert np.max(np.abs(grid - ref)) <= 1e-12 * s.turning_points[1]
+    if spec.kind is not wp.PotentialKind.INFINITE_WELL:
+        mid_band = np.array([0.5 * (s.p_minus + s.p_plus)])
+        d = wp.classical_momentum_density(spec, e, grid=mid_band)
+        assert d.values[0] == pytest.approx(oracles.momentum_density_by_kind(spec, e), rel=1e-12)
+
+
+@settings(max_examples=200)
+@given(case=st.one_of(CLOSED_COURTS, INFINITE_WELLS, BOUNCERS), u=st.floats(0.0, 1.0))
+def test_position_cdf_inverts_the_orbit(case, u):
+    spec, e = case
+    tau = wp.half_period(spec, e)
+    x = wp.trajectory(spec, e, u * tau)[0]
+    # near the bouncer's apex x rounds to a few ulps of H, which the CDF's
+    # square root turns into up to sqrt(ulp/H) ~ 1e-8
+    near_apex = spec.kind is wp.PotentialKind.BOUNCER and u > 1.0 - 1e-4
+    assert position_cdf(spec, e, x) == pytest.approx(u, abs=1e-7 if near_apex else 1e-12)
+
+
+@pytest.mark.parametrize("v0", [1e-3, 1e-6, 1e-8, 1e-10, 1e-12, 1e-14])
+def test_closed_court_tends_to_the_infinite_well(v0):
+    # tau = tau_IW 2 / (1 + sqrt(1 - V0/E)); the closed form divided a
+    # difference of square roots by V0, off by 2.6e-5 at V0 = 1e-10
+    spec = wp.closed_court(a=25.0, v0=v0)
+    tau_iw = wp.half_period(wp.infinite_well(a=25.0), 10.0)
+    expected = tau_iw * 2.0 / (1.0 + math.sqrt(1.0 - v0 / 10.0))
+    assert wp.half_period(spec, 10.0) == pytest.approx(expected, rel=1e-14)
+    assert wp.classical_position_density(spec, 10.0).trapezoid_mass() == pytest.approx(
+        1.0, abs=1e-12)
+
+
+def test_closed_court_band_below_rounding_is_the_infinite_well_pair():
+    # V0 = 1e-17 leaves E - V0 == E: p_minus == p_plus, a band of zero width
+    spec = wp.closed_court(a=25.0, v0=1e-17)
+    with pytest.raises(wp.RegimeError, match="zero width"):
+        wp.classical_momentum_density(spec, 10.0)
+    h = wp.project_trajectory(spec, 10.0, 8, "momentum")
+    assert np.array_equal(h.bin_mass, wp.project_trajectory(IW, 10.0, 8, "momentum").bin_mass)

@@ -506,3 +506,47 @@ def test_each_error_category_has_its_label_and_exit_code(tmp_path: Path, capsys,
     err = capsys.readouterr().err
     assert err.startswith(f"error: {category}: ")
     assert "\n" not in err.strip()
+
+
+@pytest.mark.parametrize("args, message", [
+    (("sweep", "--set", "task.v0_list=-1"), "task.v0_list entry must be >= 0"),
+    (("sweep", "--set", "potential.a=-3"), "potential.a must be > 0"),
+    (("classical", *CC10_KIND, "--set", "potential.a=0", "--set", "task.energy=10.066"),
+     "potential.a must be > 0"),
+    (("classical", "--set", "potential.kind=closed_court", "--set", "potential.a=25",
+      "--set", "potential.v0=-1", "--set", "task.energy=2"), "potential.v0 must be >= 0"),
+    (("bounce-sim", "--seed", "-3"), "task.seed must be in [0, 2^128)"),
+    (("bounce-sim", "--seed", str(2 ** 128)), "task.seed must be in [0, 2^128)"),
+    (("bounce-sim", "--set", "task.n_draws=-1"), "task.n_draws must be >= 0"),
+    (("classical", "--set", "potential.kind=bouncer", "--set", "task.energy=2",
+      "--set", "task.n_draws=-5"), "task.n_draws must be >= 0"),
+], ids=["sweep-v0_list-negative", "sweep-a-negative", "classical-a-zero",
+        "classical-v0-negative", "bounce-sim-seed-negative", "bounce-sim-seed-2^128",
+        "bounce-sim-n_draws-negative", "classical-n_draws-negative"])
+def test_out_of_range_values_exit_2_as_config_errors(tmp_path: Path, args, message):
+    # these were ValueError tracebacks (exit 1), or a negative n_draws read as
+    # "no draws" by classical and as 1000 draws by bounce-sim
+    cp = run_cli(*args, "--out", str(tmp_path / "out"))
+    assert cp.returncode == 2
+    assert cp.stderr.startswith(f"error: config: {message}")
+    assert "\n" not in cp.stderr.strip()
+    assert not (tmp_path / "out").exists()
+
+
+def test_largest_seed_is_a_philox_key(tmp_path: Path):
+    assert cli.main(["bounce-sim", "--seed", str(2 ** 128 - 1), "--out", str(tmp_path)]) == 0
+
+
+def test_classical_closed_court_near_the_infinite_well(tmp_path: Path):
+    # at V0 = 1e-12 the old nodes, uniform in sqrt(E - V), collapsed into a
+    # grid that was not increasing (a ValueError traceback, exit 1)
+    cp = run_cli("classical", "--set", "potential.kind=closed_court", "--set", "potential.a=25",
+                 "--set", "potential.v0=1e-12", "--set", "task.energy=10",
+                 "--out", str(tmp_path))
+    assert cp.returncode == 0, cp.stderr
+    x, density = np.loadtxt(tmp_path / "classical_position.csv", delimiter=",",
+                            skiprows=1, unpack=True)
+    meta = dict(row for row in read_csv(tmp_path / "classical_meta.csv")[1])
+    assert abs(np.trapezoid(density, x) + float(meta["position_omitted_mass"]) - 1.0) < 1e-9
+    p = np.loadtxt(tmp_path / "classical_momentum.csv", delimiter=",", skiprows=1)[:, 0]
+    assert np.all(np.diff(p) > 0.0)

@@ -164,3 +164,26 @@ def test_n_bins_is_an_int_defaulting_to_zero():
 def test_output_format_is_an_unknown_key():
     with pytest.raises(wp.ConfigError, match="unknown key output.format"):
         apply_overrides(RunConfig(), ["output.format=csv"])
+
+
+@pytest.mark.parametrize("item, key", [
+    ("potential.a=0", "potential.a must be > 0"),
+    ("potential.a=-3", "potential.a must be > 0"),
+    ("potential.v0=-1", "potential.v0 must be >= 0"),
+    ("task.v0_list=10,-1,2", "task.v0_list entry must be >= 0"),
+    ("task.n_draws=-1", "task.n_draws must be >= 0"),
+    ("task.seed=-3", "task.seed must be in"),
+    (f"task.seed={2 ** 128}", "task.seed must be in"),
+])
+def test_out_of_range_values_are_config_errors(item, key):
+    with pytest.raises(wp.ConfigError, match=key):
+        apply_overrides(RunConfig(), [item])
+    section, assignment = item.split(".", 1)
+    with pytest.raises(wp.ConfigError, match=key):
+        parse_text(f"[{section}]\n{assignment.replace('=', ' = ', 1)}\n")
+
+
+@pytest.mark.parametrize("item", ["potential.v0=0", "task.v0_list=0,2", "task.n_draws=0",
+                                  "task.seed=0", f"task.seed={2 ** 128 - 1}"])
+def test_range_edges_are_accepted(item):
+    apply_overrides(RunConfig(), [item])

@@ -95,3 +95,11 @@ def test_spec_validation():
 def test_default_constants_are_scaled_units():
     c = wp.Constants()
     assert c.hbar == 1.0 and 2.0 * c.mass == 1.0
+
+
+@pytest.mark.parametrize("kind", ["bouncer", "infinite_well"])
+def test_v0_belongs_to_the_closed_court(kind):
+    # a well's arc reads v0 as its ramp, so another kind may not carry one
+    with pytest.raises(ValueError, match="closed court only"):
+        wp.PotentialSpec(kind, a=25.0, v0=3.0)
+    assert wp.PotentialSpec(kind, a=25.0).v0 == 0.0

@@ -1,6 +1,7 @@
 import argparse
 import ast
 import configparser
+import importlib
 import os
 import re
 import subprocess
@@ -138,3 +139,21 @@ def test_readme_synopsis_lists_every_command_option():
         options = {opt for action in sub._actions for opt in action.option_strings
                    if opt.startswith("--")} - {"--help"}
         assert options == flags, name
+
+
+PERFBENCH = Path(__file__).parents[1] / "perfbench"
+
+
+def test_benchmark_hooks_resolve(monkeypatch):
+    # perfbench/spans.py wraps these package names and perfbench/run.py reads
+    # quantum.SkippedRootWarning for every op: a rename fails every traced op
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spans = importlib.import_module("spans")
+    originals = [(owner, name, getattr(owner, name, None)) for owner, name, *_ in spans.TARGETS]
+    missing = [f"{getattr(owner, '__name__', owner)}.{name}"
+               for owner, name, fn in originals if not callable(fn)]
+    assert not missing, f"benchmark targets that no longer resolve: {missing}"
+    with spans.Installed(spans.Tracer()):
+        assert all(getattr(owner, name) is not fn for owner, name, fn in originals)
+    assert all(getattr(owner, name) is fn for owner, name, fn in originals)
+    assert issubclass(wp.quantum.SkippedRootWarning, Warning)
