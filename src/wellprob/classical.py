@@ -182,14 +182,14 @@ def classical_momentum_density(spec: PotentialSpec, energy: float, grid=None,
             "the momentum band has zero width (the infinite well, or V0 below the rounding "
             "of E): the density is two delta masses at +-sqrt(2mE); see "
             "momentum_delta_masses / project_trajectory")
-    state = classical_state(spec, energy)
     if grid is None:
         grid = default_momentum_grid(spec, energy, n_points)
     grid = np.asarray(grid, dtype=float)
     p_abs = np.abs(grid)
-    on_support = (p_abs >= state.p_minus - 1e-12) & (p_abs <= state.p_plus + 1e-12)
-    # one orbit point per side of x = 0 has a given |p|
-    values = np.where(on_support, arc.sides / (state.period * arc.force), 0.0)
+    on_support = (p_abs >= arc.p_out - 1e-12) & (p_abs <= arc.p_plus + 1e-12)
+    # sides/(T F) (one orbit point per side of x = 0 per |p|) is 1/(2 (p_plus - p_out));
+    # from the rounded band edges it keeps even a band a few ulps wide at mass 1
+    values = np.where(on_support, 0.5 / (arc.p_plus - arc.p_out), 0.0)
     return DensityCurve(variable="momentum", grid=grid, values=values,
                         support=momentum_support(spec, energy))
 

@@ -241,7 +241,7 @@ def cmd_table1(cfg: RunConfig) -> list[Path]:
 def cmd_sweep(cfg: RunConfig) -> list[Path]:
     t = cfg.task
     a = cfg.potential.a if cfg.potential.a is not None else 25.0
-    e_target = t.e_target if t.e_target is not None else 10.0
+    e_target = t.energy if t.energy is not None else 10.0
     v0_list = t.v0_list if t.v0_list else (10.0, 6.0, 2.0)
     reports = v0_sweep(a=a, hbar=cfg.constants.hbar, mass=cfg.constants.mass,
                        e_target=e_target, v0_list=v0_list,
@@ -312,7 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=helps[name])
         p.add_argument("--config", metavar="PATH", help="INI run configuration")
         p.add_argument("--out", metavar="DIR", help="output directory")
-        p.add_argument("--seed", metavar="N", type=int, help="random seed override")
         p.add_argument("--set", metavar="SECTION.KEY=VALUE", action="append",
                        default=[], help="override one config key (repeatable)")
     return parser
@@ -325,8 +324,6 @@ def main(argv=None) -> int:
         overrides = list(args.set)
         if args.out:
             overrides.append(f"output.directory={args.out}")
-        if args.seed is not None:
-            overrides.append(f"task.seed={args.seed}")
         cfg = apply_overrides(cfg, overrides)
         written = _COMMANDS[args.command](cfg)
     except WellProbError as exc:

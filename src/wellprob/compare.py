@@ -116,11 +116,12 @@ def _flagged(flag: str, dp_int: float, level: EigenLevel | None = None) -> Compa
 
 
 def v0_sweep(a: float, hbar: float, mass: float, e_target: float,
-             v0_list, search_width: float | None = None,
+             v0_list, search_width: float = 1.0,
              rel_tol: float = 0.02) -> list[ComparisonReport]:
     """Comparison reports along decreasing V0 at (approximately) fixed energy.
 
-    For each V0 the eigenvalue nearest e_target is used; entries without an
+    For each V0 the eigenvalue nearest e_target within +-search_width (see
+    :func:`nearest_level`) is used; entries without an
     eigenvalue within ``rel_tol`` of the target, or whose averaging window
     reaches across the half-width a, are flagged and skipped but do not
     abort the sweep.
@@ -128,9 +129,8 @@ def v0_sweep(a: float, hbar: float, mass: float, e_target: float,
     reports = []
     for v0 in v0_list:
         spec = closed_court(a=a, v0=v0, hbar=hbar, mass=mass)
-        width = search_width if search_width is not None else max(1.0, 0.1 * e_target)
         try:
-            level = nearest_level(spec, e_target, search_width=width)
+            level = nearest_level(spec, e_target, search_width=search_width)
         except (NumericalError, RegimeError) as exc:
             reports.append(_flagged(f"no-eigenvalue: {exc}", hbar / a))
             continue

@@ -7,16 +7,17 @@ Four sections, all optional, unknown keys rejected:
                   v0 = <ramp height>    (closed court)
     [constants]   hbar, mass, g         (defaults hbar=1, mass=0.5, g=1)
     [task]        command parameters (energy, e_max, parity, index, n_grid,
-                  n_points, n_bins, n_draws, seed, e_target, v0_list,
-                  search_width)
+                  n_points, n_bins, n_draws, seed, v0_list, search_width)
     [output]      directory             (CSV files are written there)
 
-Values are checked when a config is built: every real value (v0_list
-entries too) is finite, a, hbar, mass, g and search_width are > 0, v0,
-the v0_list entries and n_draws are >= 0, seed is a Philox key in
-[0, 2^128), index is at least 1, n_grid and n_points are at least 16,
-n_bins is 0 (no histograms) or at least 2, and no grid, bin or draw count
-exceeds 10^7.
+The section dataclasses are the schema: each key is parsed by the type its
+field is annotated with (float: a finite float; int; str; tuple[float, ...]:
+comma-separated finite floats), and ``[constants]`` is ``model.Constants``
+itself.  Values are checked when a config is built: a, hbar, mass, g and
+search_width are > 0, v0, the v0_list entries and n_draws are >= 0, seed is
+a Philox key in [0, 2^128), index is at least 1, n_grid and n_points are at
+least 16, n_bins is 0 (no histograms) or at least 2, and no grid, bin or
+draw count exceeds 10^7.
 
 ``parse_text`` -> ``emit_text`` round-trips: emitting writes every field in
 canonical order, so parse(emit(parse(s))) == parse(s).  Individual keys can
@@ -44,7 +45,6 @@ class TaskOptions:
     n_bins: int = 0
     n_draws: int = 0
     seed: int = 12345
-    e_target: float | None = None
     v0_list: tuple[float, ...] | None = None
     search_width: float = 1.0
 
@@ -62,21 +62,15 @@ class PotentialOptions:
 
 
 @dataclass(frozen=True)
-class ConstantsOptions:
-    hbar: float = 1.0
-    mass: float = 0.5
-    g: float = 1.0
-
-
-@dataclass(frozen=True)
 class RunConfig:
     potential: PotentialOptions = field(default_factory=PotentialOptions)
-    constants: ConstantsOptions = field(default_factory=ConstantsOptions)
+    constants: Constants = field(default_factory=Constants)
     task: TaskOptions = field(default_factory=TaskOptions)
     output: OutputOptions = field(default_factory=OutputOptions)
 
     def spec(self) -> PotentialSpec:
-        """Build the PotentialSpec; requires [potential] kind."""
+        """Build the PotentialSpec; requires [potential] kind.  PotentialSpec
+        decides which of a and v0 the kind takes."""
         p = self.potential
         if p.kind is None:
             raise ConfigError("potential.kind is required for this command")
@@ -86,21 +80,15 @@ class RunConfig:
             raise ConfigError(
                 f"unknown potential.kind {p.kind!r} "
                 f"(expected bouncer | infinite_well | closed_court)") from None
-        c = self.constants
-        consts = Constants(hbar=c.hbar, mass=c.mass, g=c.g)
         try:
-            if kind is PotentialKind.BOUNCER:
-                return PotentialSpec(kind, consts)
-            if kind is PotentialKind.INFINITE_WELL:
-                return PotentialSpec(kind, consts, a=p.a)
-            return PotentialSpec(kind, consts, a=p.a, v0=p.v0 if p.v0 is not None else 0.0)
+            return PotentialSpec(kind, self.constants, a=p.a, v0=p.v0 or 0.0)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
 
 
 _SECTIONS = {
     "potential": PotentialOptions,
-    "constants": ConstantsOptions,
+    "constants": Constants,
     "task": TaskOptions,
     "output": OutputOptions,
 }
@@ -108,11 +96,6 @@ _SECTIONS = {
 # Largest grid, bin or draw count a run may ask for, checked before any
 # array is allocated (10^7 float64 samples are 80 MB per array).
 _MAX_SAMPLES = 10_000_000
-
-_FLOAT_KEYS = {"a", "v0", "g", "hbar", "mass", "energy", "e_max", "e_target",
-               "search_width"}
-_INT_KEYS = {"index", "n_grid", "n_points", "n_bins", "n_draws", "seed"}
-_STR_KEYS = {"kind", "parity", "directory"}
 
 
 def _finite(raw: str) -> float:
@@ -122,28 +105,29 @@ def _finite(raw: str) -> float:
     return value
 
 
+# A parser per annotation; the annotations are strings (postponed
+# evaluation), and ``T | None`` parses as T.
+_PARSE_TYPE = {
+    "float": _finite,
+    "int": int,
+    "str": str,
+    "tuple[float, ...]": lambda raw: tuple(_finite(tok) for tok in raw.split(",") if tok.strip()),
+}
+_PARSERS = {section: {f.name: _PARSE_TYPE[f.type.removesuffix(" | None")] for f in fields(cls)}
+            for section, cls in _SECTIONS.items()}
+
+
 def _convert(section: str, key: str, raw: str):
+    if section not in _PARSERS:
+        raise ConfigError(f"unknown config section [{section}]")
+    parse = _PARSERS[section].get(key)
+    if parse is None:
+        raise ConfigError(f"unknown key {section}.{key}")
     raw = raw.strip()
     try:
-        if key in _FLOAT_KEYS:
-            return _finite(raw)
-        if key in _INT_KEYS:
-            return int(raw)
-        if key == "v0_list":
-            return tuple(_finite(tok) for tok in raw.split(",") if tok.strip())
-        if key in _STR_KEYS:
-            return raw
+        return parse(raw)
     except ValueError:
         raise ConfigError(f"bad value for {section}.{key}: {raw!r}") from None
-    raise ConfigError(f"unknown key {section}.{key}")
-
-
-def _validate(section: str, key: str) -> None:
-    cls = _SECTIONS.get(section)
-    if cls is None:
-        raise ConfigError(f"unknown config section [{section}]")
-    if key not in {f.name for f in fields(cls)}:
-        raise ConfigError(f"unknown key {section}.{key}")
 
 
 def parse_text(text: str) -> RunConfig:
@@ -155,23 +139,18 @@ def parse_text(text: str) -> RunConfig:
     raw: dict[str, dict] = {}
     for section in parser.sections():
         for key, value in parser.items(section):
-            _validate(section, key)
             raw.setdefault(section, {})[key] = _convert(section, key, value)
     return _build(raw)
 
 
 def _build(raw: dict[str, dict]) -> RunConfig:
-    kwargs = {}
-    for section, cls in _SECTIONS.items():
-        try:
-            kwargs[section] = cls(**raw.get(section, {}))
-        except TypeError as exc:
-            raise ConfigError(f"bad [{section}] block: {exc}") from None
-    cfg = RunConfig(**kwargs)
-    t, c, p = cfg.task, cfg.constants, cfg.potential
-    for name, v in (("constants.hbar", c.hbar), ("constants.mass", c.mass),
-                    ("constants.g", c.g), ("task.search_width", t.search_width),
-                    ("potential.a", p.a)):
+    try:  # Constants checks its own values
+        cfg = RunConfig(**{section: cls(**raw.get(section, {}))
+                           for section, cls in _SECTIONS.items()})
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    t, p = cfg.task, cfg.potential
+    for name, v in (("task.search_width", t.search_width), ("potential.a", p.a)):
         if v is not None and not v > 0.0:
             raise ConfigError(f"{name} must be > 0, got {v!r}")
     for name, v in (("potential.v0", p.v0), ("task.n_draws", t.n_draws),
@@ -213,7 +192,6 @@ def apply_overrides(cfg: RunConfig, overrides) -> RunConfig:
         dotted, value = item.split("=", 1)
         section, key = dotted.split(".", 1)
         section, key = section.strip(), key.strip()
-        _validate(section, key)
         raw.setdefault(section, {})[key] = _convert(section, key, value)
     return _build(raw)
 

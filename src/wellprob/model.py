@@ -54,7 +54,7 @@ class Constants:
         for name in ("hbar", "mass", "g"):
             v = getattr(self, name)
             if not (v > 0.0 and math.isfinite(v)):
-                raise ValueError(f"constant {name!r} must be strictly positive, got {v}")
+                raise ValueError(f"constants.{name} must be > 0, got {v!r}")
 
 
 @dataclass(frozen=True)

@@ -112,7 +112,7 @@ def test_momentum_overlay_closed_court(tmp_path: Path):
 
 def test_sweep_csv(tmp_path: Path):
     cp = run_cli("sweep", "--out", str(tmp_path), "--set", "task.v0_list=10,6",
-                 "--set", "task.e_target=10.0")
+                 "--set", "task.energy=10.0")
     assert cp.returncode == 0, cp.stderr
     header, rows = read_csv(tmp_path / "sweep.csv")
     assert len(rows) == 2
@@ -125,7 +125,7 @@ def test_sweep_csv_flagged_row(tmp_path: Path):
     # no level within +-0.001 of E = 10.19 at V0 = 10: the row is flagged
     # and its plateau height, 1/(2 delta_p) with delta_p = nan, is nan
     cp = run_cli("sweep", "--out", str(tmp_path), "--set", "task.v0_list=10",
-                 "--set", "task.e_target=10.19", "--set", "task.search_width=0.001")
+                 "--set", "task.energy=10.19", "--set", "task.search_width=0.001")
     assert cp.returncode == 0, cp.stderr
     header, rows = read_csv(tmp_path / "sweep.csv")
     assert len(rows) == 1
@@ -137,7 +137,7 @@ def test_sweep_flags_row_whose_window_exceeds_the_well(tmp_path: Path):
     # at V0 = 10.01 the level nearest 10.07 has p_minus = 0.249, so the window
     # 2 pi hbar / p_minus = 25.2 reaches past a = 25; the other rows compare
     cp = run_cli("sweep", "--out", str(tmp_path), "--set", "task.v0_list=10,10.01,6",
-                 "--set", "task.e_target=10.07")
+                 "--set", "task.energy=10.07")
     assert cp.returncode == 0, cp.stderr
     header, rows = read_csv(tmp_path / "sweep.csv")
     assert len(rows) == 3
@@ -149,7 +149,7 @@ def test_sweep_flags_row_whose_window_exceeds_the_well(tmp_path: Path):
 
 
 def test_bounce_sim_outputs(tmp_path: Path):
-    cp = run_cli("bounce-sim", "--out", str(tmp_path), "--seed", "12345")
+    cp = run_cli("bounce-sim", "--out", str(tmp_path), "--set", "task.seed=12345")
     assert cp.returncode == 0, cp.stderr
     for name in ("bounce_trajectory.csv", "bounce_histogram_position.csv",
                  "bounce_histogram_momentum.csv", "bounce_draws.csv"):
@@ -444,13 +444,15 @@ CC10_KIND = ("--set", "potential.kind=closed_court", "--set", "potential.a=25",
     (("table1", "--set", "task.search_width=0"), "config"),
     (("table1", "--set", "task.search_width=nan"), "config"),
     (("sweep", "--set", "task.search_width=-2"), "config"),
-    (("sweep", "--set", "task.e_target=nan"), "config"),
+    (("sweep", "--set", "task.energy=nan"), "config"),
+    (("sweep", "--set", "task.e_target=nan"), "config"),  # the removed spelling
     (("classical", "--set", "potential.kind=bouncer", "--set", "task.energy=2",
       "--set", "constants.hbar=-1"), "config"),
     (("sweep", "--set", "task.v0_list=10,nan"), "config"),
 ], ids=["eigensolve-e_max-inf", "eigensolve-e_max-nan", "eigensolve-e_max-past-airy-range",
         "table1-search_width-negative", "table1-search_width-0", "table1-search_width-nan",
-        "sweep-search_width-negative", "sweep-e_target-nan", "classical-hbar-negative",
+        "sweep-search_width-negative", "sweep-energy-nan", "sweep-e_target-nan",
+        "classical-hbar-negative",
         "sweep-v0_list-nan"])
 def test_unusable_values_exit_2(tmp_path: Path, capsys, args, category):
     # before these checks: a scan without end, a header-only listing,
@@ -515,17 +517,23 @@ def test_each_error_category_has_its_label_and_exit_code(tmp_path: Path, capsys,
      "potential.a must be > 0"),
     (("classical", "--set", "potential.kind=closed_court", "--set", "potential.a=25",
       "--set", "potential.v0=-1", "--set", "task.energy=2"), "potential.v0 must be >= 0"),
-    (("bounce-sim", "--seed", "-3"), "task.seed must be in [0, 2^128)"),
-    (("bounce-sim", "--seed", str(2 ** 128)), "task.seed must be in [0, 2^128)"),
+    (("bounce-sim", "--set", "task.seed=-3"), "task.seed must be in [0, 2^128)"),
+    (("bounce-sim", "--set", f"task.seed={2 ** 128}"), "task.seed must be in [0, 2^128)"),
     (("bounce-sim", "--set", "task.n_draws=-1"), "task.n_draws must be >= 0"),
     (("classical", "--set", "potential.kind=bouncer", "--set", "task.energy=2",
       "--set", "task.n_draws=-5"), "task.n_draws must be >= 0"),
+    (("classical", *IW_ARGS, "--set", "potential.v0=3", "--set", "task.energy=4"),
+     "v0 applies to the closed court only"),
+    (("classical", "--set", "potential.kind=bouncer", "--set", "potential.v0=1",
+      "--set", "task.energy=2"), "v0 applies to the closed court only"),
 ], ids=["sweep-v0_list-negative", "sweep-a-negative", "classical-a-zero",
         "classical-v0-negative", "bounce-sim-seed-negative", "bounce-sim-seed-2^128",
-        "bounce-sim-n_draws-negative", "classical-n_draws-negative"])
+        "bounce-sim-n_draws-negative", "classical-n_draws-negative",
+        "classical-infinite-well-v0", "classical-bouncer-v0"])
 def test_out_of_range_values_exit_2_as_config_errors(tmp_path: Path, args, message):
     # these were ValueError tracebacks (exit 1), or a negative n_draws read as
-    # "no draws" by classical and as 1000 draws by bounce-sim
+    # "no draws" by classical and as 1000 draws by bounce-sim, or a v0 that
+    # the bouncer and the infinite well dropped without a word
     cp = run_cli(*args, "--out", str(tmp_path / "out"))
     assert cp.returncode == 2
     assert cp.stderr.startswith(f"error: config: {message}")
@@ -534,7 +542,8 @@ def test_out_of_range_values_exit_2_as_config_errors(tmp_path: Path, args, messa
 
 
 def test_largest_seed_is_a_philox_key(tmp_path: Path):
-    assert cli.main(["bounce-sim", "--seed", str(2 ** 128 - 1), "--out", str(tmp_path)]) == 0
+    assert cli.main(["bounce-sim", "--set", f"task.seed={2 ** 128 - 1}",
+                     "--out", str(tmp_path)]) == 0
 
 
 def test_classical_closed_court_near_the_infinite_well(tmp_path: Path):
@@ -548,5 +557,10 @@ def test_classical_closed_court_near_the_infinite_well(tmp_path: Path):
                             skiprows=1, unpack=True)
     meta = dict(row for row in read_csv(tmp_path / "classical_meta.csv")[1])
     assert abs(np.trapezoid(density, x) + float(meta["position_omitted_mass"]) - 1.0) < 1e-9
-    p = np.loadtxt(tmp_path / "classical_momentum.csv", delimiter=",", skiprows=1)[:, 0]
+    p, p_density = np.loadtxt(tmp_path / "classical_momentum.csv", delimiter=",",
+                              skiprows=1, unpack=True)
     assert np.all(np.diff(p) > 0.0)
+    # the band is 1.6e-13 wide: a plateau from the exact sides/(T F), not from
+    # the rounded band edges, gave it a mass of 1.0027
+    mass = sum(np.trapezoid(p_density[band], p[band]) for band in (p < 0.0, p > 0.0))
+    assert abs(mass - 1.0) <= 1e-12, mass

@@ -108,7 +108,7 @@ def test_task_sizes_are_capped(name):
 
 @pytest.mark.parametrize("key", ["potential.a", "potential.v0", "constants.hbar",
                                  "constants.mass", "constants.g", "task.energy", "task.e_max",
-                                 "task.e_target", "task.search_width"])
+                                 "task.search_width"])
 @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
 def test_real_values_must_be_finite(key, value):
     with pytest.raises(wp.ConfigError, match=key):
@@ -138,6 +138,22 @@ def test_potential_g_is_an_unknown_key(value):
         apply_overrides(RunConfig(), [f"potential.g={value}"])
     with pytest.raises(wp.ConfigError, match="unknown key potential.g"):
         parse_text(f"[potential]\ng = {value}\n")
+
+
+@pytest.mark.parametrize("value", ["10", "nan"])
+def test_task_e_target_is_an_unknown_key(value):
+    # the sweep target is task.energy, the one energy setting
+    with pytest.raises(wp.ConfigError, match="unknown key task.e_target"):
+        apply_overrides(RunConfig(), [f"task.e_target={value}"])
+    with pytest.raises(wp.ConfigError, match="unknown key task.e_target"):
+        parse_text(f"[task]\ne_target = {value}\n")
+
+
+def test_constants_section_is_the_model_constants():
+    cfg = parse_text("[potential]\nkind = bouncer\n\n[constants]\nmass = 2.0\n")
+    assert cfg.constants == wp.Constants(mass=2.0)
+    assert cfg.spec().constants is cfg.constants
+    assert RunConfig().constants == wp.Constants()
 
 
 def test_constants_g_reaches_the_spec():
