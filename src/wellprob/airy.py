@@ -16,21 +16,29 @@ used.  Two regimes, switched at ``|z| = Z_SWITCH``:
   at |z| = 9 loses 4e15.  Plain double arithmetic therefore suffices:
   against 40-digit mpmath on [-9, 9] the error is at most about 1.1e-15
   relative on z >= 0 and 7e-16 relative to the envelope hypot(Ai, Bi) on
-  z < 0.  Every point costs the same degree-26 Horner pass.
+  z < 0.  Every point costs the same: its powers t^0..t^26 contracted with
+  its anchor's (degree, function) table.
 
 * ``|z| > Z_SWITCH``: Poincare asymptotic expansions (DLMF 9.7.5-9.7.10),
   exponential form on the positive axis and trigonometric phase form on
-  the negative axis, summed over all 40 coefficients without truncation at
-  the smallest term: for |z| >= 9 (zeta >= 18) the terms past the smallest
-  one add at most 4.8e-17 of the leading term, and above |z| ~ 9.5 the
-  smallest term is the last one.  The crossover band agrees with the
-  series well inside the 1e-9 continuity budget.
+  the negative axis, summed over all 40 coefficients (power sums in
+  +-1/zeta^2) without truncation at the smallest term: for |z| >= 9
+  (zeta >= 18) the terms past the smallest one add at most 4.8e-17 of the
+  leading term, and above |z| ~ 9.5 the smallest term is the last one.
+  The crossover band agrees with the series well inside the 1e-9
+  continuity budget.
+
+Each regime costs a fixed handful of array operations per call, whatever
+the degree.  Every point is contracted on its own (a batch of 1 x k by
+k x 4 products, never one product across points), so a point's four
+values are bit-equal whether it is evaluated alone or in any batch; the
+level search relies on that.
 
 The budget target is relative error <= 1e-10 for |z| <= 40.  On the far
 negative axis the phase zeta = (2/3)|z|^1.5 grows, and the trig argument
 reduction limits accuracy to about zeta * eps (still < 1e-10 for
 |z| <= 1500).  Bi overflows the double range for z >~ 103.9; that raises
-:class:`AiryOverflowError`.
+:class:`AiryOverflowError`.  A z that is not finite raises ValueError.
 """
 
 from __future__ import annotations
@@ -57,8 +65,8 @@ _TAYLOR_DEGREE = 26
 # asymptotic regime
 
 def _split_coefficients(n):
-    """u_k, v_k (DLMF 9.7.2) for k < n, in Horner order: entry j, highest j
-    first, is the column (u_2j, u_2j+1, v_2j, v_2j+1)."""
+    """u_k, v_k (DLMF 9.7.2) for k < n as a power-basis table: row j is the
+    coefficient of x^j in (u_2j, u_2j+1, v_2j, v_2j+1)."""
     u = [1.0]
     v = [1.0]
     for k in range(1, n):
@@ -66,22 +74,26 @@ def _split_coefficients(n):
                  / (216.0 * k * (2 * k - 1)))
         v.append(u[-1] * (6 * k + 1) / (1 - 6 * k))
     u, v = np.array(u), np.array(v)
-    return np.stack([u[0::2], u[1::2], v[0::2], v[1::2]], axis=1)[::-1, :, None]
+    return np.stack([u[0::2], u[1::2], v[0::2], v[1::2]], axis=1)
 
 
 _SPLIT_COEF = _split_coefficients(_ASYM_TERMS)
+
+
+def _power_sum(t, coef):
+    """sum_k coef[..., k, :] t^k as rows by coef's last axis: one 1 x k by
+    k x 4 product per point, so no point's value depends on its batch."""
+    powers = np.vander(t, coef.shape[-2], increasing=True)[:, None, :]
+    return np.matmul(powers, coef)[:, 0, :].T
 
 
 def _asym_split(zeta, s):
     """Even and odd parts of the u- and v-series as rows (u_even, u_odd,
     v_even, v_odd): sum_j c_{2j} x^j and (1/zeta) sum_j c_{2j+1} x^j with
     x = s / zeta^2, s = +1 on the positive axis and -1 on the negative one.
-    One Horner pass over all coefficients, no truncation.
+    All coefficients, no truncation.
     """
-    x = s / (zeta * zeta)
-    total = np.zeros((4, len(x)))
-    for c in _SPLIT_COEF:
-        total = total * x + c
+    total = _power_sum(s / (zeta * zeta), _SPLIT_COEF)
     total[1::2] /= zeta
     return total
 
@@ -100,23 +112,21 @@ def _asym_pos(z):
     with np.errstate(over="ignore"):
         ep = np.exp(zeta)
     em = np.exp(-zeta)
-    return ai_s * em, bi_s * ep, aip_s * em, bip_s * ep
+    return np.array([ai_s * em, bi_s * ep, aip_s * em, bip_s * ep])
 
 
 def _asym_neg(z):
     """Trigonometric asymptotics for z < 0 (t = -z large)."""
     t = -np.asarray(z, dtype=float)
     zeta = (2.0 / 3.0) * t ** 1.5
-    P, Q, R, S = _asym_split(zeta, -1.0)
+    split = _asym_split(zeta, -1.0)  # rows P, Q, R, S
     w = zeta - 0.25 * math.pi
-    cw, sw = np.cos(w), np.sin(w)
+    c, s = split * np.cos(w), split * np.sin(w)  # cos w P, ..., sin w S
     q = t ** 0.25
     sqp = math.sqrt(math.pi)
-    ai = (cw * P + sw * Q) / (sqp * q)
-    bi = (-sw * P + cw * Q) / (sqp * q)
-    aip = (sw * R - cw * S) * q / sqp
-    bip = (cw * R + sw * S) * q / sqp
-    return ai, bi, aip, bip
+    sqpq = sqp * q
+    return np.array([(c[0] + s[1]) / sqpq, (c[1] - s[0]) / sqpq,  # Ai, Bi
+                     (s[2] - c[3]) * q / sqp, (c[2] + s[3]) * q / sqp])  # Ai', Bi'
 
 
 # ---------------------------------------------------------------------------
@@ -133,11 +143,11 @@ def _local_series(z0, w, wp):
     return np.concatenate([c, slope], axis=1)
 
 
-def _horner(coef, t, pick=slice(None)):
-    """sum_k coef[k][pick] t^k."""
-    total = coef[-1][pick]
+def _horner(coef, t):
+    """sum_k coef[k] t^k."""
+    total = coef[-1]
     for c in coef[-2::-1]:
-        total = total * t + c[pick]
+        total = total * t + c
     return total
 
 
@@ -169,17 +179,23 @@ def _anchor_values():
     return np.concatenate([negative, positive], axis=1)
 
 
-# (degree, anchor, function): the local series of (Ai, Bi, Ai', Bi')
+# (anchor, degree, function): the local series of (Ai, Bi, Ai', Bi')
 _TAYLOR_TABLE = np.ascontiguousarray(
-    _local_series(_ANCHORS, *np.split(_anchor_values(), 2)).transpose(0, 2, 1))
+    _local_series(_ANCHORS, *np.split(_anchor_values(), 2)).transpose(2, 0, 1))
+# points per gather of their anchors' 27 x 4 tables: bounds the temporary
+# (a 6001-point eigenstate gathered at once would take 5.2 MB)
+_GATHER_BLOCK = 512
 
 
 def _taylor(z):
-    """(ai, bi, aip, bip) for array z with |z| <= 10.25, each from the series
-    about its nearest anchor: |z - anchor| <= 1/4, no stop rule."""
+    """(ai, bi, aip, bip) rows for array z with |z| <= 10.25, each from the
+    series about its nearest anchor: |z - anchor| <= 1/4, no stop rule."""
     j = np.rint(z / _ANCHOR_STEP)
-    t = (z - j * _ANCHOR_STEP)[:, None]
-    return tuple(_horner(_TAYLOR_TABLE, t, j.astype(int) + len(_ANCHORS) // 2).T)
+    t = z - j * _ANCHOR_STEP
+    j = j.astype(int) + len(_ANCHORS) // 2
+    b = _GATHER_BLOCK
+    return np.concatenate([_power_sum(t[i:i + b], _TAYLOR_TABLE[j[i:i + b]])
+                           for i in range(0, len(z), b)], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -189,26 +205,18 @@ def airy_eval_many(z: np.ndarray):
     """Vectorized evaluation: returns arrays (ai, bi, ai_prime, bi_prime).
 
     Raises :class:`AiryOverflowError` once Bi leaves the double range
-    (z > ~103.9) and ValueError for |z| > 1e4.
+    (z > ~103.9) and ValueError for a z that is not finite or has |z| > 1e4.
     """
     z = np.asarray(z, dtype=float)
-    if np.any(np.abs(z) > Z_MAX):
-        raise ValueError(f"|z| must be <= {Z_MAX:g}")
-    if np.any(z > _Z_BI_OVERFLOW):
+    az = np.abs(z)
+    if not (az <= Z_MAX).all():
+        raise ValueError(f"z must be finite with |z| <= {Z_MAX:g}")
+    if (z > _Z_BI_OVERFLOW).any():
         raise AiryOverflowError(
             f"Bi(z) overflows double precision for z > {_Z_BI_OVERFLOW:.1f}")
-    ai = np.empty_like(z)
-    bi = np.empty_like(z)
-    aip = np.empty_like(z)
-    bip = np.empty_like(z)
-    small = np.abs(z) <= Z_SWITCH
-    if np.any(small):
-        ai[small], bi[small], aip[small], bip[small] = _taylor(z[small])
-    pos = (~small) & (z > 0)
-    if np.any(pos):
-        ai[pos], bi[pos], aip[pos], bip[pos] = _asym_pos(z[pos])
-    neg = (~small) & (z < 0)
-    if np.any(neg):
-        ai[neg], bi[neg], aip[neg], bip[neg] = _asym_neg(z[neg])
-    return ai, bi, aip, bip
-
+    out = np.empty((4,) + z.shape)
+    for pick, regime in ((az <= Z_SWITCH, _taylor), (z > Z_SWITCH, _asym_pos),
+                         (z < -Z_SWITCH, _asym_neg)):
+        if pick.any():
+            out[:, pick] = regime(z[pick])
+    return tuple(out)

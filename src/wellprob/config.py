@@ -70,7 +70,8 @@ class RunConfig:
 
     def spec(self) -> PotentialSpec:
         """Build the PotentialSpec; requires [potential] kind.  PotentialSpec
-        decides which of a and v0 the kind takes."""
+        decides which of a and v0 the kind takes; only a bouncer's a, which
+        PotentialSpec keeps for library callers, is refused here."""
         p = self.potential
         if p.kind is None:
             raise ConfigError("potential.kind is required for this command")
@@ -80,6 +81,8 @@ class RunConfig:
             raise ConfigError(
                 f"unknown potential.kind {p.kind!r} "
                 f"(expected bouncer | infinite_well | closed_court)") from None
+        if kind is PotentialKind.BOUNCER and p.a is not None:
+            raise ConfigError(f"a applies to the wells only, got {p.a!r}")
         try:
             return PotentialSpec(kind, self.constants, a=p.a, v0=p.v0 or 0.0)
         except ValueError as exc:

@@ -161,14 +161,23 @@ def _phase_space_count(spec: PotentialSpec, energy: float) -> float:
 
 
 def _scan_grid(spec: PotentialSpec, e_min: float, e_max: float) -> np.ndarray:
-    """Energy scan whose step tracks the local level spacing pi hbar / tau."""
-    c = spec.constants
+    """Closed-court energy scan whose step tracks the local level spacing
+    pi hbar / tau.  The first tau is :func:`half_period`'s, which rejects an
+    ``e_min`` outside the regime; every later energy lies above it, so its tau
+    repeats half_period's closed-court arc inline, in the same arithmetic
+    order, 2 (2 m a / (p_plus + p_out)), bit for bit (names bound to locals:
+    the loop runs some 10^2 to 10^4 times per scan)."""
+    c, v0, sqrt = spec.constants, spec.v0, math.sqrt
+    two_m = 2.0 * c.mass
+    two_ma, pi_hbar, per_level = two_m * spec.a, math.pi * c.hbar, _SCAN_STEPS_PER_LEVEL
     pts = [e_min]
-    e = e_min
+    e, tau = e_min, half_period(spec, e_min)
     while e < e_max:
-        step = math.pi * c.hbar / (_SCAN_STEPS_PER_LEVEL * half_period(spec, e))
-        e = min(e + step, e_max)
+        e += pi_hbar / (per_level * tau)
+        if e > e_max:
+            e = e_max
         pts.append(e)
+        tau = 2 * (two_ma / (sqrt(two_m * e) + sqrt(two_m * (e - v0))))
     return np.array(pts)
 
 
@@ -352,7 +361,7 @@ def eigenstate_closed_court(spec: PotentialSpec, energy: float, parity: str,
     odd = _is_odd(parity)
     vals = airy_eval_many(z)
     _, residual, _ = _determinant(odd, z[0], [v[0] for v in vals], [v[-1] for v in vals])
-    if residual > _EIGEN_RESIDUAL_TOL:
+    if not residual <= _EIGEN_RESIDUAL_TOL:  # a NaN residual fails too
         raise NumericalError(
             f"E={energy!r} is not a {parity} eigenvalue "
             f"(normalized residual {residual:.2e} > {_EIGEN_RESIDUAL_TOL})")

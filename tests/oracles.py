@@ -10,10 +10,12 @@ closed forms), the Airy boundary determinant from scipy's Airy
 functions, and CSV bytes from formatting each value on its own (the
 package formats blocks of rows with one %-format per block).
 
-Two references are the package's own earlier paths, kept to show that a
-new one changed no bit: closed-court levels from one scan per parity,
+Three references are the package's own earlier paths, kept to show that
+a new one changed no bit: closed-court levels from one scan per parity,
 two Airy calls per determinant evaluation and every bracket refined (the
 package scans once for both parities and refines only what it returns),
+the scan grid stepped by a ``half_period`` call at every energy (the
+package checks the regime once and steps in plain float arithmetic),
 and infinite-well levels listed parity by parity in an open-ended loop,
 then sorted (the package lists them in energy order up to a closed-form
 count).
@@ -33,7 +35,7 @@ from scipy.integrate import simpson
 
 from wellprob import quantum
 from wellprob.airy import airy_eval_many
-from wellprob.model import PotentialKind, evaluate_potential
+from wellprob.model import PotentialKind, evaluate_potential, half_period
 
 
 def fd_eigenvalues(a, v0, e_max, hbar=1.0, mass=0.5, n=3000):
@@ -237,6 +239,19 @@ def closed_court_determinant(spec, energy, parity):
 # ---------------------------------------------------------------------------
 # closed-court levels, one parity at a time
 
+def scan_grid_by_half_period(spec, e_min, e_max):
+    """The closed-court scan grid with one :func:`half_period` call, and so
+    one regime check, per step: pi hbar / (5 tau) from e_min up to e_max."""
+    c = spec.constants
+    pts = [e_min]
+    e = e_min
+    while e < e_max:
+        step = math.pi * c.hbar / (quantum._SCAN_STEPS_PER_LEVEL * half_period(spec, e))
+        e = min(e + step, e_max)
+        pts.append(e)
+    return np.array(pts)
+
+
 def _eigencondition_one_parity(spec, energies, parity):
     """D, |D| / envelope and dD/dE for one parity, one Airy call per argument."""
     scales = quantum.AiryScales.from_spec(spec, np.asarray(energies, dtype=float))
@@ -260,7 +275,7 @@ def roots_one_parity(spec, e_max, parity):
     lo = spec.v0 * (1.0 + 1e-12) + 1e-300
     if e_max <= lo:
         return np.array([])
-    grid = quantum._scan_grid(spec, lo, e_max)
+    grid = scan_grid_by_half_period(spec, lo, e_max)
     vals = _eigencondition_one_parity(spec, grid, parity)[0]
     k = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
     left, right, f_left, f_right = grid[k], grid[k + 1], vals[k], vals[k + 1]

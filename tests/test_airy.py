@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy import special
 
 import wellprob as wp
@@ -185,6 +186,41 @@ def test_bi_overflow_and_domain_errors():
         _airy_at(1.1e4)
     bi = _airy_at(103.0)[1]  # just below the overflow boundary
     assert math.isfinite(bi) and bi > 1e250
+
+
+@pytest.mark.parametrize("batch", [[math.nan], [math.nan, 1.0], [1.0, math.inf],
+                                   [-math.inf, -20.0, 20.0]], ids=str)
+def test_non_finite_input_raises(batch):
+    # a NaN falls into no regime; it must not come back as uninitialised memory
+    with pytest.raises(ValueError, match="finite"):
+        wp.airy_eval_many(np.array(batch))
+
+
+# regime name -> sampling interval: Taylor |z| <= 9, asymptotic beyond
+_REGIMES = {"taylor": (-9.0, 9.0), "asym_pos": (9.0, 103.0), "asym_neg": (-1e4, -9.0)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(regimes=st.sets(st.sampled_from(sorted(_REGIMES)), min_size=1),
+       n=st.integers(1, 1200), chunk=st.integers(1, 700), seed=st.integers(0, 2 ** 32 - 1))
+@example(regimes={"taylor"}, n=1, chunk=1, seed=0)
+@example(regimes={"taylor"}, n=1100, chunk=600, seed=1)  # crosses the 512-point gather
+@example(regimes=set(_REGIMES), n=1025, chunk=513, seed=2)
+def test_each_point_is_bit_equal_alone_in_chunks_and_in_the_batch(regimes, n, chunk, seed):
+    # every point's series is contracted on its own, never in a product
+    # across points, so the batch it shares cannot change a bit (the level
+    # search relies on this: a root's Newton steps must not depend on the
+    # other roots in its call)
+    rng = np.random.default_rng(seed)
+    bounds = np.array([_REGIMES[r] for r in sorted(regimes)])
+    pick = rng.integers(len(bounds), size=n)
+    z = rng.uniform(bounds[pick, 0], bounds[pick, 1])
+    batch = np.array(wp.airy_eval_many(z))
+    chunked = np.concatenate([np.array(wp.airy_eval_many(z[i:i + chunk]))
+                              for i in range(0, n, chunk)], axis=1)
+    assert np.array_equal(chunked, batch)
+    for i in rng.choice(n, size=min(n, 16), replace=False):
+        assert np.array_equal(np.array(wp.airy_eval_many(z[i:i + 1]))[:, 0], batch[:, i])
 
 
 def test_far_negative_axis_still_sane():

@@ -14,7 +14,8 @@ from wellprob import quantum
 from oracles import (airy_cross, closed_court_determinant, fd_eigenvalues,
                      filon_transform_full, infinite_well_levels_loop,
                      nearest_level_one_parity_at_a_time, roots_one_parity,
-                     simpson_transform, spectrum_one_parity_at_a_time)
+                     scan_grid_by_half_period, simpson_transform,
+                     spectrum_one_parity_at_a_time)
 
 CC10 = wp.closed_court(a=25.0, v0=10.0)
 CC6 = wp.closed_court(a=25.0, v0=6.0)
@@ -195,6 +196,30 @@ def test_scan_rejects_non_finite_e_max(e_max):
         wp.nearest_level(CC10, e_max)
 
 
+@settings(max_examples=60, deadline=None)
+@given(a=st.floats(0.5, 50.0), v0=st.floats(0.01, 20.0), mass=st.floats(0.05, 5.0),
+       hbar=st.floats(0.2, 3.0), span=st.floats(1e-9, 3.0), start=st.floats(0.0, 1.0))
+@example(a=25.0, v0=10.0, mass=0.5, hbar=1.0, span=0.2, start=0.0)  # spectrum(CC10, 12)
+def test_scan_grid_equals_the_half_period_loop(a, v0, mass, hbar, span, start):
+    # the plain-float step repeats half_period's arithmetic, so the grid
+    # (and every bracket on it) is bit-identical to the per-step-call loop
+    spec = wp.closed_court(a, v0, hbar=hbar, mass=mass)
+    e_max = v0 * (1.0 + span)
+    e_min = v0 * (1.0 + 1e-12) + 1e-300 if start == 0.0 else v0 + start * (e_max - v0)
+    assume(v0 < e_min)
+    grid = quantum._scan_grid(spec, e_min, e_max)
+    assert np.array_equal(grid, scan_grid_by_half_period(spec, e_min, e_max))
+    assert grid[0] == e_min and grid[-1] == max(e_min, e_max)
+
+
+@pytest.mark.parametrize("e_min", [10.0, 9.0, 0.0, -1.0, math.nan, math.inf], ids=str)
+@pytest.mark.parametrize("e_max", [5.0, 12.0])
+def test_scan_grid_rejects_an_out_of_regime_start(e_min, e_max):
+    # the regime is checked once, at e_min, whether or not a step is taken
+    with pytest.raises(wp.RegimeError):
+        quantum._scan_grid(CC10, e_min, e_max)
+
+
 def test_scan_past_the_airy_range_fails_fast():
     # at (25, 10) the origin argument reaches -1e4 near E = 5428
     start = time.perf_counter()
@@ -332,6 +357,21 @@ def test_eigenstate_schrodinger_residual(table1_states):
 def test_eigenstate_rejects_non_eigenvalue():
     with pytest.raises(wp.NumericalError):
         wp.eigenstate_closed_court(CC10, 10.2, "odd", index=1)
+
+
+def test_eigenstate_rejects_a_nan_residual(monkeypatch):
+    # residual > tol is False for NaN, so the acceptance test must be
+    # "not residual <= tol" for a NaN determinant to fail it
+    level = wp.nearest_level(CC10, 10.066)
+    monkeypatch.setattr(quantum, "airy_eval_many",
+                        lambda z: tuple(np.full((4, len(z)), np.nan)))
+    with pytest.raises(wp.NumericalError, match="nan"):
+        wp.eigenstate_closed_court(CC10, level.energy, level.parity, index=level.index)
+
+
+def test_eigenstate_at_a_nan_energy_raises():
+    with pytest.raises(ValueError, match="finite"):
+        wp.eigenstate_closed_court(CC10, math.nan, "odd", index=1)
 
 
 def test_orthogonality():
