@@ -135,11 +135,18 @@ def _asym_neg(z):
 def _local_series(z0, w, wp):
     """Taylor coefficients about z0 of the solutions of w'' = z w with values
     w and slopes wp (rows k = 0.._TAYLOR_DEGREE), followed along axis 1 by
-    those of their slopes, (k + 1) c_{k+1}.  z0 broadcasts against w[i]."""
-    c = [w, wp, 0.5 * z0 * w]
+    those of their slopes, (k + 1) c_{k+1}.  z0 broadcasts against w.
+
+    Two callers: the anchor build below (Ai and Bi about each anchor, and
+    the steps between anchors) and ``quantum.eigenstate_closed_court``
+    (an eigenstate about each of its block starts, spanning
+    sqrt(|z|) |t| <= 0.75 as the anchors' series do)."""
+    c = np.empty((_TAYLOR_DEGREE + 1,) + np.broadcast(z0, w).shape)
+    c[0], c[1], c[2] = w, wp, 0.5 * z0 * w
     for k in range(1, _TAYLOR_DEGREE - 1):
-        c.append((z0 * c[k] + c[k - 1]) / ((k + 1) * (k + 2)))
-    slope = [k * ck for k, ck in enumerate(c[1:], 1)] + [np.zeros_like(w)]
+        c[k + 2] = (z0 * c[k] + c[k - 1]) / ((k + 1) * (k + 2))
+    slope = np.zeros_like(c)
+    slope[:-1] = np.arange(1.0, _TAYLOR_DEGREE + 1).reshape((-1,) + (1,) * (c.ndim - 1)) * c[1:]
     return np.concatenate([c, slope], axis=1)
 
 

@@ -239,8 +239,12 @@ def cmd_table1(cfg: RunConfig) -> list[Path]:
 
 
 def cmd_sweep(cfg: RunConfig) -> list[Path]:
-    t = cfg.task
-    a = cfg.potential.a if cfg.potential.a is not None else 25.0
+    t, p = cfg.task, cfg.potential
+    if p.kind not in (None, PotentialKind.CLOSED_COURT.value):
+        raise ConfigError(f"sweep runs the closed court only, got potential.kind {p.kind!r}")
+    if p.v0 is not None:
+        raise ConfigError(f"sweep takes V0 from task.v0_list, got potential.v0 {p.v0!r}")
+    a = p.a if p.a is not None else 25.0
     e_target = t.energy if t.energy is not None else 10.0
     v0_list = t.v0_list if t.v0_list else (10.0, 6.0, 2.0)
     reports = v0_sweep(a=a, hbar=cfg.constants.hbar, mass=cfg.constants.mass,

@@ -90,10 +90,10 @@ def compare_state(spec: PotentialSpec, level_energy: float, parity: str,
     window = 2.0 * math.pi * spec.constants.hbar / state.p_minus
     if spec.a <= window:
         raise SupportError("window leaves no interior to compare on")
-    interior = pcl.grid[(pcl.grid >= window - spec.a) & (pcl.grid <= spec.a - window)]
+    inside = (pcl.grid >= window - spec.a) & (pcl.grid <= spec.a - window)
+    interior, cl = pcl.grid[inside], pcl.values[inside]
     pqm = position_density(eigen)
     avg_qm = moving_average(pqm.grid, pqm.values, window, interior)
-    cl = np.interp(interior, pcl.grid, pcl.values)
     gap = math.sqrt(float(np.trapezoid((avg_qm - cl) ** 2, interior))
                     / float(np.trapezoid(cl ** 2, interior)))
     phi = momentum_transform(eigen)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .airy import Z_MAX, airy_eval_many
+from .airy import _TAYLOR_DEGREE, Z_MAX, _local_series, airy_eval_many
 from .classical import DensityCurve
 from .errors import NumericalError, RegimeError, ResolutionError
 from .model import PotentialKind, PotentialSpec, half_period
@@ -40,6 +40,7 @@ _SCAN_STEPS_PER_LEVEL = 5  # scan resolution relative to the local spacing pi hb
 _MAX_LEVELS = 100_000  # phase-space level count a scan may face, both parities
 _UNIFORM_ULPS = 8.0  # tolerance of the uniform-p test, in ulps of max |p|
 _SUBNORMAL_ULPS = 32.0  # its floor, in subnormal ulps per point; see _is_uniform
+_BLOCK_REACH = 0.75  # largest sqrt(|z|) |t| of an eigenstate block, as of an Airy anchor's
 _PARITY_TOL = 1e-12  # max |psi(x) - parity psi(-x)| / max |psi| the transform accepts
 
 
@@ -347,26 +348,50 @@ def eigenstate_closed_court(spec: PotentialSpec, energy: float, parity: str,
     The coefficient pair is the null vector of the origin condition, so odd
     states vanish at x = 0 exactly; the wall value is then proportional to
     the eigencondition residual.  Energies that fail the eigencondition are
-    rejected.  ``index`` labels the state with the level's rank within its
-    parity, as :func:`spectrum` reports it.
+    rejected, and so is an energy that is not finite (ValueError).
+    ``index`` labels the state with the level's rank within its parity, as
+    :func:`spectrum` reports it.
+
+    z = (|x| - sigma) / rho depends on |x| only, so psi is built on the
+    x >= 0 half, from exactly 0 (linspace may leave ~1e-15 at the centre)
+    to the wall, and mirrored by parity.  The half grid is cut into blocks
+    of ``block`` points, each spanning sqrt(|z|) |t| <= 0.75 in z (|z|
+    taken as at least 1), the bound of the Airy anchors' series (see
+    :mod:`wellprob.airy`), so their error analysis carries over.  One Airy call on the block starts and the
+    wall gives psi and dpsi/dz at every start and the residual; each
+    block's Taylor series of w'' = z w to the anchors' degree then comes
+    from :func:`airy._local_series`, and all blocks are summed by one
+    (block x 27) @ (27 x blocks) product against the shared powers of
+    r dz.  A block's first point is its start's value, so odd states keep
+    psi(0) = 0 exactly.
     """
     _require_closed_court(spec)
+    if not math.isfinite(energy):
+        raise ValueError(f"energy must be finite, got {energy!r}")
     if n_grid % 2 == 0:
         n_grid += 1  # Simpson normalization needs an even interval count
+    odd = _is_odd(parity)
     scales = AiryScales.from_spec(spec, energy)
     x = np.linspace(-spec.a, spec.a, n_grid)
-    # z depends on |x| only: evaluate x >= 0, from exactly 0 (linspace may
-    # leave ~1e-15 at the centre) to the wall, and mirror
-    z = (np.concatenate([[0.0], x[n_grid // 2 + 1:]]) - scales.sigma) / scales.rho
-    odd = _is_odd(parity)
+    n_half = n_grid // 2 + 1
+    # linspace's own step: x[1] - x[0] is off by up to ulp(a), 4e-13 of it at a = 12
+    dz = 2.0 * spec.a / (n_grid - 1) / scales.rho
+    z_far = max(1.0, abs(scales.sigma) / scales.rho, abs(spec.a - scales.sigma) / scales.rho)
+    block = max(1, int(_BLOCK_REACH / (math.sqrt(z_far) * dz)))
+    # the block starts, then the wall
+    z = (np.concatenate([[0.0], x[n_grid // 2 + block::block], x[-1:]])
+         - scales.sigma) / scales.rho
     vals = airy_eval_many(z)
     _, residual, _ = _determinant(odd, z[0], [v[0] for v in vals], [v[-1] for v in vals])
     if not residual <= _EIGEN_RESIDUAL_TOL:  # a NaN residual fails too
         raise NumericalError(
             f"E={energy!r} is not a {parity} eigenvalue "
             f"(normalized residual {residual:.2e} > {_EIGEN_RESIDUAL_TOL})")
-    ai, bi, aip, bip = vals
-    psi = bi[0] * ai - ai[0] * bi if odd else bip[0] * ai - aip[0] * bi
+    ai, bi, aip, bip = (v[:-1] for v in vals)
+    ca, cb = (bi[0], ai[0]) if odd else (bip[0], aip[0])
+    coef = _local_series(z[:-1], ca * ai - cb * bi, ca * aip - cb * bip)[:, :len(ai)]
+    powers = np.vander(dz * np.arange(block), _TAYLOR_DEGREE + 1, increasing=True)
+    psi = (powers @ coef).T.ravel()[:n_half]
     psi = np.concatenate([(-psi if odd else psi)[:0:-1], psi])
     psi = psi / math.sqrt(_simpson_uniform(psi ** 2, x[1] - x[0]))
     return Eigenstate(parity=parity, index=index, energy=float(energy),
@@ -504,10 +529,12 @@ def _panel_sums_chirp(q: np.ndarray, centers: np.ndarray, rows: np.ndarray) -> n
     dq, dc = _step(q), _step(centers)
     alpha = 0.5 * dq * dc
     j = np.arange(n, dtype=float)
-    k = np.arange(-(n - 1), m, dtype=float)
+    k = np.arange(max(n, m), dtype=float)
+    chirp = np.exp(-1.0j * alpha * k * k)  # even in k, bit for bit: built for k >= 0
     size = _smooth_length(n + m - 1)
     a = rows * np.exp(1.0j * (q[0] * dc * j + alpha * j * j))
-    conv = np.fft.ifft(np.fft.fft(a, size) * np.fft.fft(np.exp(-1.0j * alpha * k * k), size))
+    conv = np.fft.ifft(np.fft.fft(a, size)
+                       * np.fft.fft(np.concatenate([chirp[n - 1:0:-1], chirp[:m]]), size))
     mm = np.arange(m, dtype=float)
     return conv[:, n - 1:n - 1 + m] * np.exp(1.0j * (q * centers[0] + alpha * mm * mm))
 

@@ -10,15 +10,17 @@ closed forms), the Airy boundary determinant from scipy's Airy
 functions, and CSV bytes from formatting each value on its own (the
 package formats blocks of rows with one %-format per block).
 
-Three references are the package's own earlier paths, kept to show that
-a new one changed no bit: closed-court levels from one scan per parity,
-two Airy calls per determinant evaluation and every bracket refined (the
+Four references are the package's own earlier paths.  Three are kept to
+show that a new path changed no bit: closed-court levels from one scan per
+parity, two Airy calls per determinant evaluation and every bracket refined (the
 package scans once for both parities and refines only what it returns),
 the scan grid stepped by a ``half_period`` call at every energy (the
 package checks the regime once and steps in plain float arithmetic),
 and infinite-well levels listed parity by parity in an open-ended loop,
 then sorted (the package lists them in energy order up to a closed-form
-count).
+count).  The fourth bounds a new path's rounding: closed-court eigenstates
+from Airy values at every point of the x >= 0 half (the package evaluates
+Airy functions at block starts only and sums each block's Taylor series).
 
 The classical quantities also keep their earlier per-kind closed forms
 (the package derives them all from one constant-force arc): the
@@ -323,6 +325,24 @@ def nearest_level_one_parity_at_a_time(spec, e_target, search_width):
     levels = [lv for lv in spectrum_one_parity_at_a_time(spec, e_target + search_width)
               if lv.energy > lo]
     return min(levels, key=lambda lv: abs(lv.energy - e_target)) if levels else None
+
+
+# ---------------------------------------------------------------------------
+# closed-court eigenstates, pointwise
+
+def eigenstate_pointwise(spec, energy, parity, n_grid=12001):
+    """The normalized psi of :func:`quantum.eigenstate_closed_court` from one
+    Airy call on every point of the x >= 0 half, mirrored by parity."""
+    odd = parity == "odd"
+    if n_grid % 2 == 0:
+        n_grid += 1
+    scales = quantum.AiryScales.from_spec(spec, energy)
+    x = np.linspace(-spec.a, spec.a, n_grid)
+    z = (np.concatenate([[0.0], x[n_grid // 2 + 1:]]) - scales.sigma) / scales.rho
+    ai, bi, aip, bip = airy_eval_many(z)
+    psi = bi[0] * ai - ai[0] * bi if odd else bip[0] * ai - aip[0] * bi
+    psi = np.concatenate([(-psi if odd else psi)[:0:-1], psi])
+    return psi / math.sqrt(quantum._simpson_uniform(psi ** 2, x[1] - x[0]))
 
 
 # ---------------------------------------------------------------------------

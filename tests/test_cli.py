@@ -528,15 +528,20 @@ def test_each_error_category_has_its_label_and_exit_code(tmp_path: Path, capsys,
       "--set", "task.energy=2"), "v0 applies to the closed court only"),
     (("classical", "--set", "potential.kind=bouncer", "--set", "potential.a=7",
       "--set", "task.energy=2"), "a applies to the wells only"),
+    (("sweep", "--set", "task.v0_list=10", "--set", "potential.kind=bouncer"),
+     "sweep runs the closed court only"),
+    (("sweep", "--set", "task.v0_list=10", "--set", "potential.v0=3"),
+     "sweep takes V0 from task.v0_list"),
 ], ids=["sweep-v0_list-negative", "sweep-a-negative", "classical-a-zero",
         "classical-v0-negative", "bounce-sim-seed-negative", "bounce-sim-seed-2^128",
         "bounce-sim-n_draws-negative", "classical-n_draws-negative",
-        "classical-infinite-well-v0", "classical-bouncer-v0", "classical-bouncer-a"])
+        "classical-infinite-well-v0", "classical-bouncer-v0", "classical-bouncer-a",
+        "sweep-bouncer", "sweep-v0"])
 def test_out_of_range_values_exit_2_as_config_errors(tmp_path: Path, args, message):
     # these were ValueError tracebacks (exit 1), or a negative n_draws read as
     # "no draws" by classical and as 1000 draws by bounce-sim, or a v0 that
     # the bouncer and the infinite well dropped without a word (and an a
-    # that the bouncer dropped)
+    # that the bouncer dropped, and a kind or v0 that sweep dropped)
     cp = run_cli(*args, "--out", str(tmp_path / "out"))
     assert cp.returncode == 2
     assert cp.stderr.startswith(f"error: config: {message}")

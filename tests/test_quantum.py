@@ -11,8 +11,8 @@ from scipy.optimize import brentq
 
 import wellprob as wp
 from wellprob import quantum
-from oracles import (airy_cross, closed_court_determinant, fd_eigenvalues,
-                     filon_transform_full, infinite_well_levels_loop,
+from oracles import (airy_cross, closed_court_determinant, eigenstate_pointwise,
+                     fd_eigenvalues, filon_transform_full, infinite_well_levels_loop,
                      nearest_level_one_parity_at_a_time, roots_one_parity,
                      scan_grid_by_half_period, simpson_transform,
                      spectrum_one_parity_at_a_time)
@@ -317,6 +317,34 @@ def test_eigenstate_evaluates_half_grid(monkeypatch, n_grid):
         assert sum(calls) <= n_grid // 2 + 2
         sign = -1.0 if lv.parity == "odd" else 1.0
         assert np.array_equal(state.psi, sign * state.psi[::-1])
+
+
+@settings(max_examples=30, deadline=None)
+@given(a=st.floats(10.0, 40.0), v0=st.floats(1.0, 12.0), gap=st.floats(0.5, 4.0),
+       parity=st.sampled_from(["even", "odd"]), pick=st.integers(0, 10 ** 6),
+       n_grid=st.sampled_from([101, 2000, 12001]))
+def test_eigenstate_blocks_match_the_pointwise_synthesis(a, v0, gap, parity, pick, n_grid):
+    # Airy values at the block starts and the wall only, each block summed from
+    # its start's Taylor series; blocks span sqrt(|z|) |t| <= 0.75 in z, so
+    # n_grid = 101 gives blocks of one or two points, and most larger grids
+    # end in a partial block
+    spec = wp.closed_court(a=a, v0=v0)
+    levels = [lv for lv in wp.spectrum(spec, v0 + gap) if lv.parity == parity]
+    assume(levels)
+    level = levels[pick % len(levels)]
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _count_airy_calls(mp)
+        state = wp.eigenstate_closed_court(spec, level.energy, parity, n_grid,
+                                           index=level.index)
+    ref = eigenstate_pointwise(spec, level.energy, parity, n_grid)
+    assert np.max(np.abs(state.psi - ref)) <= 1e-12 * np.max(np.abs(ref))
+    sign = -1.0 if parity == "odd" else 1.0
+    assert np.array_equal(state.psi, sign * state.psi[::-1])
+    scales = wp.AiryScales.from_spec(spec, level.energy)
+    n_half = len(state.grid) // 2 + 1
+    dz = a / (n_half - 1) / scales.rho
+    block = max(1, math.floor(0.75 / (math.sqrt(max(1.0, scales.sigma / scales.rho)) * dz)))
+    assert len(calls) == 1 and calls[0] <= -(-n_half // block) + 1
 
 
 def test_eigenstate_normalized(table1_states):
