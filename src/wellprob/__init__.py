@@ -12,7 +12,7 @@ from .errors import (AiryOverflowError, ConfigError, NumericalError, RegimeError
                      ResolutionError, SupportError, WellProbError)
 from .model import (ClassicalState, Constants, PotentialKind, PotentialSpec,
                     bouncer, classical_state, closed_court, evaluate_potential,
-                    half_period, infinite_well)
+                    infinite_well)
 from .quantum import (AiryScales, EigenLevel, Eigenstate, MomentumWavefunction,
                       eigenstate_closed_court, eigenstate_infinite_well,
                       eigenvalues_closed_court, infinite_well_energy,
@@ -28,7 +28,7 @@ __all__ = [
     "airy_eval_many", "bouncer",
     "classical_momentum_density", "classical_position_density", "classical_state",
     "closed_court", "eigenstate_closed_court", "eigenstate_infinite_well",
-    "eigenvalues_closed_court", "evaluate_potential", "half_period",
+    "eigenvalues_closed_court", "evaluate_potential",
     "infinite_well", "infinite_well_energy", "infinite_well_momentum",
     "measurement_histogram", "momentum_delta_masses", "momentum_support_mass",
     "momentum_transform", "nearest_level", "plateau_height", "position_density",

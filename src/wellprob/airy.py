@@ -227,3 +227,20 @@ def airy_eval_many(z: np.ndarray):
         if pick.any():
             out[:, pick] = regime(z[pick])
     return tuple(out)
+
+
+def modulus_phase(z, ai, bi, aip, bip):
+    """(M^2, theta, N^2, phi) of the values :func:`airy_eval_many` gave at z,
+    with Ai = M cos theta, Bi = M sin theta, Ai' = N cos phi, Bi' = N sin phi
+    (DLMF 9.8).  The Wronskian 1/pi gives theta' = 1/(pi M^2) and
+    phi' = -z/(pi N^2), so the phases are continuous in z: theta(0) = pi/3,
+    phi(0) = 2 pi/3, both tend to pi/2 as z -> +inf, and to pi/4 - zeta and
+    3 pi/4 - zeta as z -> -inf.  Each atan2 is unwrapped against
+    ref = pi/4 - (2/3) max(-z, 0)^(3/2) (ref + pi/2 for phi), which stays
+    within pi/4 of the phase, so no table is needed.
+    """
+    ref = 0.25 * math.pi - (2.0 / 3.0) * np.maximum(-z, 0.0) ** 1.5
+    theta, phi = np.arctan2(bi, ai), np.arctan2(bip, aip)
+    theta += 2.0 * math.pi * np.round((ref - theta) / (2.0 * math.pi))
+    phi += 2.0 * math.pi * np.round((ref + 0.5 * math.pi - phi) / (2.0 * math.pi))
+    return ai * ai + bi * bi, theta, aip * aip + bip * bip, phi

@@ -14,6 +14,7 @@ block with one %-format: the same bytes as formatting each value alone.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import sys
 from pathlib import Path
@@ -27,7 +28,7 @@ from .classical import (classical_momentum_density, classical_position_density,
 from .compare import plateau_height, v0_sweep
 from .config import RunConfig, apply_overrides, parse_file
 from .errors import ConfigError, WellProbError
-from .model import PotentialKind, PotentialSpec, bouncer, classical_state, closed_court
+from .model import PotentialKind, PotentialSpec, classical_state, closed_court
 from .quantum import (EigenLevel, Eigenstate, eigenstate_closed_court,
                       eigenstate_infinite_well, momentum_transform, nearest_level,
                       spectrum)
@@ -113,7 +114,8 @@ def _select_state(cfg: RunConfig, spec: PotentialSpec, levels: list[EigenLevel] 
         if not by_index:
             raise ConfigError("infinite well needs task.index and task.parity=even|odd")
         state = eigenstate_infinite_well(spec, t.index, t.parity, n_grid=t.n_grid)
-        return EigenLevel(state.energy, t.parity, t.index, residual=0.0), state
+        n = 2 * t.index - (t.parity == "even")
+        return EigenLevel(state.energy, t.parity, t.index, residual=0.0, n=n), state
     if spec.kind is not PotentialKind.CLOSED_COURT:
         raise ConfigError("no quantum states for this potential kind in this artifact")
     if levels is not None and by_index:
@@ -188,9 +190,10 @@ def cmd_eigensolve(cfg: RunConfig) -> list[Path]:
     selected = _select_state(cfg, spec, levels)
     out = _outdir(cfg)
     written = [_write_csv(out / "eigenvalues.csv",
-                          ("index", "parity", "energy", "residual"),
+                          ("index", "parity", "energy", "residual", "n"),
                           ([lv.index for lv in levels], [lv.parity for lv in levels],
-                           [lv.energy for lv in levels], [lv.residual for lv in levels]))]
+                           [lv.energy for lv in levels], [lv.residual for lv in levels],
+                           [lv.n for lv in levels]))]
     if selected is not None:
         state = selected[1]
         written.append(_write_csv(out / "wavefunction.csv", ("x", "psi", "density"),
@@ -215,7 +218,7 @@ def cmd_momentum(cfg: RunConfig) -> list[Path]:
         ("p", "phi_re", "phi_im", "density", "classical_density"),
         (wave.grid, wave.phi.real, wave.phi.imag, wave.density, overlay)))
     meta = [("energy", level.energy), ("parity", level.parity), ("index", level.index),
-            ("residual", level.residual), ("hbar", spec.constants.hbar)]
+            ("residual", level.residual), ("hbar", spec.constants.hbar), ("n", level.n)]
     written.append(_write_csv(out / "momentum_meta.csv", ("key", "value"),
                               list(zip(*meta))))
     return written
@@ -231,10 +234,10 @@ def cmd_table1(cfg: RunConfig) -> list[Path]:
                      st.p_minus, st.p_plus, st.delta_p, spec.constants.hbar / a,
                      e_ref, pm_ref, pp_ref, dp_ref,
                      abs(level.energy - e_ref), abs(st.p_minus - pm_ref),
-                     abs(st.p_plus - pp_ref), abs(st.delta_p - dp_ref)))
+                     abs(st.p_plus - pp_ref), abs(st.delta_p - dp_ref), level.n))
     header = ("v0", "a", "energy", "parity", "index", "p_minus", "p_plus",
               "delta_p", "hbar_over_a", "energy_ref", "p_minus_ref", "p_plus_ref",
-              "delta_p_ref", "dev_energy", "dev_p_minus", "dev_p_plus", "dev_delta_p")
+              "delta_p_ref", "dev_energy", "dev_p_minus", "dev_p_plus", "dev_delta_p", "n")
     return [_write_csv(_outdir(cfg) / "table1.csv", header, list(zip(*rows)))]
 
 
@@ -255,20 +258,20 @@ def cmd_sweep(cfg: RunConfig) -> list[Path]:
         rows.append((v0, rep.energy, rep.parity, rep.index, rep.window,
                      rep.l2_gap_position, rep.support_mass_momentum,
                      rep.delta_p_classical, plateau_height(rep), rep.delta_p_intrinsic,
-                     rep.classical_unreliable, rep.flag))
+                     rep.classical_unreliable, rep.flag, rep.n))
     header = ("v0", "energy", "parity", "index", "window", "l2_gap_position",
               "support_mass_momentum", "delta_p_classical", "plateau_height",
-              "delta_p_intrinsic", "classical_unreliable", "flag")
+              "delta_p_intrinsic", "classical_unreliable", "flag", "n")
     return [_write_csv(_outdir(cfg) / "sweep.csv", header, list(zip(*rows)))]
 
 
 def cmd_bounce_sim(cfg: RunConfig) -> list[Path]:
     if cfg.potential.kind is None:
-        spec = bouncer(mass=1.0, g=1.0, hbar=cfg.constants.hbar)
-    else:
-        spec = cfg.spec()
-        if spec.kind is not PotentialKind.BOUNCER:
-            raise ConfigError("bounce-sim needs a bouncer potential")
+        cfg = dataclasses.replace(cfg, potential=dataclasses.replace(
+            cfg.potential, kind=PotentialKind.BOUNCER.value))
+    spec = cfg.spec()
+    if spec.kind is not PotentialKind.BOUNCER:
+        raise ConfigError("bounce-sim needs a bouncer potential")
     t = cfg.task
     energy = t.energy if t.energy is not None else 2.0
     n_draws = t.n_draws or 1000

@@ -18,7 +18,7 @@ delta_p <= 2 hbar/a as unreliable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -45,6 +45,7 @@ class ComparisonReport:
     parity: str = ""
     index: int = 0
     flag: str = ""
+    n: int = 0  # the level's quantum number (0 when no level was found)
 
 
 def moving_average(grid: np.ndarray, values: np.ndarray, window: float,
@@ -112,7 +113,8 @@ def _flagged(flag: str, dp_int: float, level: EigenLevel | None = None) -> Compa
         energy=level.energy if level else math.nan, window=math.nan,
         l2_gap_position=math.nan, support_mass_momentum=math.nan,
         delta_p_classical=math.nan, delta_p_intrinsic=dp_int, classical_unreliable=False,
-        parity=level.parity if level else "", index=level.index if level else 0, flag=flag)
+        parity=level.parity if level else "", index=level.index if level else 0, flag=flag,
+        n=level.n if level else 0)
 
 
 def v0_sweep(a: float, hbar: float, mass: float, e_target: float,
@@ -140,7 +142,8 @@ def v0_sweep(a: float, hbar: float, mass: float, e_target: float,
                 hbar / a, level))
             continue
         try:
-            reports.append(compare_state(spec, level.energy, level.parity, level.index))
+            reports.append(replace(compare_state(spec, level.energy, level.parity, level.index),
+                                   n=level.n))
         except SupportError as exc:
             reports.append(_flagged(f"window-exceeds-well: {exc}", hbar / a, level))
     return reports

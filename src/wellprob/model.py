@@ -117,19 +117,15 @@ class _Arc(NamedTuple):
         return 2.0 * self.mass * r / (self.p_plus + p)
 
 
-def _arc_ends(spec: PotentialSpec, energy: float) -> tuple:
-    """(force, sides, x_out, p_plus, p_out) at ``energy``, as the module
-    docstring lists them; a plain tuple, cheap enough for the level scan."""
+def _arc(spec: PotentialSpec, energy: float) -> _Arc:
+    """The orbit's arc at ``energy``, as the module docstring lists it."""
     check_energy(spec, energy)
     c = spec.constants
     p_plus = math.sqrt(2.0 * c.mass * energy)
     if spec.kind is PotentialKind.BOUNCER:
-        return c.mass * c.g, 1, energy / (c.mass * c.g), p_plus, 0.0
-    return spec.v0 / spec.a, 2, spec.a, p_plus, math.sqrt(2.0 * c.mass * (energy - spec.v0))
-
-
-def _arc(spec: PotentialSpec, energy: float) -> _Arc:
-    return _Arc(spec.constants.mass, *_arc_ends(spec, energy))
+        return _Arc(c.mass, c.mass * c.g, 1, energy / (c.mass * c.g), p_plus, 0.0)
+    return _Arc(c.mass, spec.v0 / spec.a, 2, spec.a, p_plus,
+                math.sqrt(2.0 * c.mass * (energy - spec.v0)))
 
 
 @dataclass(frozen=True)
@@ -186,18 +182,13 @@ def check_energy(spec: PotentialSpec, energy: float) -> None:
             )
 
 
-def half_period(spec: PotentialSpec, energy: float) -> float:
-    """One-way traversal time tau = sqrt(m/2) * int dx / sqrt(E - V(x)).
-
-    ``sides`` arcs of 2 m x_out / (p_plus + p_out) each, with no division by
-    F: the closed court tends to the infinite well's 2 a sqrt(m/(2E)) as V0 -> 0.
-    """
-    _, sides, x_out, p_plus, p_out = _arc_ends(spec, energy)
-    return sides * (2.0 * spec.constants.mass * x_out / (p_plus + p_out))  # sides * _Arc.duration
-
-
 def classical_state(spec: PotentialSpec, energy: float) -> ClassicalState:
-    """Turning points, momentum bounds, and half-period at a given energy."""
+    """Turning points, momentum bounds, and half-period at a given energy.
+
+    tau = sqrt(m/2) int dx / sqrt(E - V(x)) is ``sides`` arcs of
+    2 m x_out / (p_plus + p_out) each, with no division by F: the closed
+    court tends to the infinite well's 2 a sqrt(m/(2E)) as V0 -> 0.
+    """
     arc = _arc(spec, energy)
     return ClassicalState(energy=energy, p_minus=arc.p_out if arc.force > 0.0 else 0.0,
                           p_plus=arc.p_plus, tau=arc.sides * arc.duration,

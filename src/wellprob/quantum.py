@@ -5,9 +5,13 @@ right half, psi(x) = C Ai((x - sigma)/rho) + D Bi((x - sigma)/rho) with
 rho = (hbar^2 a / (2 m V0))^(1/3) and sigma = E a / V0.  Parity fixes the
 condition at the origin (psi = 0 for odd states, psi' = 0 for even states)
 and the infinite wall requires psi(a) = 0; eigenvalues are the zeros of the
-resulting 2x2 determinant, a cross product of Airy functions.  Only the
-regime E > V0 is supported, where both Airy arguments stay in the
-oscillatory range.  Infinite-well levels and states are closed forms.
+resulting 2x2 determinant, a cross product of Airy functions.  In the
+modulus-phase form of the Airy functions that determinant is an envelope
+times sin(Delta), with Delta a difference of Airy phases, so level k of a
+parity solves Delta = k pi and floor(Delta / pi) counts the levels below E
+exactly (Sturm oscillation).  Levels are listed in the regime E > V0, where
+both Airy arguments stay in the oscillatory range.  Infinite-well levels
+and states are closed forms.
 
 Momentum-space wavefunctions come from the +i kernel Fourier transform
 phi(p) = (2 pi hbar)^(-1/2) int psi(x) exp(+i p x / hbar) dx, evaluated
@@ -22,22 +26,21 @@ length, O((N + M) log(N + M)).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .airy import _TAYLOR_DEGREE, Z_MAX, _local_series, airy_eval_many
+from .airy import _TAYLOR_DEGREE, Z_MAX, _local_series, airy_eval_many, modulus_phase
 from .classical import DensityCurve
 from .errors import NumericalError, RegimeError, ResolutionError
-from .model import PotentialKind, PotentialSpec, half_period
+from .model import PotentialKind, PotentialSpec
 
-_EIGEN_RESIDUAL_TOL = 1e-6  # envelope-normalized determinant at accepted E
+_EIGEN_RESIDUAL_TOL = 1e-6  # |sin Delta| at an accepted E
 _NEWTON_MAX_ITERS = 64
 _NEWTON_STEP_TOL = 4.0 * np.finfo(float).eps  # relative to |E|
 _NEWTON_STALL_TOL = math.sqrt(np.finfo(float).eps)  # relative; see _newton_roots
-_SCAN_STEPS_PER_LEVEL = 5  # scan resolution relative to the local spacing pi hbar / tau
-_MAX_LEVELS = 100_000  # phase-space level count a scan may face, both parities
+_START_TABLE = 65  # points of the action table that Newton starts are read from
+_MAX_LEVELS = 100_000  # levels one solve may face, both parities
 _UNIFORM_ULPS = 8.0  # tolerance of the uniform-p test, in ulps of max |p|
 _SUBNORMAL_ULPS = 32.0  # its floor, in subnormal ulps per point; see _is_uniform
 _BLOCK_REACH = 0.75  # largest sqrt(|z|) |t| of an eigenstate block, as of an Airy anchor's
@@ -45,7 +48,8 @@ _PARITY_TOL = 1e-12  # max |psi(x) - parity psi(-x)| / max |psi| the transform a
 
 
 class SkippedRootWarning(UserWarning):
-    """Bracket scan may have missed eigenvalues (count vs phase-space estimate)."""
+    """Kept for callers that filter it; the phase count cannot skip a level,
+    so nothing raises it."""
 
 
 @dataclass(frozen=True)
@@ -76,10 +80,15 @@ class Eigenstate:
 
 @dataclass(frozen=True)
 class EigenLevel:
+    """One level: ``index`` is its rank within its parity above V0 (the
+    infinite well: from the ground state), ``n`` its quantum number among
+    all levels of both parities, from n = 1 at the ground state."""
+
     energy: float
     parity: str
     index: int
     residual: float
+    n: int
 
 
 @dataclass(frozen=True)
@@ -116,163 +125,130 @@ def _is_odd(parity: str) -> bool:
     return parity == "odd"
 
 
-def _determinant(odd, z_origin, origin, wall):
-    """Boundary determinant D, its residual |D| / envelope and dD/dz (via
-    Ai'' = z Ai, Bi'' = z Bi) from the Airy values (ai, bi, aip, bip) at
-    z_origin and the wall.  ``odd`` is a bool, or a bool array that picks
-    each point's parity, so points of both parities share one Airy call."""
-    ai1, bi1, aip1, bip1 = origin
-    ai2, bi2, aip2, bip2 = wall
-    t1 = np.where(odd, ai1 * bi2, aip1 * bi2)
-    t2 = np.where(odd, ai2 * bi1, ai2 * bip1)
-    d_dz = np.where(odd, aip1 * bi2 + ai1 * bip2 - aip2 * bi1 - ai2 * bip1,
-                    z_origin * (ai1 * bi2 - ai2 * bi1) + aip1 * bip2 - aip2 * bip1)
-    det = t1 - t2
-    return det, np.abs(det) / np.maximum(np.abs(t1) + np.abs(t2), 1e-300), d_dz
+def _mismatch(spec: PotentialSpec, energies: np.ndarray, odd):
+    """The phase mismatch Delta and dDelta/dE at each energy, from one Airy
+    call on the origin and wall arguments together; both move with
+    dz/dE = -a / (V0 rho).  ``odd`` is a bool or a bool array broadcast
+    against the energies (rows [[False], [True]] give both parities).
 
-
-def _eigencondition(spec: PotentialSpec, energies: np.ndarray, odd):
-    """Boundary determinant D, its normalized residual and dD/dE, vectorized over E
-    (and over ``odd``, as in :func:`_determinant`) with one Airy call on the
-    origin and wall arguments together; both move with dz/dE = -a / (V0 rho)."""
+    In the modulus-phase form (:func:`airy.modulus_phase`) the boundary
+    determinant is M(z_0) M(z_w) sin(Delta) for odd states, with
+    Delta = theta(z_w) - theta(z_0), and N(z_0) M(z_w) sin(Delta) for even
+    ones, with Delta = theta(z_w) - phi(z_0).  By Sturm oscillation
+    floor(Delta / pi) counts the odd levels below E, and floor(Delta / pi) + 1
+    the even ones: odd level k >= 1 (n = 2k) solves Delta = k pi, and so
+    does even level k >= 0 (n = 2k + 1).
+    """
     scales = AiryScales.from_spec(spec, np.asarray(energies, dtype=float))
     z_origin = -scales.sigma / scales.rho
-    z_wall = (spec.a - scales.sigma) / scales.rho
     n = len(z_origin)
-    vals = airy_eval_many(np.concatenate([z_origin, z_wall]))
-    val, residual, d_dz = _determinant(odd, z_origin, [v[:n] for v in vals],
-                                       [v[n:] for v in vals])
-    return val, residual, d_dz * (-spec.a / (spec.v0 * scales.rho))
+    z = np.concatenate([z_origin, (spec.a - scales.sigma) / scales.rho])
+    m2, theta, n2, phi = modulus_phase(z, *airy_eval_many(z))
+    origin = np.where(odd, theta[:n], phi[:n])
+    rate = np.where(odd, 1.0 / m2[:n], -z_origin / n2[:n])  # pi dphase/dz at z_0
+    dz_de = -spec.a / (spec.v0 * scales.rho)
+    return theta[n:] - origin, (1.0 / m2[n:] - rate) * (dz_de / math.pi)
 
 
 def eigencondition_residual(spec: PotentialSpec, energy: float, parity: str) -> float:
-    """|determinant| / envelope at one energy; ~0 at an eigenvalue."""
-    _, residual, _ = _eigencondition(spec, np.array([energy]), _is_odd(parity))
-    return float(residual[0])
+    """|sin Delta|, the boundary determinant over its envelope; ~0 at an eigenvalue."""
+    delta, _ = _mismatch(spec, np.array([energy]), _is_odd(parity))
+    return abs(math.sin(delta[0]))
 
 
-def _phase_space_count(spec: PotentialSpec, energy: float) -> float:
-    """Semiclassical level count below E (both parities)."""
-    c = spec.constants
-    if energy <= spec.v0:
-        return 0.0
-    area = (8.0 * spec.a * math.sqrt(2.0 * c.mass) / (3.0 * spec.v0)) * (
-        energy ** 1.5 - (energy - spec.v0) ** 1.5)
-    return area / (2.0 * math.pi * c.hbar)
+def _newton_roots(spec: PotentialSpec, odd: np.ndarray, k: np.ndarray, left: np.ndarray,
+                  right: np.ndarray, start: np.ndarray):
+    """The energies where the mismatch of parity ``odd`` equals k pi, one in
+    each bracket (Delta < k pi at ``left``, >= k pi at ``right``), and the
+    residual |sin Delta| at each; vectorized over the roots.
 
-
-def _scan_grid(spec: PotentialSpec, e_min: float, e_max: float) -> np.ndarray:
-    """Closed-court energy scan whose step tracks the local level spacing
-    pi hbar / tau.  The first tau is :func:`half_period`'s, which rejects an
-    ``e_min`` outside the regime; every later energy lies above it, so its tau
-    repeats half_period's closed-court arc inline, in the same arithmetic
-    order, 2 (2 m a / (p_plus + p_out)), bit for bit (names bound to locals:
-    the loop runs some 10^2 to 10^4 times per scan)."""
-    c, v0, sqrt = spec.constants, spec.v0, math.sqrt
-    two_m = 2.0 * c.mass
-    two_ma, pi_hbar, per_level = two_m * spec.a, math.pi * c.hbar, _SCAN_STEPS_PER_LEVEL
-    pts = [e_min]
-    e, tau = e_min, half_period(spec, e_min)
-    while e < e_max:
-        e += pi_hbar / (per_level * tau)
-        if e > e_max:
-            e = e_max
-        pts.append(e)
-        tau = 2 * (two_ma / (sqrt(two_m * e) + sqrt(two_m * (e - v0))))
-    return np.array(pts)
-
-
-def _newton_roots(spec: PotentialSpec, odd: np.ndarray, left: np.ndarray, right: np.ndarray,
-                  f_left: np.ndarray, f_right: np.ndarray) -> np.ndarray:
-    """Bracket-safeguarded Newton iteration, vectorized over the brackets,
-    whose parities the bool array ``odd`` gives.
-
-    Each root starts at the false-position point of its bracket.  Every
-    evaluation shrinks the bracket to the side that keeps the sign change;
-    a Newton step that leaves the bracket is replaced by its midpoint.  A
-    root is done once its raw Newton step |D / D'| is within 4 eps |E|, or
-    once that step, already below sqrt(eps) |E|, stops shrinking: it is then
-    the determinant's noise floor, which the Airy phase error zeta * eps
-    lifts above 4 eps |E| for |z| beyond about 50.  Near a root the
-    determinant's sign is noise too, so neither the bracket width nor a
-    bisection step is a usable stop test.  Each root stops on its own test,
-    so it takes the same steps whatever other roots share the loop.
+    A bracket-safeguarded Newton iteration from ``start``.  Every evaluation
+    shrinks the bracket to the side that keeps the root; a Newton step that
+    leaves the bracket is replaced by its midpoint.  A root is done once its
+    raw Newton step |(Delta - k pi) / Delta'| is within 4 eps |E|, or once
+    that step, already below sqrt(eps) |E|, stops shrinking: it is then the
+    phase's noise floor, which the Airy phase error zeta * eps lifts above
+    4 eps |E| for |z| beyond about 50.  Near a root the sign of Delta - k pi
+    is noise too, so neither the bracket width nor a bisection step is a
+    usable stop test.  Each root stops on its own test, so it takes the same
+    steps whatever other roots share the loop.  Each root's result is the
+    last energy evaluated, with its residual.
     """
-    x = left - f_left * (right - left) / (f_right - f_left)
-    sign_left = np.sign(f_left)  # the bracket's left end keeps this sign
+    x = start
+    energy, residual = np.empty(len(x)), np.empty(len(x))
+    target = k * math.pi
     last_step = np.full(len(x), np.inf)
     todo = np.arange(len(x))
     for _ in range(_NEWTON_MAX_ITERS):
         if not len(todo):
             break
         xs = x[todo]
-        f, _, df = _eigencondition(spec, xs, odd[todo])
-        keeps_left = np.sign(f) == sign_left[todo]
-        lo = left[todo] = np.where(keeps_left, xs, left[todo])
-        hi = right[todo] = np.where(keeps_left, right[todo], xs)
-        step = f / df
+        delta, slope = _mismatch(spec, xs, odd[todo])
+        f = delta - target[todo]
+        energy[todo], residual[todo] = xs, np.abs(np.sin(f))
+        below = f < 0.0
+        lo = left[todo] = np.where(below, xs, left[todo])
+        hi = right[todo] = np.where(below, right[todo], xs)
+        step = f / slope
         nxt = xs - step
         size = np.abs(step)
         done = (size <= _NEWTON_STEP_TOL * np.abs(xs)) | (
             (size >= last_step[todo]) & (size <= _NEWTON_STALL_TOL * np.abs(xs)))
         last_step[todo] = size
-        x[todo] = np.where(done | ((nxt > lo) & (nxt < hi)), nxt, 0.5 * (lo + hi))
+        x[todo] = np.where((nxt > lo) & (nxt < hi), nxt, 0.5 * (lo + hi))
         todo = todo[~done]
-    return x
+    return energy, residual
+
+
+def _solve(spec: PotentialSpec, ends, delta: np.ndarray):
+    """The levels of both parities in (ends[0], ends[1]], given the mismatch
+    of each parity (rows even, odd) at both ends: their parities, their
+    integer targets k, their energies and their residuals.
+
+    floor(Delta / pi) at the ends lists each parity's targets.  Every root
+    starts from the semiclassical action E^1.5 - max(E - V0, 0)^1.5, to
+    which Delta is close to affine, interpolated between the ends, and all
+    roots share one Newton loop: one Airy call per step.
+    """
+    count = np.floor(delta / math.pi).astype(int)
+    per_parity = count[:, 1] - count[:, 0]
+    if per_parity.sum() > _MAX_LEVELS:
+        raise RegimeError(f"{per_parity.sum()} levels lie in ({ends[0]:g}, {ends[1]:g}]; "
+                          f"a spectrum holds at most {_MAX_LEVELS}")
+    odd = np.repeat([False, True], per_parity)
+    rows = odd.astype(int)
+    k = np.concatenate([np.arange(c[0] + 1, c[1] + 1) for c in count])
+    grid = np.linspace(ends[0], ends[1], _START_TABLE)
+    action = grid ** 1.5 - np.maximum(grid - spec.v0, 0.0) ** 1.5
+    frac = (k * math.pi - delta[rows, 0]) / (delta[rows, 1] - delta[rows, 0])
+    start = np.interp(action[0] + frac * (action[-1] - action[0]), action, grid)
+    return (odd, k, *_newton_roots(spec, odd, k, np.full(len(k), float(ends[0])),
+                                   np.full(len(k), float(ends[1])), start))
 
 
 def _levels(spec: PotentialSpec, e_max: float, above: float) -> list[EigenLevel]:
-    """The levels of both parities in (V0, e_max] whose scan bracket ends
-    above ``above``, sorted by energy and indexed as in :func:`spectrum`.
-
-    One scan serves both parities: the grid does not depend on parity, so
-    one Airy call on it gives both determinants.  A level's index is the
-    rank of its bracket among the sign changes of its parity, so only the
-    brackets that end above ``above`` need refining; they share one Newton
-    loop and one residual call.
-    """
+    """The levels of both parities in (max(V0, above), e_max], sorted by
+    energy and indexed as in :func:`spectrum`: one Airy call gives the
+    mismatch of both parities at V0 and at the window's ends, the count at
+    V0 gives each level's index, and only the window's levels are solved."""
     _require_closed_court(spec)
     if not math.isfinite(e_max):
         raise ValueError(f"e_max must be finite, got {e_max!r}")
     lo = spec.v0 * (1.0 + 1e-12) + 1e-300
-    if e_max <= lo:
+    bottom = max(lo, above)
+    if e_max <= bottom:
         return []
     scales = AiryScales.from_spec(spec, e_max)
     if scales.sigma / scales.rho > Z_MAX:
         raise RegimeError(f"e_max={e_max:g} puts the Airy argument at the origin past "
                           f"-{Z_MAX:g}")
-    expected = 0.5 * (_phase_space_count(spec, e_max) - _phase_space_count(spec, lo))
-    if 2.0 * expected > _MAX_LEVELS:
-        raise RegimeError(f"about {2.0 * expected:.3g} levels lie in (V0, {e_max:g}]; "
-                          f"a spectrum holds at most {_MAX_LEVELS}")
-
-    grid = _scan_grid(spec, lo, e_max)
-    vals = _eigencondition(spec, grid, np.array([[False], [True]]))[0]  # rows: even, odd
-    odd, index, k = [], [], []
-    for row, parity in enumerate(("even", "odd")):
-        brackets = np.nonzero(np.sign(vals[row, :-1]) * np.sign(vals[row, 1:]) < 0)[0]
-        if abs(len(brackets) - expected) > 2.0:
-            warnings.warn(
-                f"found {len(brackets)} {parity} levels in ({lo:.4g}, {e_max:.4g}] but "
-                f"phase-space estimate is {expected:.1f}; scan may have skipped roots",
-                SkippedRootWarning)
-        rank = np.nonzero(grid[brackets + 1] > above)[0]
-        odd += [bool(row)] * len(rank)
-        index += (rank + 1).tolist()
-        k += brackets[rank].tolist()
-    odd, k = np.array(odd, dtype=bool), np.array(k, dtype=int)
-    rows = odd.astype(int)
-    roots = _newton_roots(spec, odd, grid[k], grid[k + 1], vals[rows, k], vals[rows, k + 1])
-    _, residuals, _ = _eigencondition(spec, roots, odd)
-
-    levels = [EigenLevel(energy=float(e), parity="odd" if o else "even", index=i,
-                         residual=float(r))
-              for e, o, i, r in zip(roots, odd, index, residuals)]
+    delta = _mismatch(spec, np.array([lo, bottom, e_max]), np.array([[False], [True]]))[0]
+    odd, k, energies, residuals = _solve(spec, (bottom, e_max), delta[:, 1:])
+    below = np.floor(delta[:, 0] / math.pi).astype(int)[odd.astype(int)]
+    levels = [EigenLevel(energy=float(e), parity="odd" if o else "even", index=int(j - b),
+                         residual=float(r), n=int(2 * j + 1 - o))
+              for e, o, j, b, r in zip(energies, odd, k, below, residuals)]
     levels.sort(key=lambda lv: lv.energy)
-    parities = [lv.parity for lv in levels]
-    if any(a == b for a, b in zip(parities, parities[1:])):
-        warnings.warn("even/odd levels do not interlace; a root was likely skipped",
-                      SkippedRootWarning)
     return levels
 
 
@@ -287,24 +263,22 @@ def eigenvalues_closed_court(spec: PotentialSpec, e_max: float, parity: str) -> 
 def spectrum(spec: PotentialSpec, e_max: float) -> list[EigenLevel]:
     """Every level of both parities in (V0, e_max], sorted by energy.
 
-    Infinite-well levels (V0 = 0) are listed in closed form: level k = 1..K,
-    K = floor(2a sqrt(2m e_max) / (pi hbar)) + 1, is state (k + 1) // 2 of
-    parity even (k odd) or odd (k even), kept when its
+    Infinite-well levels (V0 = 0) are listed in closed form: level n = 1..K,
+    K = floor(2a sqrt(2m e_max) / (pi hbar)) + 1, is state (n + 1) // 2 of
+    parity even (n odd) or odd (n even), kept when its
     :func:`infinite_well_energy` is <= e_max.  RegimeError, before any
     level is computed, when K exceeds 10^5 (e_max = inf or nan included).
 
-    Closed-court roots of the boundary determinant are bracketed on one
-    energy scan finer than the semiclassical level spacing, shared by both
-    parities, and refined by a bracket-safeguarded Newton iteration to
-    machine-level relative accuracy; every determinant evaluation is one
-    Airy call.  A level's index is its rank among the levels of its parity
-    above V0.
-    :class:`SkippedRootWarning` is raised if a parity's number of sign
-    changes disagrees with the phase-space count estimate by more than 2
-    (a bracket may have straddled two roots), or if the levels do not
-    interlace.  ValueError for a non-finite ``e_max``; RegimeError when
-    ``e_max`` takes the Airy argument at the origin past -1e4 or holds
-    more than 10^5 levels by the phase-space count.
+    Closed-court levels are solved by quantum number: the Airy phase
+    mismatch Delta of each parity at V0 and at e_max lists the integer
+    targets k with Delta = k pi in between, so no level can be missed, and
+    one bracket-safeguarded Newton iteration refines them all to
+    machine-level relative accuracy, one Airy call per step.  A level's
+    index is its rank among the levels of its parity above V0 and ``n``
+    its rank among all levels, those below V0 included.  ValueError for a
+    non-finite ``e_max``; RegimeError when ``e_max`` takes the Airy
+    argument at the origin past -1e4 or the window holds more than 10^5
+    levels.
     """
     if spec.kind is not PotentialKind.INFINITE_WELL:
         return _levels(spec, e_max, spec.v0)
@@ -314,11 +288,12 @@ def spectrum(spec: PotentialSpec, e_max: float) -> list[EigenLevel]:
         raise RegimeError(f"about {count:.3g} levels lie below e_max={e_max:g}; "
                           f"a spectrum holds at most {_MAX_LEVELS}")
     levels = []
-    for k in range(1, math.floor(count) + 2):
-        n, parity = (k + 1) // 2, "even" if k % 2 else "odd"
-        energy = infinite_well_energy(spec, n, parity)
+    for n in range(1, math.floor(count) + 2):
+        index, parity = (n + 1) // 2, "even" if n % 2 else "odd"
+        energy = infinite_well_energy(spec, index, parity)
         if energy <= e_max:
-            levels.append(EigenLevel(energy=energy, parity=parity, index=n, residual=0.0))
+            levels.append(EigenLevel(energy=energy, parity=parity, index=index,
+                                     residual=0.0, n=n))
     return levels
 
 
@@ -326,12 +301,10 @@ def nearest_level(spec: PotentialSpec, e_target: float, search_width: float = 1.
     """The level closest to e_target within (max(V0, e_target - search_width),
     e_target + search_width], indexed as in :func:`spectrum`.
 
-    The scan runs from V0 to the top of the window, since the index counts
-    the sign changes below it, but only the brackets that reach into the
-    window are refined.
+    Only the levels in the window are solved: the phase count at V0 gives
+    their index, so the cost does not grow with the levels below it.
     """
-    lo = max(spec.v0, e_target - search_width)
-    levels = [lv for lv in _levels(spec, e_target + search_width, lo) if lv.energy > lo]
+    levels = _levels(spec, e_target + search_width, max(spec.v0, e_target - search_width))
     if not levels:
         raise NumericalError(
             f"no eigenvalue within +-{search_width} of E={e_target} (V0={spec.v0})")
@@ -347,7 +320,7 @@ def eigenstate_closed_court(spec: PotentialSpec, energy: float, parity: str,
 
     The coefficient pair is the null vector of the origin condition, so odd
     states vanish at x = 0 exactly; the wall value is then proportional to
-    the eigencondition residual.  Energies that fail the eigencondition are
+    the eigencondition residual |sin Delta|.  Energies that fail the eigencondition are
     rejected, and so is an energy that is not finite (ValueError).
     ``index`` labels the state with the level's rank within its parity, as
     :func:`spectrum` reports it.
@@ -375,14 +348,16 @@ def eigenstate_closed_court(spec: PotentialSpec, energy: float, parity: str,
     x = np.linspace(-spec.a, spec.a, n_grid)
     n_half = n_grid // 2 + 1
     # linspace's own step: x[1] - x[0] is off by up to ulp(a), 4e-13 of it at a = 12
-    dz = 2.0 * spec.a / (n_grid - 1) / scales.rho
+    h = 2.0 * spec.a / (n_grid - 1)
+    dz = h / scales.rho
     z_far = max(1.0, abs(scales.sigma) / scales.rho, abs(spec.a - scales.sigma) / scales.rho)
     block = max(1, int(_BLOCK_REACH / (math.sqrt(z_far) * dz)))
     # the block starts, then the wall
     z = (np.concatenate([[0.0], x[n_grid // 2 + block::block], x[-1:]])
          - scales.sigma) / scales.rho
     vals = airy_eval_many(z)
-    _, residual, _ = _determinant(odd, z[0], [v[0] for v in vals], [v[-1] for v in vals])
+    _, theta, _, phi = modulus_phase(z[[0, -1]], *(v[[0, -1]] for v in vals))
+    residual = abs(math.sin(theta[1] - (theta[0] if odd else phi[0])))
     if not residual <= _EIGEN_RESIDUAL_TOL:  # a NaN residual fails too
         raise NumericalError(
             f"E={energy!r} is not a {parity} eigenvalue "
@@ -393,7 +368,7 @@ def eigenstate_closed_court(spec: PotentialSpec, energy: float, parity: str,
     powers = np.vander(dz * np.arange(block), _TAYLOR_DEGREE + 1, increasing=True)
     psi = (powers @ coef).T.ravel()[:n_half]
     psi = np.concatenate([(-psi if odd else psi)[:0:-1], psi])
-    psi = psi / math.sqrt(_simpson_uniform(psi ** 2, x[1] - x[0]))
+    psi = psi / math.sqrt(_simpson_uniform(psi ** 2, h))
     return Eigenstate(parity=parity, index=index, energy=float(energy),
                       grid=x, psi=psi, spec=spec)
 
@@ -581,7 +556,7 @@ def momentum_transform(state: Eigenstate, p_grid=None,
     if not _is_uniform(q):
         raise ValueError("p_grid must be evenly spaced")
     x = state.grid
-    h = x[1] - x[0]
+    h = _step(x)  # the exact step of a linspace; x[1] - x[0] is off by up to ulp(x)
     if not np.allclose(np.diff(x), h, rtol=1e-9) or x[0] != -x[-1]:
         raise ValueError("momentum_transform requires a uniform position grid "
                          "symmetric about x = 0")

@@ -10,15 +10,15 @@ closed forms), the Airy boundary determinant from scipy's Airy
 functions, and CSV bytes from formatting each value on its own (the
 package formats blocks of rows with one %-format per block).
 
-Four references are the package's own earlier paths.  Three are kept to
-show that a new path changed no bit: closed-court levels from one scan per
-parity, two Airy calls per determinant evaluation and every bracket refined (the
-package scans once for both parities and refines only what it returns),
-the scan grid stepped by a ``half_period`` call at every energy (the
-package checks the regime once and steps in plain float arithmetic),
-and infinite-well levels listed parity by parity in an open-ended loop,
-then sorted (the package lists them in energy order up to a closed-form
-count).  The fourth bounds a new path's rounding: closed-court eigenstates
+Three references are the package's own earlier paths.  Closed-court
+levels come from an energy scan of each parity's boundary determinant,
+stepped by a fifth of the local level spacing, with every sign change
+refined by safeguarded Newton steps (the package solves for each level by
+quantum number from the Airy phases); its constants are copies, so a change
+to the package's leaves it as it is.  Infinite-well levels are listed
+parity by parity in an open-ended loop, then sorted (the package lists them
+in energy order up to a closed-form count), to show that the listing
+changed no bit.  The third bounds a new path's rounding: closed-court eigenstates
 from Airy values at every point of the x >= 0 half (the package evaluates
 Airy functions at block starts only and sums each block's Taylor series).
 
@@ -37,7 +37,7 @@ from scipy.integrate import simpson
 
 from wellprob import quantum
 from wellprob.airy import airy_eval_many
-from wellprob.model import PotentialKind, evaluate_potential, half_period
+from wellprob.model import PotentialKind, classical_state, evaluate_potential
 
 
 def fd_eigenvalues(a, v0, e_max, hbar=1.0, mass=0.5, n=3000):
@@ -241,34 +241,37 @@ def closed_court_determinant(spec, energy, parity):
 # ---------------------------------------------------------------------------
 # closed-court levels, one parity at a time
 
-def scan_grid_by_half_period(spec, e_min, e_max):
-    """The closed-court scan grid with one :func:`half_period` call, and so
-    one regime check, per step: pi hbar / (5 tau) from e_min up to e_max."""
-    c = spec.constants
+_SCAN_STEPS_PER_LEVEL = 5  # scan points per local level spacing pi hbar / tau
+_NEWTON_MAX_ITERS = 64
+_NEWTON_STEP_TOL = 4.0 * np.finfo(float).eps  # relative to |E|
+_NEWTON_STALL_TOL = math.sqrt(np.finfo(float).eps)  # relative
+
+
+def _scan_grid(spec, e_min, e_max):
+    """Energies from e_min up to e_max in steps of pi hbar / (5 tau)."""
     pts = [e_min]
     e = e_min
     while e < e_max:
-        step = math.pi * c.hbar / (quantum._SCAN_STEPS_PER_LEVEL * half_period(spec, e))
+        step = math.pi * spec.constants.hbar / (
+            _SCAN_STEPS_PER_LEVEL * classical_state(spec, e).tau)
         e = min(e + step, e_max)
         pts.append(e)
     return np.array(pts)
 
 
 def _eigencondition_one_parity(spec, energies, parity):
-    """D, |D| / envelope and dD/dE for one parity, one Airy call per argument."""
+    """The boundary determinant D and dD/dE for one parity, one Airy call per argument."""
     scales = quantum.AiryScales.from_spec(spec, np.asarray(energies, dtype=float))
     z0 = -scales.sigma / scales.rho
     ai1, bi1, aip1, bip1 = airy_eval_many(z0)
     ai2, bi2, aip2, bip2 = airy_eval_many((spec.a - scales.sigma) / scales.rho)
     if parity == "odd":
-        t1, t2 = ai1 * bi2, ai2 * bi1
+        det = ai1 * bi2 - ai2 * bi1
         d_dz = aip1 * bi2 + ai1 * bip2 - aip2 * bi1 - ai2 * bip1
     else:
-        t1, t2 = aip1 * bi2, ai2 * bip1
+        det = aip1 * bi2 - ai2 * bip1
         d_dz = z0 * (ai1 * bi2 - ai2 * bi1) + aip1 * bip2 - aip2 * bip1
-    det = t1 - t2
-    return (det, np.abs(det) / np.maximum(np.abs(t1) + np.abs(t2), 1e-300),
-            d_dz * (-spec.a / (spec.v0 * scales.rho)))
+    return det, d_dz * (-spec.a / (spec.v0 * scales.rho))
 
 
 def roots_one_parity(spec, e_max, parity):
@@ -277,7 +280,7 @@ def roots_one_parity(spec, e_max, parity):
     lo = spec.v0 * (1.0 + 1e-12) + 1e-300
     if e_max <= lo:
         return np.array([])
-    grid = scan_grid_by_half_period(spec, lo, e_max)
+    grid = _scan_grid(spec, lo, e_max)
     vals = _eigencondition_one_parity(spec, grid, parity)[0]
     k = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
     left, right, f_left, f_right = grid[k], grid[k + 1], vals[k], vals[k + 1]
@@ -285,19 +288,19 @@ def roots_one_parity(spec, e_max, parity):
     sign_left = np.sign(f_left)
     last_step = np.full(len(x), np.inf)
     todo = np.arange(len(x))
-    for _ in range(quantum._NEWTON_MAX_ITERS):
+    for _ in range(_NEWTON_MAX_ITERS):
         if not len(todo):
             break
         xs = x[todo]
-        f, _, df = _eigencondition_one_parity(spec, xs, parity)
+        f, df = _eigencondition_one_parity(spec, xs, parity)
         keeps_left = np.sign(f) == sign_left[todo]
         lo = left[todo] = np.where(keeps_left, xs, left[todo])
         hi = right[todo] = np.where(keeps_left, right[todo], xs)
         step = f / df
         nxt = xs - step
         size = np.abs(step)
-        done = (size <= quantum._NEWTON_STEP_TOL * np.abs(xs)) | (
-            (size >= last_step[todo]) & (size <= quantum._NEWTON_STALL_TOL * np.abs(xs)))
+        done = (size <= _NEWTON_STEP_TOL * np.abs(xs)) | (
+            (size >= last_step[todo]) & (size <= _NEWTON_STALL_TOL * np.abs(xs)))
         last_step[todo] = size
         x[todo] = np.where(done | ((nxt > lo) & (nxt < hi)), nxt, 0.5 * (lo + hi))
         todo = todo[~done]
@@ -305,26 +308,22 @@ def roots_one_parity(spec, e_max, parity):
 
 
 def spectrum_one_parity_at_a_time(spec, e_max):
-    """Both parities' levels in (V0, e_max], sorted by energy, each indexed by
-    its rank within its parity, with residuals from one call per parity."""
-    levels = []
-    for parity in ("even", "odd"):
-        roots = roots_one_parity(spec, e_max, parity)
-        residuals = _eigencondition_one_parity(spec, roots, parity)[1]
-        levels += [quantum.EigenLevel(energy=float(e), parity=parity, index=i + 1,
-                                      residual=float(r))
-                   for i, (e, r) in enumerate(zip(roots, residuals))]
-    levels.sort(key=lambda lv: lv.energy)
+    """Both parities' levels in (V0, e_max] as (energy, parity, index)
+    triples sorted by energy, each indexed by its rank within its parity."""
+    levels = [(float(e), parity, i + 1) for parity in ("even", "odd")
+              for i, e in enumerate(roots_one_parity(spec, e_max, parity))]
+    levels.sort()
     return levels
 
 
 def nearest_level_one_parity_at_a_time(spec, e_target, search_width):
-    """The level nearest e_target in (max(V0, e_target - w), e_target + w]
-    from the whole spectrum below the window's top, or None."""
+    """The (energy, parity, index) of the level nearest e_target in
+    (max(V0, e_target - w), e_target + w] from the whole spectrum below the
+    window's top, or None."""
     lo = max(spec.v0, e_target - search_width)
     levels = [lv for lv in spectrum_one_parity_at_a_time(spec, e_target + search_width)
-              if lv.energy > lo]
-    return min(levels, key=lambda lv: abs(lv.energy - e_target)) if levels else None
+              if lv[0] > lo]
+    return min(levels, key=lambda lv: abs(lv[0] - e_target)) if levels else None
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +355,8 @@ def infinite_well_levels_loop(spec, e_max):
         n = 1
         while quantum.infinite_well_energy(spec, n, parity) <= e_max:
             levels.append(quantum.EigenLevel(energy=quantum.infinite_well_energy(spec, n, parity),
-                                             parity=parity, index=n, residual=0.0))
+                                             parity=parity, index=n, residual=0.0,
+                                             n=2 * n - (parity == "even")))
             n += 1
     levels.sort(key=lambda lv: lv.energy)
     return levels

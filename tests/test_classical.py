@@ -35,7 +35,7 @@ BOUNCERS = st.builds(lambda m, g, e: (wp.bouncer(mass=m, g=g), e),
 @example(case=(wp.bouncer(mass=9.980867821656812, g=0.8798200768090129), 70.75367929068614))
 def test_half_period_matches_quadrature_oracles(case):
     spec, e = case
-    tau = wp.half_period(spec, e)
+    tau = wp.classical_state(spec, e).tau
     assert half_period_quadrature(spec, e) == pytest.approx(tau, rel=1e-12)
     if spec.kind is not wp.PotentialKind.BOUNCER:
         # tanh-sinh reconstructs the apex distance inside the raw integrand,
@@ -49,12 +49,12 @@ def test_half_period_scipy_adaptive_oracle():
         oracle = math.sqrt(m / 2.0) * quad(
             lambda x: 1.0 / math.sqrt(e - wp.evaluate_potential(spec, x)),
             -spec.a, spec.a, points=[0.0], limit=200)[0]
-        assert wp.half_period(spec, e) == pytest.approx(oracle, rel=1e-9)
+        assert wp.classical_state(spec, e).tau == pytest.approx(oracle, rel=1e-9)
     # bouncer: integrable singularity at the apex
     oracle = math.sqrt(0.5) * quad(
         lambda z: 1.0 / math.sqrt(2.0 - wp.evaluate_potential(BOUNCER, z)),
         0.0, 2.0, points=[2.0])[0]
-    assert wp.half_period(BOUNCER, 2.0) == pytest.approx(oracle, rel=1e-9)
+    assert wp.classical_state(BOUNCER, 2.0).tau == pytest.approx(oracle, rel=1e-9)
 
 
 def test_half_period_closed_court_value():
@@ -65,8 +65,8 @@ def test_half_period_closed_court_value():
 
 
 def test_half_period_infinite_well_and_bouncer():
-    assert wp.half_period(IW, 4.0) == pytest.approx(25.0 / 2.0, rel=1e-14)  # a/sqrt(E)
-    assert wp.half_period(BOUNCER, 2.0) == pytest.approx(2.0, rel=1e-14)  # sqrt(2H/g)
+    assert wp.classical_state(IW, 4.0).tau == pytest.approx(25.0 / 2.0, rel=1e-14)  # a/sqrt(E)
+    assert wp.classical_state(BOUNCER, 2.0).tau == pytest.approx(2.0, rel=1e-14)  # sqrt(2H/g)
 
 
 def test_tanh_sinh_endpoint_singularity():
@@ -333,7 +333,6 @@ def test_arc_state_and_potential_match_closed_forms(case):
     spec, e = case
     s = wp.classical_state(spec, e)
     assert s.tau == pytest.approx(oracles.half_period_by_kind(spec, e), rel=1e-12)
-    assert wp.half_period(spec, e) == s.tau
     assert s.p_plus == math.sqrt(2.0 * spec.constants.mass * e)
     assert s.p_minus == oracles.p_minus_by_kind(spec, e)
     lo, hi = s.turning_points
@@ -397,7 +396,7 @@ def test_arc_default_grid_matches_closed_forms(case, n_points):
 @given(case=st.one_of(CLOSED_COURTS, INFINITE_WELLS, BOUNCERS), u=st.floats(0.0, 1.0))
 def test_position_cdf_inverts_the_orbit(case, u):
     spec, e = case
-    tau = wp.half_period(spec, e)
+    tau = wp.classical_state(spec, e).tau
     x = wp.trajectory(spec, e, u * tau)[0]
     # near the bouncer's apex x rounds to a few ulps of H, which the CDF's
     # square root turns into up to sqrt(ulp/H) ~ 1e-8
@@ -410,9 +409,9 @@ def test_closed_court_tends_to_the_infinite_well(v0):
     # tau = tau_IW 2 / (1 + sqrt(1 - V0/E)); the closed form divided a
     # difference of square roots by V0, off by 2.6e-5 at V0 = 1e-10
     spec = wp.closed_court(a=25.0, v0=v0)
-    tau_iw = wp.half_period(wp.infinite_well(a=25.0), 10.0)
+    tau_iw = wp.classical_state(wp.infinite_well(a=25.0), 10.0).tau
     expected = tau_iw * 2.0 / (1.0 + math.sqrt(1.0 - v0 / 10.0))
-    assert wp.half_period(spec, 10.0) == pytest.approx(expected, rel=1e-14)
+    assert wp.classical_state(spec, 10.0).tau == pytest.approx(expected, rel=1e-14)
     assert wp.classical_position_density(spec, 10.0).trapezoid_mass() == pytest.approx(
         1.0, abs=1e-12)
 

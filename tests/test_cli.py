@@ -160,6 +160,54 @@ def test_bounce_sim_outputs(tmp_path: Path):
     assert np.allclose(masses, masses[0])  # flat momentum histogram
 
 
+def _bounce_sim_bytes(out: Path, *sets: str) -> dict:
+    argv = ["bounce-sim", "--out", str(out), "--set", "task.seed=7"]
+    for s in sets:
+        argv += ["--set", s]
+    assert cli.main(argv) == 0
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+def test_bounce_sim_reads_mass_and_g(tmp_path: Path, capsys):
+    # with no potential.kind the bouncer is the config's, constants included
+    default = _bounce_sim_bytes(tmp_path / "default")
+    heavy = ("constants.g=2", "constants.mass=3")
+    implicit = _bounce_sim_bytes(tmp_path / "implicit", *heavy)
+    explicit = _bounce_sim_bytes(tmp_path / "explicit", "potential.kind=bouncer", *heavy)
+    capsys.readouterr()
+    assert implicit == explicit
+    assert implicit["bounce_trajectory.csv"] != default["bounce_trajectory.csv"]
+    # E = 2 at m g = 6: the apex is at H = E / (m g) = 1/3
+    z = read_column(tmp_path / "implicit" / "bounce_trajectory.csv", "z")
+    assert z.max() == pytest.approx(1.0 / 3.0, rel=1e-5)
+
+
+def test_quantum_number_columns(tmp_path: Path, capsys):
+    # n is appended to each table; every earlier column keeps its place
+    assert cli.main(["table1", "--out", str(tmp_path / "t1")]) == 0
+    header, rows = read_csv(tmp_path / "t1" / "table1.csv")
+    assert header.index("n") == len(header) - 1 and header.index("index") == 4
+    assert [(r[header.index("index")], r[-1]) for r in rows] == [
+        ("1", "34"), ("8", "42"), ("17", "48")]
+    assert cli.main(["eigensolve", "--out", str(tmp_path / "iw"), *IW_ARGS,
+                     "--set", "task.e_max=0.1"]) == 0
+    header, rows = read_csv(tmp_path / "iw" / "eigenvalues.csv")
+    assert header == ["index", "parity", "energy", "residual", "n"]
+    assert [int(r[4]) for r in rows] == [
+        2 * int(r[0]) - (r[1] == "even") for r in rows] == list(range(1, len(rows) + 1))
+    assert cli.main(["momentum", "--out", str(tmp_path / "mom"), *CC10_ARGS,
+                     "--set", "task.energy=10.066", "--set", "task.n_grid=6001",
+                     "--set", "task.n_points=101"]) == 0
+    _, meta = read_csv(tmp_path / "mom" / "momentum_meta.csv")
+    assert [r[0] for r in meta] == ["energy", "parity", "index", "residual", "hbar", "n"]
+    assert meta[-1][1] == "34"
+    assert cli.main(["sweep", "--out", str(tmp_path / "sweep")]) == 0
+    capsys.readouterr()
+    header, rows = read_csv(tmp_path / "sweep" / "sweep.csv")
+    assert header[-2:] == ["flag", "n"]
+    assert [r[-1] for r in rows] == ["34", "42", "48"]
+
+
 def test_exit_code_config_error():
     # E = 5 < V0 = 10 is outside the supported regime, which the computation
     # (not the config) rejects
@@ -457,7 +505,7 @@ CC10_KIND = ("--set", "potential.kind=closed_court", "--set", "potential.a=25",
 def test_unusable_values_exit_2(tmp_path: Path, capsys, args, category):
     # before these checks: a scan without end, a header-only listing,
     # "no eigenvalue" (exit 3), every row flagged (exit 0) or a traceback (exit 1);
-    # an e_max past the Airy range is rejected by the scan, as a regime error
+    # an e_max past the Airy range is rejected by the level solve, as a regime error
     assert cli.main([*args, "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {category}:")

@@ -4,6 +4,7 @@ import time
 import tracemalloc
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -14,8 +15,7 @@ from wellprob import quantum
 from oracles import (airy_cross, closed_court_determinant, eigenstate_pointwise,
                      fd_eigenvalues, filon_transform_full, infinite_well_levels_loop,
                      nearest_level_one_parity_at_a_time, roots_one_parity,
-                     scan_grid_by_half_period, simpson_transform,
-                     spectrum_one_parity_at_a_time)
+                     simpson_transform, spectrum_one_parity_at_a_time)
 
 CC10 = wp.closed_court(a=25.0, v0=10.0)
 CC6 = wp.closed_court(a=25.0, v0=6.0)
@@ -96,6 +96,7 @@ def test_nearest_level_reports_parity_and_index(table1_levels):
     spec, level = table1_levels[0]
     assert level.parity == "odd"
     assert level.index == 1  # first odd level above V0 = 10
+    assert level.n == 34  # above the 33 levels that lie below V0
     assert level.residual < 1e-9
 
 
@@ -149,7 +150,7 @@ def test_spectrum_airy_call_budget(monkeypatch):
 
 @pytest.mark.parametrize("v0,e_ref", [(10.0, 10.066), (6.0, 10.073), (2.0, 10.105)])
 def test_nearest_level_one_airy_call_per_evaluation(monkeypatch, v0, e_ref):
-    # one scan call for both parities, one per Newton step, one for the residuals
+    # one call for both parities' phase counts, then one per Newton step
     calls = _count_airy_calls(monkeypatch)
     wp.nearest_level(wp.closed_court(a=25.0, v0=v0), e_ref)
     assert len(calls) <= 8
@@ -163,7 +164,7 @@ def test_spectrum_one_airy_call_per_evaluation(monkeypatch):
 
 def test_nearest_level_refines_only_in_window_brackets(monkeypatch):
     # 35 levels lie in (V0, 11.105], 5 of them in the window (9.105, 11.105];
-    # a bracket straddling the window's lower edge may add one root (two points)
+    # only those are solved, two Airy points per root per Newton step
     n_window = sum(lv.energy > 9.105 for lv in wp.spectrum(CC2, 11.105))
     calls = _count_airy_calls(monkeypatch)
     wp.nearest_level(CC2, 10.105)
@@ -174,18 +175,28 @@ def test_nearest_level_refines_only_in_window_brackets(monkeypatch):
 @given(a=st.floats(10.0, 40.0), v0=st.floats(1.0, 12.0), gap=st.floats(0.5, 6.0),
        width=st.floats(0.05, 2.0))
 def test_levels_equal_the_one_parity_reference_exactly(a, v0, gap, width):
-    # same arithmetic per root, so energy, parity, index and residual are equal
+    # the scan oracle brackets sign changes of each parity's determinant; the
+    # phase solve must find the same levels, with parity and index exactly
+    # equal and energies within 1e-13 relative (both sit at their noise floor)
     spec = wp.closed_court(a=a, v0=v0)
     e_max = v0 + gap
-    assert wp.spectrum(spec, e_max) == spectrum_one_parity_at_a_time(spec, e_max)
+
+    def agree(ours, ref):
+        assert [(lv.parity, lv.index) for lv in ours] == [lv[1:] for lv in ref]
+        for lv, (energy, _, _) in zip(ours, ref):
+            assert abs(lv.energy - energy) <= 1e-13 * energy
+
+    agree(wp.spectrum(spec, e_max), spectrum_one_parity_at_a_time(spec, e_max))
     for parity in ("even", "odd"):
-        assert np.array_equal(wp.eigenvalues_closed_court(spec, e_max, parity),
-                              roots_one_parity(spec, e_max, parity))
+        roots = wp.eigenvalues_closed_court(spec, e_max, parity)
+        ref = roots_one_parity(spec, e_max, parity)
+        assert len(roots) == len(ref)
+        assert np.all(np.abs(roots - ref) <= 1e-13 * ref)
+    ref = nearest_level_one_parity_at_a_time(spec, e_max, width)
     try:
-        level = wp.nearest_level(spec, e_max, width)
+        agree([wp.nearest_level(spec, e_max, width)], [ref])
     except wp.NumericalError:
-        level = None
-    assert level == nearest_level_one_parity_at_a_time(spec, e_max, width)
+        assert ref is None
 
 
 @pytest.mark.parametrize("e_max", [math.inf, -math.inf, math.nan])
@@ -194,30 +205,6 @@ def test_scan_rejects_non_finite_e_max(e_max):
         wp.spectrum(CC10, e_max)
     with pytest.raises(ValueError, match="e_max"):
         wp.nearest_level(CC10, e_max)
-
-
-@settings(max_examples=60, deadline=None)
-@given(a=st.floats(0.5, 50.0), v0=st.floats(0.01, 20.0), mass=st.floats(0.05, 5.0),
-       hbar=st.floats(0.2, 3.0), span=st.floats(1e-9, 3.0), start=st.floats(0.0, 1.0))
-@example(a=25.0, v0=10.0, mass=0.5, hbar=1.0, span=0.2, start=0.0)  # spectrum(CC10, 12)
-def test_scan_grid_equals_the_half_period_loop(a, v0, mass, hbar, span, start):
-    # the plain-float step repeats half_period's arithmetic, so the grid
-    # (and every bracket on it) is bit-identical to the per-step-call loop
-    spec = wp.closed_court(a, v0, hbar=hbar, mass=mass)
-    e_max = v0 * (1.0 + span)
-    e_min = v0 * (1.0 + 1e-12) + 1e-300 if start == 0.0 else v0 + start * (e_max - v0)
-    assume(v0 < e_min)
-    grid = quantum._scan_grid(spec, e_min, e_max)
-    assert np.array_equal(grid, scan_grid_by_half_period(spec, e_min, e_max))
-    assert grid[0] == e_min and grid[-1] == max(e_min, e_max)
-
-
-@pytest.mark.parametrize("e_min", [10.0, 9.0, 0.0, -1.0, math.nan, math.inf], ids=str)
-@pytest.mark.parametrize("e_max", [5.0, 12.0])
-def test_scan_grid_rejects_an_out_of_regime_start(e_min, e_max):
-    # the regime is checked once, at e_min, whether or not a step is taken
-    with pytest.raises(wp.RegimeError):
-        quantum._scan_grid(CC10, e_min, e_max)
 
 
 def test_scan_past_the_airy_range_fails_fast():
@@ -284,6 +271,93 @@ def test_eigenvalues_closed_court_rejects_other_kinds():
     for spec in (IW, wp.bouncer()):
         with pytest.raises(wp.RegimeError, match="closed-court"):
             wp.eigenvalues_closed_court(spec, 1.0, "even")
+
+
+BOTH = np.array([[False], [True]])  # the mismatch rows: even, odd
+
+
+def test_levels_below_v0_are_the_airy_zeros():
+    # Deep below V0 the wall at |x| = a is far outside the classical region,
+    # so odd levels lie at E = -a_k F rho (Ai(z_0) = 0) and even ones at
+    # -a'_{k+1} F rho (Ai'(z_0) = 0); the wall moves the eighth odd level,
+    # whose wall argument is only 7.4, by 2.8e-14 of E.
+    spec = CC10
+    ends = np.array([1e-300, 6.2])
+    odd, k, energies, residuals = quantum._solve(
+        spec, ends, quantum._mismatch(spec, ends, BOTH)[0])
+    assert k[~odd].tolist() == list(range(8)) and k[odd].tolist() == list(range(1, 9))
+    f_rho = spec.v0 / spec.a * (spec.a / spec.v0) ** (1.0 / 3.0)  # hbar = 2m = 1
+    for o, j, e in zip(odd, k, energies):
+        zero = mpmath.airyaizero(int(j)) if o else mpmath.airyaizero(int(j) + 1, derivative=1)
+        ref = float(-zero) * f_rho
+        assert abs(e - ref) <= 1e-13 * ref, (o, j, e, ref)
+    assert np.all(residuals <= 1e-12)
+
+
+@st.composite
+def _courts(draw):
+    """Closed courts whose wall argument at E -> 0+ keeps Bi^2 in range."""
+    spec = wp.closed_court(draw(st.floats(1.0, 40.0)), draw(st.floats(0.1, 20.0)),
+                           hbar=draw(st.floats(0.3, 1.5)), mass=draw(st.floats(0.3, 2.0)))
+    assume(spec.a / wp.AiryScales.from_spec(spec, 1.0).rho < 60.0)
+    return spec
+
+
+@settings(max_examples=100, deadline=None)
+@given(spec=_courts(), top=st.floats(0.01, 3.0),
+       fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=60))
+def test_phase_counts_grow_with_energy_and_interlace(spec, top, fractions):
+    # floor(Delta / pi) counts the levels of a parity below E (Sturm), from
+    # E -> 0+ through V0: it never decreases, and with N_odd = floor and
+    # N_even = floor + 1 the ground state is even and the parities alternate
+    energies = np.sort(np.concatenate([[1e-300], top * spec.v0 * np.array(fractions)]))
+    count = np.floor(quantum._mismatch(spec, energies, BOTH)[0] / math.pi)
+    n_even, n_odd = count[0] + 1, count[1]
+    assert n_even[0] == 0 and n_odd[0] == 0
+    assert np.all(np.diff(count, axis=1) >= 0)
+    assert np.all((n_odd <= n_even) & (n_even <= n_odd + 1))
+
+
+@pytest.mark.parametrize("a,v0,e_max", [(25.0, 10.0, 11.2), (1.0, 1.0, 60.0)])
+def test_eigenstate_has_n_minus_1_nodes(a, v0, e_max):
+    # (1, 1) lists n = 1, 2, ... from the ground state; (25, 10) from n = 34
+    spec = wp.closed_court(a, v0)
+    levels = wp.spectrum(spec, e_max)
+    assert [lv.n for lv in levels] == list(range(levels[0].n, levels[0].n + len(levels)))
+    assert levels[0].n == (34 if v0 == 10.0 else 1)
+    for lv in levels:
+        psi = wp.eigenstate_closed_court(spec, lv.energy, lv.parity, index=lv.index).psi[1:-1]
+        psi = psi[psi != 0.0]  # the odd states' exact zero at x = 0
+        assert np.count_nonzero(np.sign(psi[1:]) != np.sign(psi[:-1])) == lv.n - 1, lv
+
+
+@pytest.mark.parametrize("a,v0,e_max", [(25.0, 10.0, 10.5), (25.0, 2.0, 10.3), (12.0, 3.0, 6.0)])
+def test_hellmann_feynman(a, v0, e_max):
+    # dE_n/dV0 = <|x| / a>: a central difference at fixed quantum number n
+    # against Simpson on the x >= 0 half, where |x| psi^2 is smooth
+    h = 1e-4
+
+    def energy(v, n):
+        return next(lv.energy for lv in wp.spectrum(wp.closed_court(a, v), e_max + 1.0)
+                    if lv.n == n)
+
+    for lv in wp.spectrum(wp.closed_court(a, v0), e_max)[:3]:
+        slope = (energy(v0 + h, lv.n) - energy(v0 - h, lv.n)) / (2.0 * h)
+        state = wp.eigenstate_closed_court(wp.closed_court(a, v0), lv.energy, lv.parity,
+                                           index=lv.index)
+        half = len(state.grid) // 2
+        x, psi = state.grid[half:], state.psi[half:]
+        expect = 2.0 * quantum._simpson_uniform(x / a * psi ** 2, x[1] - x[0])
+        assert slope == pytest.approx(expect, rel=1e-9), lv
+
+
+def test_nearest_level_cost_does_not_grow_with_the_levels_below(monkeypatch):
+    # 439 levels lie below the window at (40, 1, 300); a scan from V0 took
+    # 4272 Airy points
+    calls = _count_airy_calls(monkeypatch)
+    level = wp.nearest_level(wp.closed_court(40.0, 1.0), 300.0)
+    assert level.n == 441 and level.residual < 1e-9
+    assert sum(calls) <= 64
 
 
 # ---------------------------------------------------------------------------
