@@ -237,10 +237,13 @@ def modulus_phase(z, ai, bi, aip, bip):
     phi(0) = 2 pi/3, both tend to pi/2 as z -> +inf, and to pi/4 - zeta and
     3 pi/4 - zeta as z -> -inf.  Each atan2 is unwrapped against
     ref = pi/4 - (2/3) max(-z, 0)^(3/2) (ref + pi/2 for phi), which stays
-    within pi/4 of the phase, so no table is needed.
+    within pi/4 of the phase, so no table is needed.  For z >~ 66, Bi^2
+    passes the double range and M^2, N^2 are inf, silently: theta' = 0 is
+    then right to the last digit.
     """
     ref = 0.25 * math.pi - (2.0 / 3.0) * np.maximum(-z, 0.0) ** 1.5
     theta, phi = np.arctan2(bi, ai), np.arctan2(bip, aip)
     theta += 2.0 * math.pi * np.round((ref - theta) / (2.0 * math.pi))
     phi += 2.0 * math.pi * np.round((ref + 0.5 * math.pi - phi) / (2.0 * math.pi))
-    return ai * ai + bi * bi, theta, aip * aip + bip * bip, phi
+    with np.errstate(over="ignore"):
+        return ai * ai + bi * bi, theta, aip * aip + bip * bip, phi

@@ -15,12 +15,14 @@ and states are closed forms.
 
 Momentum-space wavefunctions come from the +i kernel Fourier transform
 phi(p) = (2 pi hbar)^(-1/2) int psi(x) exp(+i p x / hbar) dx, evaluated
-with a piecewise-quadratic Filon rule whose accuracy is independent of p.
-Every eigenstate has a definite parity, so the rule's panel sums need only
-the panels with centres c_j >= 0 (about N/2 of N); the mirror half is their
-complex conjugate.  The momenta must be evenly spaced: those sums at M
-momenta are then one chirp-z (Bluestein) transform at a 5-smooth FFT
-length, O((N + M) log(N + M)).
+with a piecewise-quadratic Filon rule whose accuracy is independent of p,
+in node form: a weighted sum of psi at the grid nodes.  Every eigenstate
+has a definite parity, so the sum needs only the nodes x >= 0; the mirror
+half is their complex conjugate.  psi is real, so phi(-p) = conj phi(p),
+and a p grid symmetric about 0 is transformed on its p >= 0 half only.
+The momenta must be evenly spaced: the node sums at M momenta are then one
+chirp-z (Bluestein) transform at a 5-smooth FFT length,
+O((N + M) log(N + M)).
 """
 
 from __future__ import annotations
@@ -525,21 +527,27 @@ def momentum_transform(state: Eigenstate, p_grid=None,
     at max |p|), otherwise a :class:`ResolutionError` reports the minimal
     admissible grid.
 
-    The rule needs the panel sums sum_j g_j exp(i q c_j) over the N panel
-    centres c_j at M momenta, for the three rows g = (psi at the centre,
-    slope, curvature).  psi is real with parity s = +-1, so the panel at
-    -c_j carries (s, -s, s) times the rows at c_j, and each full sum is
-    S + eps conj(S), eps = (s, -s, s), with S taken over the centres
-    c_j >= 0 alone: N/2 panels, or (N + 1)/2 when x = 0 is a panel centre,
-    whose panel is then counted half.  So phi is exactly real for even
-    states and exactly imaginary for odd ones.  S is one chirp-z transform
-    at the smallest 5-smooth FFT length >= N/2 + M - 1, in
-    O((N + M) log(N + M)) time and O(N + M) memory (7200 long, about 2 ms
-    and 1.3 MB at the CLI defaults N = 6000, M = 4001).  So ``p_grid`` must
-    be evenly spaced (the default one, any ``np.linspace``, a single point,
-    in either direction); any other grid raises ValueError, and so does a
-    state whose psi departs from its parity label by more than 1e-12 of
-    max |psi|, or whose grid is not symmetric about x = 0.
+    In node form this is Filon's formula (Abramowitz & Stegun 25.4.47):
+    phi(q) = sum_i w_i(q) psi_i exp(i q x_i) over the grid nodes, with
+    M_j the panel moments int_{-h}^{h} s^j exp(i q s) ds, the weight
+    M0 - M2/h^2 at each panel centre, R = (M1/2h + M2/2h^2) exp(-i q h) at
+    the wall x = a, conj(R) at x = -a and 2 Re R at every interior panel
+    end.  The weights are real in the interior and psi is real with parity
+    s = +-1, so the full sum is S + s conj(S), with S over the nodes
+    x >= 0 alone (x = 0 counted half) plus the wall term: phi is exactly
+    real for even states and exactly imaginary for odd ones.  Those nodes
+    form two rows at spacing 2h, panel ends and panel centres, and S needs
+    their sums at every momentum: one chirp-z transform of both rows.  For
+    real psi, phi(-p) = conj phi(p), so on a p grid symmetric about 0
+    (within 8 ulps of max |p|) only the half p >= 0 is transformed and the
+    other half is its mirror.  For N panels and M momenta transformed, the
+    FFT length is the smallest 5-smooth one >= N/2 + M - 1, and the cost
+    O((N + M) log(N + M)) time and O(N + M) memory (5000 long, about 2 ms
+    and 0.8 MB at the CLI defaults, 6000 panels and 4001 momenta).  So
+    ``p_grid`` must be evenly spaced (the default one, any ``np.linspace``,
+    a single point, in either direction); any other grid raises ValueError,
+    and so does a state whose psi departs from its parity label by more
+    than 1e-12 of max |psi|, or whose grid is not symmetric about x = 0.
     """
     spec = state.spec
     c = spec.constants
@@ -577,21 +585,24 @@ def momentum_transform(state: Eigenstate, p_grid=None,
                         > _PARITY_TOL * np.max(np.abs(psi))):
         raise ValueError(f"psi does not have the parity {state.parity!r} it is labelled with")
 
-    # the panels with centres c_j >= 0; the first one is centred on x = 0
-    # (and counted half, being its own mirror) when n_int = 2 mod 4
+    # p < 0 of a symmetric grid mirrors p > 0: phi(-p) = conj phi(p) for real psi
+    mid = len(q) // 2 if abs(q[0] + q[-1]) <= _UNIFORM_ULPS * np.finfo(float).eps * q_max else 0
+    q = q[mid:]
+    # the nodes x >= 0 as two rows at spacing 2h: panel ends x_e and centres
+    # x_e + h, from x_e = 0 (n_int = 0 mod 4) or x_e = -h, whose end is the
+    # mirror of a counted node; x = 0 is its own mirror and counts half
     lo = 2 * (n_int // 4)
-    centers = x[lo + 1:-1:2]
-    f_left, f_center, f_right = psi[lo:-2:2], psi[lo + 1:-1:2], psi[lo + 2::2]
-    slope = (f_right - f_left) / (2.0 * h)
-    curve = (f_right - 2.0 * f_center + f_left) / (2.0 * h * h)
-    rows = np.stack([f_center, slope, curve])
-    if n_int % 4:
-        rows[:, 0] *= 0.5
-
-    # the mirror panel at -c_j carries (sign f_center, -sign slope, sign curve)
-    sums = _panel_sums_chirp(q, centers, rows)
-    sums += np.array([[sign], [-sign], [sign]]) * sums.conj()
-    phi = (np.stack(_filon_moments(q, h)) * sums).sum(axis=0)
+    rows = np.stack([psi[lo:-1:2], psi[lo + 1::2]])
+    rows[:, 0] *= (0.0, 0.5) if n_int % 4 else (0.5, 1.0)
+    sums = _panel_sums_chirp(q, x[lo:-1:2], rows)
+    m0, m1, m2 = _filon_moments(q, h)
+    turn = np.exp(1.0j * q * h)
+    # Filon's node weights: R at a panel's right end, conj(R) at its left end
+    right = (m1 / (2.0 * h) + m2 / (2.0 * h * h)) * turn.conj()
+    node_sum = (2.0 * right.real * sums[0] + (m0 - m2 / (h * h)) * turn * sums[1]
+                + right * psi[-1] * np.exp(1.0j * q * x[-1]))
+    phi = node_sum + sign * node_sum.conj()
+    phi = np.concatenate([phi[::-1][:mid].conj(), phi])
     phi /= math.sqrt(2.0 * math.pi * c.hbar)
     return MomentumWavefunction(grid=p_grid, phi=phi,
                                 density=np.abs(phi) ** 2, hbar=c.hbar)

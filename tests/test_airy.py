@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy import special
 
 import wellprob as wp
-from wellprob.airy import _asym_neg, _asym_pos, _taylor
+from wellprob.airy import _asym_neg, _asym_pos, _taylor, modulus_phase
 
 
 # High-precision references (50-digit mpmath, rounded to double).  The
@@ -248,3 +249,15 @@ def test_anchor_series_against_mpmath():
                 env = np.hypot(ref[0], ref[1]), np.hypot(ref[2], ref[3])
                 err = np.abs(values[:, i] - ref) / np.repeat(env, 2)
             assert np.max(err) < bound, zi
+
+
+def test_modulus_phase_is_silent_and_finite_up_to_the_bi_bound():
+    # Bi^2 leaves the double range near z = 66, well below Bi's own bound:
+    # M^2 and N^2 may be inf there, but no warning and no NaN phase
+    z = np.linspace(-200.0, 100.0, 30001)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        m2, theta, n2, phi = modulus_phase(z, *wp.airy_eval_many(z))
+    assert np.all(np.isfinite(theta)) and np.all(np.isfinite(phi))
+    assert not np.any(np.isnan(m2)) and not np.any(np.isnan(n2))
+    assert np.isinf(m2[-1]) and np.all(np.diff(theta) >= 0.0)

@@ -28,6 +28,10 @@ def test_identical_trees_report_every_file_byte_identical(tmp_path: Path):
         assert run["exit"] == [0, 0] and run["stderr_equal"], case
         assert run["files"] and not run["only_old"] and not run["only_new"], case
     assert all(file["byte_identical"] for _, _, file in _files(report))
+    # residuals are noise on both sides: each side's peak, not their ratio
+    peaks = [file["column_drift"]["residual"] for _, _, file in _files(report)
+             if "residual" in file["column_drift"]]
+    assert peaks and all(p["old"] == p["new"] for p in peaks)
 
 
 def test_a_perturbed_constant_shows_as_drift(tmp_path: Path):
@@ -45,3 +49,6 @@ def test_a_perturbed_constant_shows_as_drift(tmp_path: Path):
     # rounding (the search window moved with it)
     assert abs(table["column_drift"]["energy_ref"] - 1e-4 / 10.105) < 1e-12
     assert table["column_drift"]["energy"] < 1e-14
+    # |energy - energy_ref| moved by the same 1e-4, quoted against the energy
+    # (about 10.105), not against the deviation itself
+    assert abs(table["column_drift"]["dev_energy"] - 1e-4 / 10.105) < 1e-9

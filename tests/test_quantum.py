@@ -637,8 +637,8 @@ def test_chirp_and_dense_paths_agree_on_default_grids(table1_levels):
     np.linspace(3.0, -2.0, 501),  # descending
     np.linspace(-1.3, 2.9, 777),  # offset, not symmetric
     [0.01 * k for k in range(256)],
-    # at n_grid = 12001, the 3000 panels with c_j >= 0 and 2198 momenta give
-    # 3000 + 2198 - 1 = 5197, a prime: the FFT length steps up to 5400
+    # at n_grid = 12001, the 3000 node pairs with x >= 0 and the 1099 momenta
+    # p > 0 give 3000 + 1099 - 1 = 4098 = 2 * 3 * 683: the FFT length steps up to 4320
     np.linspace(-2.0, 2.0, 2198),
 ])
 def test_transform_matches_dense_sums_on_any_grid(table1_levels, p_grid):
@@ -657,6 +657,20 @@ def test_transform_parity_is_exact(table1_levels, n_grid):
         part = wave.phi.imag if st.parity == "even" else wave.phi.real
         assert np.all(part == 0.0), st.parity
         assert np.max(np.abs(wave.phi)) > 0.1
+
+
+@pytest.mark.parametrize("n_grid", FOLD_GRIDS)
+@pytest.mark.parametrize("n_points", [1001, 1000])
+def test_transform_mirrors_the_upper_half_of_a_symmetric_grid(table1_levels, n_grid, n_points):
+    # with and without a p = 0 point: the lower half is the conjugate of the
+    # upper one, which is exactly what the upper half alone transforms to
+    for st in _parity_states(table1_levels, n_grid, [(1.0, 1, "even"), (1.0, 2, "odd")]):
+        grid = quantum.default_momentum_grid(st, n_points)
+        mid = n_points // 2
+        phi = wp.momentum_transform(st, p_grid=grid).phi
+        upper = wp.momentum_transform(st, p_grid=grid[mid:]).phi
+        assert np.array_equal(phi[mid:], upper)
+        assert np.array_equal(phi[:mid], upper[::-1][:mid].conj())
 
 
 def test_transform_rejects_mislabelled_parity(table1_states):
@@ -686,8 +700,8 @@ def test_smooth_length_is_smallest_5_smooth(n):
 
 
 def test_transform_fft_length_at_cli_defaults(table1_states, monkeypatch):
-    # 6000 panels, 3000 with c_j >= 0, and 4001 momenta: 3000 + 4001 - 1 = 7000,
-    # whose smallest 5-smooth cover is 7200 = 2^5 3^2 5^2
+    # 12001 nodes, two rows of 3000 with x >= 0, and the 2001 momenta p >= 0:
+    # 3000 + 2001 - 1 = 5000 = 2^3 5^4, already 5-smooth
     _, _, st = table1_states[0]
     calls = []
     fft = np.fft.fft
@@ -698,8 +712,8 @@ def test_transform_fft_length_at_cli_defaults(table1_states, monkeypatch):
 
     monkeypatch.setattr(np.fft, "fft", recorded)
     wp.momentum_transform(st, n_points=4001)
-    assert {n for _, n in calls} == {7200}
-    assert (3000, 7200) in calls
+    assert {n for _, n in calls} == {5000}
+    assert (3000, 5000) in calls
 
 
 def test_uniform_grid_detection_fixed_grids():

@@ -4,7 +4,10 @@ Runs one fixed matrix of CLI cases (``MATRIX``) in each of two source trees
 and compares every file the two runs wrote.  For each file the report
 says whether it is byte-identical, whether the header, the row count and
 the text cells are equal, and, for each numeric column, max |delta| /
-max |column| (the column as the older tree wrote it).  A ``key,value``
+max |column| (the column as the older tree wrote it).  A difference column
+``dev_X`` is scaled by max |X| instead, the quantity it is a difference
+of, and a ``residual`` column, noise on both sides, is reported as its
+max |column| in each tree: {"old": ..., "new": ...}.  A ``key,value``
 table is compared key by key, each key as a column of its own.
 
     python tools/drift.py --parent REV [--out drift.json]
@@ -49,6 +52,9 @@ MATRIX = {
                                         "task.e_max=20", "task.energy=15")),
     "momentum-25-10": ("momentum", (*_CC, "potential.a=25", "potential.v0=10",
                                     "task.energy=10.066")),
+    # an even n_points: a symmetric p grid with no p = 0 point
+    "momentum-25-10-even": ("momentum", (*_CC, "potential.a=25", "potential.v0=10",
+                                         "task.energy=10.066", "task.n_points=4000")),
     "momentum-25-2": ("momentum", (*_CC, "potential.a=25", "potential.v0=2",
                                    "task.energy=10.105")),
     "momentum-17-3": ("momentum", (*_CC, "potential.a=17", "potential.v0=3", *_SLOW,
@@ -110,16 +116,22 @@ def _number(cell: str):
         return None
 
 
-def _column_drift(old: list, new: list):
-    """max |new - old| / max |old| over a numeric column (NaN equal to NaN,
-    inf where only one side is NaN); None for a column with text."""
+def _peak(cells: list) -> float:
+    """max |cell| over the finite numbers of a column."""
+    numbers = (_number(cell) for cell in cells)
+    return max((abs(v) for v in numbers if v is not None and math.isfinite(v)), default=0.0)
+
+
+def _column_drift(old: list, new: list, scale_by: list):
+    """max |new - old| / max |scale_by| over a numeric column (NaN equal to
+    NaN, inf where only one side is NaN); None for a column with text."""
     pairs = [(_number(a), _number(b)) for a, b in zip(old, new)]
     if any(a is None or b is None for a, b in pairs):
         return None
     delta = max((0.0 if math.isnan(a) and math.isnan(b)
                  else math.inf if math.isnan(a) or math.isnan(b) else abs(b - a)
                  for a, b in pairs), default=0.0)
-    scale = max((abs(a) for a, _ in pairs if math.isfinite(a)), default=0.0)
+    scale = _peak(scale_by)
     return delta / scale if scale > 0.0 else delta
 
 
@@ -131,7 +143,11 @@ def compare_file(old: Path, new: Path) -> dict:
     for name in cols_a:
         if name not in cols_b or len(cols_a[name]) != len(cols_b[name]):
             continue
-        drift[name] = _column_drift(cols_a[name], cols_b[name])
+        if name == "residual":
+            drift[name] = {"old": _peak(cols_a[name]), "new": _peak(cols_b[name])}
+            continue
+        scale_by = cols_a.get(name.removeprefix("dev_"), cols_a[name])
+        drift[name] = _column_drift(cols_a[name], cols_b[name], scale_by)
         if drift[name] is None:
             text_equal &= cols_a[name] == cols_b[name]
     return {"byte_identical": a == b, "header_equal": header_a == header_b,
