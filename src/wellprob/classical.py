@@ -2,9 +2,9 @@
 
 The classical position density is 1/(tau v(x)) and the momentum density is
 the branch-summed 1/(T_CL |F(p)|), both normalized by construction.  Orbits
-are cycles of the constant-force arc of :mod:`wellprob.model` (no time
-stepping anywhere), and histogram masses come from the closed-form time
-CDFs of that arc.
+are cycles of the constant-force arc :class:`wellprob.model.ClassicalState`
+(no time stepping anywhere), and histogram masses come from the
+closed-form time CDFs of that arc.
 
 Measurement draws use the counter-based Philox generator keyed by the seed,
 so runs are reproducible across platforms.
@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import RegimeError, SupportError
-from .model import (PotentialKind, PotentialSpec, _arc, _Arc, classical_state,
+from .model import (ClassicalState, PotentialKind, PotentialSpec, classical_state,
                     evaluate_potential)
 
 # Fraction of the time on an arc that ends at rest (the bouncer apex) left
@@ -46,6 +46,8 @@ class DensityCurve:
     def __post_init__(self):
         if self.variable not in ("position", "momentum"):
             raise ValueError(f"unknown variable {self.variable!r}")
+        if not np.all(np.isfinite(self.grid)):
+            raise ValueError("grid must be finite")
         if np.any(np.diff(self.grid) <= 0):
             raise ValueError("grid must be strictly increasing")
         if np.any(self.values < 0):
@@ -105,21 +107,20 @@ def default_position_grid(spec: PotentialSpec, energy: float, n_points: int = 40
     the bouncer apex to the 1e-6 budget.  A well with a ramp takes an odd
     count (2 (n_points // 2) - 1), which puts its kink at x = 0 on a node.
     """
-    arc = _arc(spec, energy)
+    arc = classical_state(spec, energy)
     if arc.sides == 2 and arc.force > 0.0:
         n_points = 2 * max(n_points // 2, 2) - 1
     reach = 1.0 - _APEX_FRACTION if arc.p_out == 0.0 else 1.0
-    return _orbit(arc, np.linspace(0.0, reach * arc.sides * arc.duration, n_points))[0]
+    return _orbit(arc, np.linspace(0.0, reach * arc.tau, n_points))[0]
 
 
 def position_cdf(spec: PotentialSpec, energy: float, x):
     """Fraction of the classical period spent left of x:
     (sides - 1)/2 + sign(x) t(|x|)/tau, with t the time from 0 out to |x|."""
-    arc = _arc(spec, energy)
+    arc = classical_state(spec, energy)
     xa = np.asarray(x, dtype=float)
     t = arc.time_to(np.minimum(np.abs(xa), arc.x_out))
-    return np.clip((arc.sides - 1) / 2 + np.sign(xa) * t / (arc.sides * arc.duration),
-                   0.0, 1.0)[()]
+    return np.clip((arc.sides - 1) / 2 + np.sign(xa) * t / arc.tau, 0.0, 1.0)[()]
 
 
 def classical_position_density(spec: PotentialSpec, energy: float, grid=None,
@@ -139,7 +140,7 @@ def classical_position_density(spec: PotentialSpec, energy: float, grid=None,
     if np.any(grid < lo - 1e-12) or np.any(grid > hi + 1e-12):
         raise SupportError(f"grid leaves the allowed region [{lo}, {hi}]")
     singular = ()
-    if _arc(spec, energy).p_out == 0.0:  # the arc ends at rest: P_CL diverges there
+    if state.p_out == 0.0:  # the arc ends at rest: P_CL diverges there
         singular = (hi,)
         if np.any(grid >= hi):
             raise SupportError(
@@ -176,7 +177,7 @@ def classical_momentum_density(spec: PotentialSpec, energy: float, grid=None,
     :class:`RegimeError` (use :func:`momentum_delta_masses` or
     :func:`project_trajectory` instead).
     """
-    arc = _arc(spec, energy)
+    arc = classical_state(spec, energy)
     if arc.p_out == arc.p_plus:
         raise RegimeError(
             "the momentum band has zero width (the infinite well, or V0 below the rounding "
@@ -205,7 +206,7 @@ def momentum_delta_masses(spec: PotentialSpec, energy: float) -> list[tuple[floa
 # ---------------------------------------------------------------------------
 # orbits, histograms, sampling
 
-def _orbit(arc: _Arc, t):
+def _orbit(arc: ClassicalState, t):
     """(x, p) at times t after the orbit leaves the left end of its allowed
     region moving right.
 
@@ -228,7 +229,7 @@ def trajectory(spec: PotentialSpec, energy: float, t):
     Conventions: the bouncer launches upward from the floor at t = 0; the
     wells start at x = -a moving right.  Vectorized over t.
     """
-    x, p = _orbit(_arc(spec, energy), t)
+    x, p = _orbit(classical_state(spec, energy), t)
     return x[()], p[()]
 
 
@@ -236,7 +237,7 @@ def momentum_cdf(spec: PotentialSpec, energy: float, q):
     """Fraction of the classical period with momentum <= q: uniform on
     p_out <= |p| <= p_plus, or point masses at +-p_plus when that band has
     no width (each counted from its own q on)."""
-    arc = _arc(spec, energy)
+    arc = classical_state(spec, energy)
     qa = np.asarray(q, dtype=float)
     r = np.abs(qa)
     width = arc.p_plus - arc.p_out

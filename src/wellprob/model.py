@@ -14,7 +14,8 @@ constant force F toward x = 0.  An arc leaves x = 0 with |p| = p_plus and
 reaches |x| = x_out with |p| = p_out, on one side of x = 0 (the bouncer:
 F = m g, x_out = E/F, p_out = 0) or on both (the closed court: F = V0/a,
 x_out = a, p_out = sqrt(2m(E - V0)); the infinite well is its F = 0 case,
-p_out = p_plus).  Every classical quantity is derived from that one arc.
+p_out = p_plus).  :class:`ClassicalState` is that arc, and every classical
+quantity is derived from it.
 
 All quantities are in scaled units; the default constants are
 hbar = 2m = 1, which is the convention required to reproduce the reference
@@ -26,7 +27,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
 
 import numpy as np
 
@@ -95,11 +95,17 @@ def closed_court(a: float, v0: float, hbar: float = 1.0, mass: float = 0.5) -> P
     return PotentialSpec(PotentialKind.CLOSED_COURT, Constants(hbar=hbar, mass=mass), a=a, v0=v0)
 
 
-class _Arc(NamedTuple):
-    """An orbit's arc: from x = 0, |p| = p_plus, out to |x| = x_out, |p| = p_out,
-    under a force ``force`` toward x = 0, on ``sides`` sides; ``time_to(x_out)``
-    equals ``duration`` bit for bit, so the position CDF ends at exactly 0 and 1."""
+@dataclass(frozen=True)
+class ClassicalState:
+    """One classical orbit at ``energy``: its arc, as the module docstring lists it.
 
+    ``time_to(x_out)`` equals ``duration`` bit for bit, so the position CDF
+    ends at exactly 0 and 1.  ``tau`` is the half-period, ``sides`` arcs;
+    ``p_minus`` is p_out, but 0 for the infinite well (F = 0);
+    ``turning_points`` are the ends of the allowed region.
+    """
+
+    energy: float
     mass: float
     force: float
     sides: int
@@ -116,42 +122,25 @@ class _Arc(NamedTuple):
         p = np.sqrt(self.p_out ** 2 + 2.0 * self.mass * self.force * (self.x_out - r))
         return 2.0 * self.mass * r / (self.p_plus + p)
 
-
-def _arc(spec: PotentialSpec, energy: float) -> _Arc:
-    """The orbit's arc at ``energy``, as the module docstring lists it."""
-    check_energy(spec, energy)
-    c = spec.constants
-    p_plus = math.sqrt(2.0 * c.mass * energy)
-    if spec.kind is PotentialKind.BOUNCER:
-        return _Arc(c.mass, c.mass * c.g, 1, energy / (c.mass * c.g), p_plus, 0.0)
-    return _Arc(c.mass, spec.v0 / spec.a, 2, spec.a, p_plus,
-                math.sqrt(2.0 * c.mass * (energy - spec.v0)))
-
-
-@dataclass(frozen=True)
-class ClassicalState:
-    """Energy bookkeeping for one classical orbit.
-
-    ``p_plus`` is |p| at x = 0 and ``p_minus`` |p| at the ends of an arc (0
-    for the bouncer's apex; the infinite well, whose arcs keep |p| = p_plus,
-    reports 0 too), ``tau`` the one-way traversal time (half-period): one arc
-    for the bouncer, two for a well.  ``turning_points`` are the endpoints of
-    the allowed region.
-    """
-
-    energy: float
-    p_minus: float
-    p_plus: float
-    tau: float
-    turning_points: tuple[float, float]
+    @property
+    def tau(self) -> float:
+        return self.sides * self.duration
 
     @property
     def period(self) -> float:
         return 2.0 * self.tau
 
     @property
+    def p_minus(self) -> float:
+        return self.p_out if self.force > 0.0 else 0.0
+
+    @property
     def delta_p(self) -> float:
         return self.p_plus - self.p_minus
+
+    @property
+    def turning_points(self) -> tuple[float, float]:
+        return (-self.x_out if self.sides == 2 else 0.0, self.x_out)
 
 
 def evaluate_potential(spec: PotentialSpec, x):
@@ -183,13 +172,17 @@ def check_energy(spec: PotentialSpec, energy: float) -> None:
 
 
 def classical_state(spec: PotentialSpec, energy: float) -> ClassicalState:
-    """Turning points, momentum bounds, and half-period at a given energy.
+    """The orbit's arc at ``energy``, as the module docstring lists it.
 
     tau = sqrt(m/2) int dx / sqrt(E - V(x)) is ``sides`` arcs of
     2 m x_out / (p_plus + p_out) each, with no division by F: the closed
     court tends to the infinite well's 2 a sqrt(m/(2E)) as V0 -> 0.
     """
-    arc = _arc(spec, energy)
-    return ClassicalState(energy=energy, p_minus=arc.p_out if arc.force > 0.0 else 0.0,
-                          p_plus=arc.p_plus, tau=arc.sides * arc.duration,
-                          turning_points=(-arc.x_out if arc.sides == 2 else 0.0, arc.x_out))
+    check_energy(spec, energy)
+    c = spec.constants
+    p_plus = math.sqrt(2.0 * c.mass * energy)
+    if spec.kind is PotentialKind.BOUNCER:
+        return ClassicalState(energy, c.mass, c.mass * c.g, 1, energy / (c.mass * c.g),
+                              p_plus, 0.0)
+    return ClassicalState(energy, c.mass, spec.v0 / spec.a, 2, spec.a, p_plus,
+                          math.sqrt(2.0 * c.mass * (energy - spec.v0)))

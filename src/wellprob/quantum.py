@@ -16,10 +16,10 @@ and states are closed forms.
 Momentum-space wavefunctions come from the +i kernel Fourier transform
 phi(p) = (2 pi hbar)^(-1/2) int psi(x) exp(+i p x / hbar) dx, evaluated
 with a piecewise-quadratic Filon rule whose accuracy is independent of p,
-in node form: a weighted sum of psi at the grid nodes.  Every eigenstate
-has a definite parity, so the sum needs only the nodes x >= 0; the mirror
-half is their complex conjugate.  psi is real, so phi(-p) = conj phi(p),
-and a p grid symmetric about 0 is transformed on its p >= 0 half only.
+in node form: a weighted sum of psi at the grid nodes.  An eigenstate is
+its x >= 0 half mirrored by parity, so the sum needs only the nodes x >= 0;
+the mirror half is their complex conjugate.  psi is real, so phi(-p) =
+conj phi(p), and a p grid symmetric about 0 is transformed on p >= 0 only.
 The momenta must be evenly spaced: the node sums at M momenta are then one
 chirp-z (Bluestein) transform at a 5-smooth FFT length,
 O((N + M) log(N + M)).
@@ -28,7 +28,7 @@ O((N + M) log(N + M)).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,7 +46,6 @@ _MAX_LEVELS = 100_000  # levels one solve may face, both parities
 _UNIFORM_ULPS = 8.0  # tolerance of the uniform-p test, in ulps of max |p|
 _SUBNORMAL_ULPS = 32.0  # its floor, in subnormal ulps per point; see _is_uniform
 _BLOCK_REACH = 0.75  # largest sqrt(|z|) |t| of an eigenstate block, as of an Airy anchor's
-_PARITY_TOL = 1e-12  # max |psi(x) - parity psi(-x)| / max |psi| the transform accepts
 
 
 class SkippedRootWarning(UserWarning):
@@ -72,12 +71,29 @@ class AiryScales:
 
 @dataclass(frozen=True)
 class Eigenstate:
+    """A state of a symmetric well, given by ``half``, its psi at the nodes
+    x >= 0 of ``grid`` = linspace(-a, a, 2 len(half) - 1).  ``psi`` is the
+    half mirrored by the parity label, so the state has that parity by
+    construction (psi(0) is half[0], as the builder gives it), and ``half``
+    is then a view of ``psi``.  ValueError for a label other than even |
+    odd, or a ``half`` that is not 1-D with at least 2 points."""
+
     parity: str  # "even" | "odd"
     index: int
     energy: float
-    grid: np.ndarray
-    psi: np.ndarray
+    half: np.ndarray
     spec: PotentialSpec
+    grid: np.ndarray = field(init=False)
+    psi: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        odd, half = _is_odd(self.parity), np.asarray(self.half, dtype=float)
+        if half.ndim != 1 or len(half) < 2:
+            raise ValueError(f"half must be 1-D with at least 2 points, got shape {half.shape}")
+        psi = np.concatenate([(-half if odd else half)[:0:-1], half])
+        object.__setattr__(self, "grid", np.linspace(-self.spec.a, self.spec.a, len(psi)))
+        object.__setattr__(self, "psi", psi)
+        object.__setattr__(self, "half", psi[len(half) - 1:])
 
 
 @dataclass(frozen=True)
@@ -329,8 +345,8 @@ def eigenstate_closed_court(spec: PotentialSpec, energy: float, parity: str,
 
     z = (|x| - sigma) / rho depends on |x| only, so psi is built on the
     x >= 0 half, from exactly 0 (linspace may leave ~1e-15 at the centre)
-    to the wall, and mirrored by parity.  The half grid is cut into blocks
-    of ``block`` points, each spanning sqrt(|z|) |t| <= 0.75 in z (|z|
+    to the wall: the state's ``half``, n_grid // 2 + 1 points, cut into
+    blocks of ``block`` points, each spanning sqrt(|z|) |t| <= 0.75 in z (|z|
     taken as at least 1), the bound of the Airy anchors' series (see
     :mod:`wellprob.airy`), so their error analysis carries over.  One Airy call on the block starts and the
     wall gives psi and dpsi/dz at every start and the residual; each
@@ -343,19 +359,17 @@ def eigenstate_closed_court(spec: PotentialSpec, energy: float, parity: str,
     _require_closed_court(spec)
     if not math.isfinite(energy):
         raise ValueError(f"energy must be finite, got {energy!r}")
-    if n_grid % 2 == 0:
-        n_grid += 1  # Simpson normalization needs an even interval count
     odd = _is_odd(parity)
     scales = AiryScales.from_spec(spec, energy)
-    x = np.linspace(-spec.a, spec.a, n_grid)
     n_half = n_grid // 2 + 1
+    x = np.linspace(-spec.a, spec.a, 2 * n_half - 1)[n_half - 1:]
     # linspace's own step: x[1] - x[0] is off by up to ulp(a), 4e-13 of it at a = 12
-    h = 2.0 * spec.a / (n_grid - 1)
+    h = spec.a / (n_half - 1)
     dz = h / scales.rho
     z_far = max(1.0, abs(scales.sigma) / scales.rho, abs(spec.a - scales.sigma) / scales.rho)
     block = max(1, int(_BLOCK_REACH / (math.sqrt(z_far) * dz)))
     # the block starts, then the wall
-    z = (np.concatenate([[0.0], x[n_grid // 2 + block::block], x[-1:]])
+    z = (np.concatenate([[0.0], x[block::block], x[-1:]])
          - scales.sigma) / scales.rho
     vals = airy_eval_many(z)
     _, theta, _, phi = modulus_phase(z[[0, -1]], *(v[[0, -1]] for v in vals))
@@ -368,39 +382,40 @@ def eigenstate_closed_court(spec: PotentialSpec, energy: float, parity: str,
     ca, cb = (bi[0], ai[0]) if odd else (bip[0], aip[0])
     coef = _local_series(z[:-1], ca * ai - cb * bi, ca * aip - cb * bip)[:, :len(ai)]
     powers = np.vander(dz * np.arange(block), _TAYLOR_DEGREE + 1, increasing=True)
-    psi = (powers @ coef).T.ravel()[:n_half]
-    psi = np.concatenate([(-psi if odd else psi)[:0:-1], psi])
-    psi = psi / math.sqrt(_simpson_uniform(psi ** 2, h))
-    return Eigenstate(parity=parity, index=index, energy=float(energy),
-                      grid=x, psi=psi, spec=spec)
+    half = (powers @ coef).T.ravel()[:n_half]
+    sq = half ** 2  # |psi|^2 is even whatever the parity
+    half = half / math.sqrt(_simpson_uniform(np.concatenate([sq[:0:-1], sq]), h))
+    return Eigenstate(parity=parity, index=index, energy=float(energy), half=half, spec=spec)
+
+
+def _well_mode(n: int, parity: str) -> float:
+    """k a / pi of infinite-well state n: n (odd) or n - 1/2 (even)."""
+    if not (n >= 1 and float(n).is_integer()):
+        raise ValueError(f"state index n must be >= 1 and integral, got {n!r}")
+    return float(n) if _is_odd(parity) else n - 0.5
 
 
 def infinite_well_energy(spec: PotentialSpec, n: int, parity: str) -> float:
     """E = hbar^2 k^2 / 2m with k = (n - 1/2) pi / a (even) or n pi / a (odd).
 
-    ValueError for n < 1 or a parity label other than even | odd.
+    ValueError unless n is an integer >= 1 and the parity even | odd.
     """
-    if n < 1:
-        raise ValueError(f"state index n must be >= 1, got {n!r}")
     c = spec.constants
-    k = (float(n) if _is_odd(parity) else n - 0.5) * math.pi / spec.a
+    k = _well_mode(n, parity) * math.pi / spec.a
     return (c.hbar * k) ** 2 / (2.0 * c.mass)
 
 
 def eigenstate_infinite_well(spec: PotentialSpec, n: int, parity: str,
                              n_grid: int = 12001) -> Eigenstate:
-    """Analytic infinite-well eigenstate of the given parity (n >= 1)."""
+    """Analytic infinite-well eigenstate, evaluated on the x >= 0 half of its grid."""
     if spec.kind is not PotentialKind.INFINITE_WELL:
         raise RegimeError("eigenstate_infinite_well needs an infinite-well spec")
-    energy = infinite_well_energy(spec, n, parity)  # rejects n < 1 and unknown labels
-    if n_grid % 2 == 0:
-        n_grid += 1
-    x = np.linspace(-spec.a, spec.a, n_grid)
-    if _is_odd(parity):
-        psi = np.sin(n * math.pi * x / spec.a) / math.sqrt(spec.a)
-    else:
-        psi = np.cos((n - 0.5) * math.pi * x / spec.a) / math.sqrt(spec.a)
-    return Eigenstate(parity=parity, index=n, energy=energy, grid=x, psi=psi, spec=spec)
+    energy = infinite_well_energy(spec, n, parity)  # rejects a bad n or label
+    n_half = n_grid // 2 + 1
+    x = np.linspace(-spec.a, spec.a, 2 * n_half - 1)[n_half - 1:]
+    wave = np.sin if _is_odd(parity) else np.cos
+    half = wave(_well_mode(n, parity) * math.pi * x / spec.a) / math.sqrt(spec.a)
+    return Eigenstate(parity=parity, index=n, energy=energy, half=half, spec=spec)
 
 
 def position_density(state: Eigenstate) -> DensityCurve:
@@ -413,7 +428,9 @@ def position_density(state: Eigenstate) -> DensityCurve:
 # momentum space
 
 def infinite_well_momentum(spec: PotentialSpec, n: int, parity: str, p) -> np.ndarray:
-    """Closed-form infinite-well momentum wavefunction (two shifted sincs)."""
+    """Closed-form infinite-well momentum wavefunction (two shifted sincs);
+    ValueError unless n is an integer >= 1 and the parity even | odd."""
+    big = _well_mode(n, parity) * math.pi
     c = spec.constants
     y = spec.a * np.asarray(p, dtype=float) / c.hbar
     pref = math.sqrt(spec.a / (2.0 * math.pi * c.hbar))
@@ -422,9 +439,7 @@ def infinite_well_momentum(spec: PotentialSpec, n: int, parity: str, p) -> np.nd
         return np.sinc(u / math.pi)
 
     if parity == "even":
-        big = (n - 0.5) * math.pi
         return pref * (sinxx(big - y) + sinxx(big + y)) + 0.0j
-    big = n * math.pi
     return 1.0j * pref * (sinxx(big - y) - sinxx(big + y))
 
 
@@ -532,11 +547,11 @@ def momentum_transform(state: Eigenstate, p_grid=None,
     M_j the panel moments int_{-h}^{h} s^j exp(i q s) ds, the weight
     M0 - M2/h^2 at each panel centre, R = (M1/2h + M2/2h^2) exp(-i q h) at
     the wall x = a, conj(R) at x = -a and 2 Re R at every interior panel
-    end.  The weights are real in the interior and psi is real with parity
-    s = +-1, so the full sum is S + s conj(S), with S over the nodes
-    x >= 0 alone (x = 0 counted half) plus the wall term: phi is exactly
-    real for even states and exactly imaginary for odd ones.  Those nodes
-    form two rows at spacing 2h, panel ends and panel centres, and S needs
+    end.  The weights are real in the interior and psi, its ``half``
+    mirrored, has the parity s = +-1 of its label, so the full sum is
+    S + s conj(S), with S over the nodes x >= 0 alone (x = 0 counted half)
+    plus the wall term: phi is exactly real for even states and exactly
+    imaginary for odd ones.  Those nodes form two rows at spacing 2h, panel ends and panel centres, and S needs
     their sums at every momentum: one chirp-z transform of both rows.  For
     real psi, phi(-p) = conj phi(p), so on a p grid symmetric about 0
     (within 8 ulps of max |p|) only the half p >= 0 is transformed and the
@@ -545,9 +560,7 @@ def momentum_transform(state: Eigenstate, p_grid=None,
     O((N + M) log(N + M)) time and O(N + M) memory (5000 long, about 2 ms
     and 0.8 MB at the CLI defaults, 6000 panels and 4001 momenta).  So
     ``p_grid`` must be evenly spaced (the default one, any ``np.linspace``,
-    a single point, in either direction); any other grid raises ValueError,
-    and so does a state whose psi departs from its parity label by more
-    than 1e-12 of max |psi|, or whose grid is not symmetric about x = 0.
+    a single point, in either direction); any other grid raises ValueError.
     """
     spec = state.spec
     c = spec.constants
@@ -563,37 +576,27 @@ def momentum_transform(state: Eigenstate, p_grid=None,
     q = p_grid / c.hbar
     if not _is_uniform(q):
         raise ValueError("p_grid must be evenly spaced")
-    x = state.grid
-    h = _step(x)  # the exact step of a linspace; x[1] - x[0] is off by up to ulp(x)
-    if not np.allclose(np.diff(x), h, rtol=1e-9) or x[0] != -x[-1]:
-        raise ValueError("momentum_transform requires a uniform position grid "
-                         "symmetric about x = 0")
-    n_int = len(x) - 1
+    n = len(state.half) - 1  # intervals on x >= 0
+    h = spec.a / n  # the exact step of a linspace; x[1] - x[0] is off by up to ulp(x)
     q_max = float(np.max(np.abs(p_grid))) / c.hbar
-    oscillations = q_max * (x[-1] - x[0]) / (2.0 * math.pi)
+    oscillations = q_max * spec.a / math.pi  # across the well, 2a wide
     n_required = int(math.ceil(20.0 * oscillations))
-    if n_int < n_required:
+    if 2 * n < n_required:
         raise ResolutionError(
             f"position grid too coarse for |p| up to {q_max * c.hbar:.4g}: "
-            f"{n_int} intervals < {n_required} (20 panels per oscillation)")
-    if n_int % 2:
-        raise ValueError("position grid must have an even number of intervals")
+            f"{2 * n} intervals < {n_required} (20 panels per oscillation)")
 
-    psi = state.psi.astype(float)
-    sign = {"even": 1.0, "odd": -1.0}.get(state.parity)
-    if sign is None or (np.max(np.abs(psi - sign * psi[::-1]))
-                        > _PARITY_TOL * np.max(np.abs(psi))):
-        raise ValueError(f"psi does not have the parity {state.parity!r} it is labelled with")
-
+    sign = -1.0 if state.parity == "odd" else 1.0
     # p < 0 of a symmetric grid mirrors p > 0: phi(-p) = conj phi(p) for real psi
     mid = len(q) // 2 if abs(q[0] + q[-1]) <= _UNIFORM_ULPS * np.finfo(float).eps * q_max else 0
     q = q[mid:]
     # the nodes x >= 0 as two rows at spacing 2h: panel ends x_e and centres
-    # x_e + h, from x_e = 0 (n_int = 0 mod 4) or x_e = -h, whose end is the
+    # x_e + h, from x_e = 0 (n even) or x_e = -h (n odd), whose end is the
     # mirror of a counted node; x = 0 is its own mirror and counts half
-    lo = 2 * (n_int // 4)
+    psi, x = state.psi, state.grid
+    lo = n - n % 2
     rows = np.stack([psi[lo:-1:2], psi[lo + 1::2]])
-    rows[:, 0] *= (0.0, 0.5) if n_int % 4 else (0.5, 1.0)
+    rows[:, 0] *= (0.0, 0.5) if n % 2 else (0.5, 1.0)
     sums = _panel_sums_chirp(q, x[lo:-1:2], rows)
     m0, m1, m2 = _filon_moments(q, h)
     turn = np.exp(1.0j * q * h)

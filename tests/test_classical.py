@@ -125,6 +125,16 @@ def test_position_density_support_errors():
     assert d.omitted_mass > 0.0
 
 
+def test_densities_reject_non_finite_grid_points():
+    # NaN passed both the support check and the diff <= 0 check: the position
+    # density came out NaN and the momentum density 0 (an infinite momentum too)
+    with pytest.raises(ValueError, match="finite"):
+        wp.classical_position_density(CC10, 10.066, grid=[0.0, math.nan])
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            wp.classical_momentum_density(CC10, 10.066, grid=[0.1, bad])
+
+
 def test_position_cdf_endpoints_and_symmetry():
     assert position_cdf(CC10, 10.066, -25.0) == 0.0
     assert position_cdf(CC10, 10.066, 25.0) == 1.0

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import time
 import tracemalloc
@@ -8,6 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.optimize import brentq
 
 import wellprob as wp
@@ -505,14 +505,19 @@ def test_infinite_well_states():
 
 
 @pytest.mark.parametrize("n, parity", [(1, "evn"), (1, "Even"), (1, "both"), (0, "even"),
-                                       (-2, "odd")])
+                                       (-2, "odd"), (1.5, "even"), (2.25, "odd"),
+                                       (math.nan, "odd"), (math.inf, "even")])
 def test_infinite_well_rejects_bad_index_and_parity(n, parity):
-    # "evn" once gave the odd energy 0.01579 and n = 0 gave 0.00395
-    match = "parity" if n >= 1 else "n must be >= 1"
+    # "evn" once gave the odd energy 0.01579 and n = 0 gave 0.00395; n = 1.5
+    # with "even" gave cos(pi x / a), psi(+-a) = -0.2, at the odd ground
+    # state's energy, labelled index 1.5
+    match = "parity" if n >= 1 and float(n).is_integer() else "n must be >= 1"
     with pytest.raises(ValueError, match=match):
         wp.infinite_well_energy(IW, n, parity)
     with pytest.raises(ValueError, match=match):
         wp.eigenstate_infinite_well(IW, n, parity, n_grid=101)
+    with pytest.raises(ValueError, match=match):  # "both" once gave the odd state's phi
+        wp.infinite_well_momentum(IW, n, parity, [0.0, 0.3])
 
 
 # ---------------------------------------------------------------------------
@@ -673,12 +678,25 @@ def test_transform_mirrors_the_upper_half_of_a_symmetric_grid(table1_levels, n_g
         assert np.array_equal(phi[:mid], upper[::-1][:mid].conj())
 
 
-def test_transform_rejects_mislabelled_parity(table1_states):
-    _, _, odd = table1_states[0]
-    even = wp.eigenstate_infinite_well(IW, 1, "even", n_grid=2001)
-    for st, label in ((even, "odd"), (odd, "even"), (even, "both")):
-        with pytest.raises(ValueError, match=label):
-            wp.momentum_transform(dataclasses.replace(st, parity=label))
+@settings(max_examples=200, deadline=None)
+@given(half=hnp.arrays(float, st.integers(2, 200), elements=st.floats(-1e3, 1e3)),
+       parity=st.sampled_from(["even", "odd"]), a=st.floats(0.5, 50.0))
+def test_eigenstate_is_its_half_mirrored_by_parity(half, parity, a):
+    # the state cannot disagree with its parity label, so the transform
+    # folds by the label with no check; an odd state's builder gives psi(0) = 0
+    if parity == "odd":
+        half[0] = 0.0
+    spec = wp.infinite_well(a)
+    state = wp.Eigenstate(parity=parity, index=1, energy=1.0, half=half, spec=spec)
+    n = len(half)
+    sign = -1.0 if parity == "odd" else 1.0
+    assert np.array_equal(state.psi, sign * state.psi[::-1])
+    assert np.array_equal(state.psi[n - 1:], half)
+    assert len(state.grid) == 2 * n - 1
+    assert state.grid[0] == -a and state.grid[-1] == a
+    for label, bad in (("both", half), (parity, np.stack([half, half])), (parity, half[:1])):
+        with pytest.raises(ValueError):
+            wp.Eigenstate(parity=label, index=1, energy=1.0, half=bad, spec=spec)
 
 
 def _is_5_smooth(v):

@@ -50,11 +50,15 @@ MATRIX = {
                                        "task.e_max=9", "task.index=5", "task.parity=odd")),
     "eigensolve-40-12": ("eigensolve", (*_CC, "potential.a=40", "potential.v0=12", *_SLOW,
                                         "task.e_max=20", "task.energy=15")),
+    "eigensolve-infinite-well": ("eigensolve", (*_IW, "task.index=3", "task.parity=odd")),
     "momentum-25-10": ("momentum", (*_CC, "potential.a=25", "potential.v0=10",
                                     "task.energy=10.066")),
     # an even n_points: a symmetric p grid with no p = 0 point
     "momentum-25-10-even": ("momentum", (*_CC, "potential.a=25", "potential.v0=10",
                                          "task.energy=10.066", "task.n_points=4000")),
+    # n_grid = 6003: 3001 intervals on x >= 0, so x = 0 is a panel centre
+    "momentum-25-10-6003": ("momentum", (*_CC, "potential.a=25", "potential.v0=10",
+                                         "task.energy=10.066", "task.n_grid=6003")),
     "momentum-25-2": ("momentum", (*_CC, "potential.a=25", "potential.v0=2",
                                    "task.energy=10.105")),
     "momentum-17-3": ("momentum", (*_CC, "potential.a=17", "potential.v0=3", *_SLOW,
