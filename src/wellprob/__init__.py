@@ -17,7 +17,7 @@ from .quantum import (AiryScales, EigenLevel, Eigenstate, MomentumWavefunction,
                       eigenstate_closed_court, eigenstate_infinite_well,
                       eigenvalues_closed_court, infinite_well_energy,
                       infinite_well_momentum, momentum_transform, nearest_level,
-                      position_density, spectrum)
+                      spectrum)
 
 __all__ = [
     "AiryOverflowError", "AiryScales", "ClassicalState",
@@ -31,6 +31,6 @@ __all__ = [
     "eigenvalues_closed_court", "evaluate_potential",
     "infinite_well", "infinite_well_energy", "infinite_well_momentum",
     "measurement_histogram", "momentum_delta_masses", "momentum_support_mass",
-    "momentum_transform", "nearest_level", "plateau_height", "position_density",
-    "project_trajectory", "sample_measurements", "spectrum", "trajectory", "v0_sweep",
+    "momentum_transform", "nearest_level", "plateau_height", "project_trajectory",
+    "sample_measurements", "spectrum", "trajectory", "v0_sweep",
 ]

@@ -96,8 +96,9 @@ def _e_max(cfg: RunConfig) -> float:
 
 
 def _select_state(cfg: RunConfig, spec: PotentialSpec, levels: list[EigenLevel] | None = None
-                  ) -> tuple[EigenLevel, Eigenstate] | None:
-    """The eigenlevel and normalized eigenstate named by the task options.
+                  ) -> Eigenstate | None:
+    """The normalized eigenstate named by the task options, which carries
+    its level's energy, parity, index, residual and quantum number.
 
     Infinite-well states are named by task.index and task.parity, closed-court
     states by task.energy (the nearest level).  ``levels`` is the eigensolve
@@ -113,9 +114,7 @@ def _select_state(cfg: RunConfig, spec: PotentialSpec, levels: list[EigenLevel] 
     if spec.kind is PotentialKind.INFINITE_WELL:
         if not by_index:
             raise ConfigError("infinite well needs task.index and task.parity=even|odd")
-        state = eigenstate_infinite_well(spec, t.index, t.parity, n_grid=t.n_grid)
-        n = 2 * t.index - (t.parity == "even")
-        return EigenLevel(state.energy, t.parity, t.index, residual=0.0, n=n), state
+        return eigenstate_infinite_well(spec, t.index, t.parity, n_grid=t.n_grid)
     if spec.kind is not PotentialKind.CLOSED_COURT:
         raise ConfigError("no quantum states for this potential kind in this artifact")
     if levels is not None and by_index:
@@ -128,8 +127,8 @@ def _select_state(cfg: RunConfig, spec: PotentialSpec, levels: list[EigenLevel] 
     else:
         raise ConfigError("closed court needs task.energy, or task.index with "
                           "task.parity=even|odd in eigensolve, to select a state")
-    return level, eigenstate_closed_court(spec, level.energy, level.parity,
-                                          n_grid=t.n_grid, index=level.index)
+    return eigenstate_closed_court(spec, level.energy, level.parity,
+                                   n_grid=t.n_grid, index=level.index)
 
 
 def _write_histograms(out: Path, prefix: str, spec: PotentialSpec, energy: float,
@@ -187,15 +186,14 @@ def cmd_eigensolve(cfg: RunConfig) -> list[Path]:
         raise ConfigError("eigensolve supports the well potentials only")
     parity = cfg.task.parity
     levels = [lv for lv in spectrum(spec, _e_max(cfg)) if parity in ("both", lv.parity)]
-    selected = _select_state(cfg, spec, levels)
+    state = _select_state(cfg, spec, levels)
     out = _outdir(cfg)
     written = [_write_csv(out / "eigenvalues.csv",
                           ("index", "parity", "energy", "residual", "n"),
                           ([lv.index for lv in levels], [lv.parity for lv in levels],
                            [lv.energy for lv in levels], [lv.residual for lv in levels],
                            [lv.n for lv in levels]))]
-    if selected is not None:
-        state = selected[1]
+    if state is not None:
         written.append(_write_csv(out / "wavefunction.csv", ("x", "psi", "density"),
                                   (state.grid, state.psi, state.psi ** 2)))
     return written
@@ -204,21 +202,21 @@ def cmd_eigensolve(cfg: RunConfig) -> list[Path]:
 def cmd_momentum(cfg: RunConfig) -> list[Path]:
     spec = cfg.spec()
     out = _outdir(cfg)
-    level, state = _select_state(cfg, spec)
+    state = _select_state(cfg, spec)
     wave = momentum_transform(state, n_points=cfg.task.n_points)
     written = []
     if spec.kind is PotentialKind.CLOSED_COURT:
-        overlay = classical_momentum_density(spec, level.energy, grid=wave.grid).values
+        overlay = classical_momentum_density(spec, state.energy, grid=wave.grid).values
     else:
         overlay = np.zeros_like(wave.grid)
         written.append(_write_csv(out / "classical_momentum_delta.csv", ("p", "mass"),
-                                  list(zip(*momentum_delta_masses(spec, level.energy)))))
+                                  list(zip(*momentum_delta_masses(spec, state.energy)))))
     written.insert(0, _write_csv(
         out / "momentum_wavefunction.csv",
         ("p", "phi_re", "phi_im", "density", "classical_density"),
         (wave.grid, wave.phi.real, wave.phi.imag, wave.density, overlay)))
-    meta = [("energy", level.energy), ("parity", level.parity), ("index", level.index),
-            ("residual", level.residual), ("hbar", spec.constants.hbar), ("n", level.n)]
+    meta = [("energy", state.energy), ("parity", state.parity), ("index", state.index),
+            ("residual", state.residual), ("hbar", spec.constants.hbar), ("n", state.n)]
     written.append(_write_csv(out / "momentum_meta.csv", ("key", "value"),
                               list(zip(*meta))))
     return written

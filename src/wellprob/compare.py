@@ -18,7 +18,7 @@ delta_p <= 2 hbar/a as unreliable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .classical import classical_position_density
 from .errors import NumericalError, RegimeError, SupportError
 from .model import ClassicalState, PotentialSpec, classical_state, closed_court
 from .quantum import (EigenLevel, MomentumWavefunction, eigenstate_closed_court,
-                      momentum_transform, nearest_level, position_density)
+                      momentum_transform, nearest_level)
 
 # delta_p at or below this multiple of hbar/a marks the classical band as
 # unresolvable against the intrinsic momentum width.
@@ -93,8 +93,7 @@ def compare_state(spec: PotentialSpec, level_energy: float, parity: str,
         raise SupportError("window leaves no interior to compare on")
     inside = (pcl.grid >= window - spec.a) & (pcl.grid <= spec.a - window)
     interior, cl = pcl.grid[inside], pcl.values[inside]
-    pqm = position_density(eigen)
-    avg_qm = moving_average(pqm.grid, pqm.values, window, interior)
+    avg_qm = moving_average(eigen.grid, eigen.psi ** 2, window, interior)
     gap = math.sqrt(float(np.trapezoid((avg_qm - cl) ** 2, interior))
                     / float(np.trapezoid(cl ** 2, interior)))
     phi = momentum_transform(eigen)
@@ -104,7 +103,7 @@ def compare_state(spec: PotentialSpec, level_energy: float, parity: str,
         energy=level_energy, window=window, l2_gap_position=gap,
         support_mass_momentum=frac, delta_p_classical=state.delta_p,
         delta_p_intrinsic=dp_int, classical_unreliable=state.delta_p <= _BREAKDOWN_FACTOR * dp_int,
-        parity=parity, index=index)
+        parity=eigen.parity, index=eigen.index, n=eigen.n)
 
 
 def _flagged(flag: str, dp_int: float, level: EigenLevel | None = None) -> ComparisonReport:
@@ -142,8 +141,7 @@ def v0_sweep(a: float, hbar: float, mass: float, e_target: float,
                 hbar / a, level))
             continue
         try:
-            reports.append(replace(compare_state(spec, level.energy, level.parity, level.index),
-                                   n=level.n))
+            reports.append(compare_state(spec, level.energy, level.parity, level.index))
         except SupportError as exc:
             reports.append(_flagged(f"window-exceeds-well: {exc}", hbar / a, level))
     return reports

@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .airy import _TAYLOR_DEGREE, Z_MAX, _local_series, airy_eval_many, modulus_phase
-from .classical import DensityCurve
 from .errors import NumericalError, RegimeError, ResolutionError
 from .model import PotentialKind, PotentialSpec
 
@@ -70,33 +69,6 @@ class AiryScales:
 
 
 @dataclass(frozen=True)
-class Eigenstate:
-    """A state of a symmetric well, given by ``half``, its psi at the nodes
-    x >= 0 of ``grid`` = linspace(-a, a, 2 len(half) - 1).  ``psi`` is the
-    half mirrored by the parity label, so the state has that parity by
-    construction (psi(0) is half[0], as the builder gives it), and ``half``
-    is then a view of ``psi``.  ValueError for a label other than even |
-    odd, or a ``half`` that is not 1-D with at least 2 points."""
-
-    parity: str  # "even" | "odd"
-    index: int
-    energy: float
-    half: np.ndarray
-    spec: PotentialSpec
-    grid: np.ndarray = field(init=False)
-    psi: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        odd, half = _is_odd(self.parity), np.asarray(self.half, dtype=float)
-        if half.ndim != 1 or len(half) < 2:
-            raise ValueError(f"half must be 1-D with at least 2 points, got shape {half.shape}")
-        psi = np.concatenate([(-half if odd else half)[:0:-1], half])
-        object.__setattr__(self, "grid", np.linspace(-self.spec.a, self.spec.a, len(psi)))
-        object.__setattr__(self, "psi", psi)
-        object.__setattr__(self, "half", psi[len(half) - 1:])
-
-
-@dataclass(frozen=True)
 class EigenLevel:
     """One level: ``index`` is its rank within its parity above V0 (the
     infinite well: from the ground state), ``n`` its quantum number among
@@ -107,6 +79,30 @@ class EigenLevel:
     index: int
     residual: float
     n: int
+
+
+@dataclass(frozen=True)
+class Eigenstate(EigenLevel):
+    """A level and its state, given by ``half``: psi at the nodes x >= 0,
+    linspace(0, a, len(half)).  ``grid`` is those nodes mirrored (exactly
+    antisymmetric, 0 at the centre) and ``psi`` the half mirrored by the
+    parity label, so the state has that parity by construction; ``half`` is
+    then a view of ``psi``.  ValueError for a label other than even | odd,
+    or a ``half`` that is not 1-D with at least 2 points."""
+
+    half: np.ndarray
+    spec: PotentialSpec
+    grid: np.ndarray = field(init=False)
+    psi: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        odd, half = _is_odd(self.parity), np.asarray(self.half, dtype=float)
+        if half.ndim != 1 or len(half) < 2:
+            raise ValueError(f"half must be 1-D with at least 2 points, got shape {half.shape}")
+        x = np.linspace(0.0, self.spec.a, len(half))
+        object.__setattr__(self, "grid", np.concatenate([-x[:0:-1], x]))
+        object.__setattr__(self, "psi", np.concatenate([(-half if odd else half)[:0:-1], half]))
+        object.__setattr__(self, "half", self.psi[len(half) - 1:])
 
 
 @dataclass(frozen=True)
@@ -332,23 +328,31 @@ def nearest_level(spec: PotentialSpec, e_target: float, search_width: float = 1.
 # ---------------------------------------------------------------------------
 # eigenstates
 
+def _half_count(n_grid: int) -> int:
+    """A state's nodes x >= 0, n_grid // 2 + 1; ValueError for n_grid < 2."""
+    if not n_grid >= 2:
+        raise ValueError(f"n_grid must be at least 2, got {n_grid!r}")
+    return n_grid // 2 + 1
+
+
 def eigenstate_closed_court(spec: PotentialSpec, energy: float, parity: str,
                             n_grid: int = 12001, *, index: int) -> Eigenstate:
     """Normalized piecewise-Airy eigenstate at a previously located eigenvalue.
 
     The coefficient pair is the null vector of the origin condition, so odd
     states vanish at x = 0 exactly; the wall value is then proportional to
-    the eigencondition residual |sin Delta|.  Energies that fail the eigencondition are
-    rejected, and so is an energy that is not finite (ValueError).
-    ``index`` labels the state with the level's rank within its parity, as
-    :func:`spectrum` reports it.
+    the residual |sin(Delta - k pi)|, k = round(Delta / pi), which with
+    n = 2k + 1 - [odd] the state carries as :func:`spectrum` gives them.
+    Energies that fail the eigencondition are rejected, and so are a
+    non-finite energy and n_grid < 2 (ValueError, before any Airy call).
+    ``index`` is the level's rank within its parity, as in :func:`spectrum`.
 
     z = (|x| - sigma) / rho depends on |x| only, so psi is built on the
-    x >= 0 half, from exactly 0 (linspace may leave ~1e-15 at the centre)
-    to the wall: the state's ``half``, n_grid // 2 + 1 points, cut into
-    blocks of ``block`` points, each spanning sqrt(|z|) |t| <= 0.75 in z (|z|
-    taken as at least 1), the bound of the Airy anchors' series (see
-    :mod:`wellprob.airy`), so their error analysis carries over.  One Airy call on the block starts and the
+    x >= 0 nodes alone: the state's ``half``, n_grid // 2 + 1 points j h,
+    h = a / (n_grid // 2), cut into blocks of ``block`` points, each
+    spanning sqrt(|z|) |t| <= 0.75 in z (|z| taken as at least 1), the
+    bound of the Airy anchors' series (see :mod:`wellprob.airy`), so their
+    error analysis carries over.  One Airy call on the block starts and the
     wall gives psi and dpsi/dz at every start and the residual; each
     block's Taylor series of w'' = z w to the anchors' degree then comes
     from :func:`airy._local_series`, and all blocks are summed by one
@@ -357,23 +361,22 @@ def eigenstate_closed_court(spec: PotentialSpec, energy: float, parity: str,
     psi(0) = 0 exactly.
     """
     _require_closed_court(spec)
+    n_half = _half_count(n_grid)
     if not math.isfinite(energy):
         raise ValueError(f"energy must be finite, got {energy!r}")
     odd = _is_odd(parity)
     scales = AiryScales.from_spec(spec, energy)
-    n_half = n_grid // 2 + 1
-    x = np.linspace(-spec.a, spec.a, 2 * n_half - 1)[n_half - 1:]
-    # linspace's own step: x[1] - x[0] is off by up to ulp(a), 4e-13 of it at a = 12
     h = spec.a / (n_half - 1)
     dz = h / scales.rho
     z_far = max(1.0, abs(scales.sigma) / scales.rho, abs(spec.a - scales.sigma) / scales.rho)
     block = max(1, int(_BLOCK_REACH / (math.sqrt(z_far) * dz)))
     # the block starts, then the wall
-    z = (np.concatenate([[0.0], x[block::block], x[-1:]])
-         - scales.sigma) / scales.rho
+    z = (np.append(h * np.arange(0, n_half, block), spec.a) - scales.sigma) / scales.rho
     vals = airy_eval_many(z)
     _, theta, _, phi = modulus_phase(z[[0, -1]], *(v[[0, -1]] for v in vals))
-    residual = abs(math.sin(theta[1] - (theta[0] if odd else phi[0])))
+    delta = theta[1:] - (theta[:1] if odd else phi[:1])  # as _newton_roots forms it
+    k = np.round(delta / math.pi)
+    residual = float(np.abs(np.sin(delta - k * math.pi))[0])
     if not residual <= _EIGEN_RESIDUAL_TOL:  # a NaN residual fails too
         raise NumericalError(
             f"E={energy!r} is not a {parity} eigenvalue "
@@ -385,52 +388,51 @@ def eigenstate_closed_court(spec: PotentialSpec, energy: float, parity: str,
     half = (powers @ coef).T.ravel()[:n_half]
     sq = half ** 2  # |psi|^2 is even whatever the parity
     half = half / math.sqrt(_simpson_uniform(np.concatenate([sq[:0:-1], sq]), h))
-    return Eigenstate(parity=parity, index=index, energy=float(energy), half=half, spec=spec)
+    return Eigenstate(energy=float(energy), parity=parity, index=index, residual=residual,
+                      n=int(2 * k[0] + 1 - odd), half=half, spec=spec)
 
 
-def _well_mode(n: int, parity: str) -> float:
-    """k a / pi of infinite-well state n: n (odd) or n - 1/2 (even)."""
-    if not (n >= 1 and float(n).is_integer()):
-        raise ValueError(f"state index n must be >= 1 and integral, got {n!r}")
-    return float(n) if _is_odd(parity) else n - 0.5
+def _well_mode(index: int, parity: str) -> float:
+    """k a / pi of infinite-well state ``index``: index (odd) or index - 1/2 (even)."""
+    if not (index >= 1 and float(index).is_integer()):
+        raise ValueError(f"state index must be >= 1 and integral, got {index!r}")
+    return float(index) if _is_odd(parity) else index - 0.5
 
 
-def infinite_well_energy(spec: PotentialSpec, n: int, parity: str) -> float:
-    """E = hbar^2 k^2 / 2m with k = (n - 1/2) pi / a (even) or n pi / a (odd).
+def infinite_well_energy(spec: PotentialSpec, index: int, parity: str) -> float:
+    """E = hbar^2 k^2 / 2m with k = (index - 1/2) pi / a (even) or index pi / a (odd).
 
-    ValueError unless n is an integer >= 1 and the parity even | odd.
+    ValueError unless the index is an integer >= 1 and the parity even | odd.
     """
     c = spec.constants
-    k = _well_mode(n, parity) * math.pi / spec.a
+    k = _well_mode(index, parity) * math.pi / spec.a
     return (c.hbar * k) ** 2 / (2.0 * c.mass)
 
 
-def eigenstate_infinite_well(spec: PotentialSpec, n: int, parity: str,
+def eigenstate_infinite_well(spec: PotentialSpec, index: int, parity: str,
                              n_grid: int = 12001) -> Eigenstate:
-    """Analytic infinite-well eigenstate, evaluated on the x >= 0 half of its grid."""
+    """Analytic infinite-well eigenstate at its n_grid // 2 + 1 nodes x >= 0
+    (an odd state's psi(0) is 0 exactly), with residual 0 and n = 2 index -
+    [even], as in :func:`spectrum`; ValueError as :func:`infinite_well_energy`
+    and for n_grid < 2."""
     if spec.kind is not PotentialKind.INFINITE_WELL:
         raise RegimeError("eigenstate_infinite_well needs an infinite-well spec")
-    energy = infinite_well_energy(spec, n, parity)  # rejects a bad n or label
-    n_half = n_grid // 2 + 1
-    x = np.linspace(-spec.a, spec.a, 2 * n_half - 1)[n_half - 1:]
-    wave = np.sin if _is_odd(parity) else np.cos
-    half = wave(_well_mode(n, parity) * math.pi * x / spec.a) / math.sqrt(spec.a)
-    return Eigenstate(parity=parity, index=n, energy=energy, half=half, spec=spec)
-
-
-def position_density(state: Eigenstate) -> DensityCurve:
-    """|psi(x)|^2 as a DensityCurve over the well."""
-    return DensityCurve(variable="position", grid=state.grid, values=state.psi ** 2,
-                        support=((-state.spec.a, state.spec.a),))
+    n_half = _half_count(n_grid)
+    energy = infinite_well_energy(spec, index, parity)  # rejects a bad index or label
+    x = np.linspace(0.0, spec.a, n_half)
+    wave = np.sin if parity == "odd" else np.cos
+    half = wave(_well_mode(index, parity) * math.pi * x / spec.a) / math.sqrt(spec.a)
+    return Eigenstate(energy=energy, parity=parity, index=index, residual=0.0,
+                      n=2 * index - (parity == "even"), half=half, spec=spec)
 
 
 # ---------------------------------------------------------------------------
 # momentum space
 
-def infinite_well_momentum(spec: PotentialSpec, n: int, parity: str, p) -> np.ndarray:
+def infinite_well_momentum(spec: PotentialSpec, index: int, parity: str, p) -> np.ndarray:
     """Closed-form infinite-well momentum wavefunction (two shifted sincs);
-    ValueError unless n is an integer >= 1 and the parity even | odd."""
-    big = _well_mode(n, parity) * math.pi
+    ValueError unless the index is an integer >= 1 and the parity even | odd."""
+    big = _well_mode(index, parity) * math.pi
     c = spec.constants
     y = spec.a * np.asarray(p, dtype=float) / c.hbar
     pref = math.sqrt(spec.a / (2.0 * math.pi * c.hbar))
@@ -577,7 +579,7 @@ def momentum_transform(state: Eigenstate, p_grid=None,
     if not _is_uniform(q):
         raise ValueError("p_grid must be evenly spaced")
     n = len(state.half) - 1  # intervals on x >= 0
-    h = spec.a / n  # the exact step of a linspace; x[1] - x[0] is off by up to ulp(x)
+    h = spec.a / n  # the step of the nodes x >= 0, linspace(0, a, n + 1)
     q_max = float(np.max(np.abs(p_grid))) / c.hbar
     oscillations = q_max * spec.a / math.pi  # across the well, 2a wide
     n_required = int(math.ceil(20.0 * oscillations))

@@ -107,9 +107,8 @@ def test_criterion_3_normalization_and_parseval(table1_states, table1_waves):
     for spec, level, state in table1_states:
         pos = wp.classical_position_density(spec, level.energy)
         mom = wp.classical_momentum_density(spec, level.energy)
-        qpos = wp.position_density(state)
         worst_pos = max(worst_pos, abs(pos.trapezoid_mass() - 1.0),
-                        abs(qpos.trapezoid_mass() - 1.0))
+                        abs(np.trapezoid(state.psi ** 2, state.grid) - 1.0))
         worst_mom = max(worst_mom, abs(mom.trapezoid_mass() - 1.0))
     bounce = wp.bouncer()
     worst_pos = max(worst_pos, abs(

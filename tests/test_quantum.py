@@ -504,20 +504,63 @@ def test_infinite_well_states():
     assert st_odd.energy == pytest.approx(k * k, rel=1e-14)  # hbar = 2m = 1
 
 
-@pytest.mark.parametrize("n, parity", [(1, "evn"), (1, "Even"), (1, "both"), (0, "even"),
-                                       (-2, "odd"), (1.5, "even"), (2.25, "odd"),
-                                       (math.nan, "odd"), (math.inf, "even")])
-def test_infinite_well_rejects_bad_index_and_parity(n, parity):
-    # "evn" once gave the odd energy 0.01579 and n = 0 gave 0.00395; n = 1.5
-    # with "even" gave cos(pi x / a), psi(+-a) = -0.2, at the odd ground
+@pytest.mark.parametrize("index, parity", [(1, "evn"), (1, "Even"), (1, "both"), (0, "even"),
+                                           (-2, "odd"), (1.5, "even"), (2.25, "odd"),
+                                           (math.nan, "odd"), (math.inf, "even")])
+def test_infinite_well_rejects_bad_index_and_parity(index, parity):
+    # "evn" once gave the odd energy 0.01579 and index 0 gave 0.00395; index
+    # 1.5 with "even" gave cos(pi x / a), psi(+-a) = -0.2, at the odd ground
     # state's energy, labelled index 1.5
-    match = "parity" if n >= 1 and float(n).is_integer() else "n must be >= 1"
+    match = "parity" if index >= 1 and float(index).is_integer() else "index must be >= 1"
     with pytest.raises(ValueError, match=match):
-        wp.infinite_well_energy(IW, n, parity)
+        wp.infinite_well_energy(IW, index, parity)
     with pytest.raises(ValueError, match=match):
-        wp.eigenstate_infinite_well(IW, n, parity, n_grid=101)
+        wp.eigenstate_infinite_well(IW, index, parity, n_grid=101)
     with pytest.raises(ValueError, match=match):  # "both" once gave the odd state's phi
-        wp.infinite_well_momentum(IW, n, parity, [0.0, 0.3])
+        wp.infinite_well_momentum(IW, index, parity, [0.0, 0.3])
+
+
+def test_odd_infinite_well_state_vanishes_at_the_centre_node():
+    # the nodes are linspace(0, a, n) mirrored, so the centre node is 0 and
+    # sin gives 0 there; nodes from linspace(-a, a, 2n - 1) put it at
+    # 4.4e-16 for a = 3.7 and psi(0) at 1.96e-16
+    state = wp.eigenstate_infinite_well(wp.infinite_well(3.7), 1, "odd", n_grid=101)
+    assert state.grid[50] == 0.0 and state.psi[50] == 0.0
+
+
+@pytest.mark.parametrize("n_grid", [1, 0, -5])
+@pytest.mark.parametrize("build", [
+    lambda n_grid: wp.eigenstate_closed_court(CC10, 10.066, "even", n_grid, index=1),
+    lambda n_grid: wp.eigenstate_infinite_well(IW, 1, "even", n_grid)],
+    ids=["closed_court", "infinite_well"])
+def test_eigenstate_rejects_fewer_than_two_grid_points(monkeypatch, build, n_grid):
+    # n_grid = 1 and 0 once divided by zero in the closed court, and -5 got
+    # numpy's message in the infinite well; both reject it before any work
+    calls = _count_airy_calls(monkeypatch)
+    with pytest.raises(ValueError, match="n_grid must be at least 2"):
+        build(n_grid)
+    assert not calls
+
+
+def _level_fields(level):
+    return level.energy, level.parity, level.index, level.residual, level.n
+
+
+@settings(max_examples=40, deadline=None)
+@given(a=st.floats(10.0, 40.0), v0=st.floats(1.0, 12.0), gap=st.floats(0.5, 6.0),
+       n_grid=st.integers(2, 60))
+def test_eigenstate_is_its_level(a, v0, gap, n_grid):
+    # a state's energy, parity, index, residual and quantum number are its
+    # level's, bit for bit: the builder forms the residual and n from the
+    # phase mismatch as the level solve does
+    spec = wp.closed_court(a=a, v0=v0)
+    for lv in wp.spectrum(spec, v0 + gap):
+        state = wp.eigenstate_closed_court(spec, lv.energy, lv.parity, n_grid, index=lv.index)
+        assert _level_fields(state) == _level_fields(lv)
+    well = wp.infinite_well(a)
+    for lv in wp.spectrum(well, gap):
+        state = wp.eigenstate_infinite_well(well, lv.index, lv.parity, n_grid)
+        assert _level_fields(state) == _level_fields(lv)
 
 
 # ---------------------------------------------------------------------------
@@ -687,16 +730,23 @@ def test_eigenstate_is_its_half_mirrored_by_parity(half, parity, a):
     if parity == "odd":
         half[0] = 0.0
     spec = wp.infinite_well(a)
-    state = wp.Eigenstate(parity=parity, index=1, energy=1.0, half=half, spec=spec)
+    state = wp.Eigenstate(energy=1.0, parity=parity, index=1, residual=0.0, n=2,
+                          half=half, spec=spec)
+    assert isinstance(state, wp.EigenLevel) and (state.residual, state.n) == (0.0, 2)
     n = len(half)
     sign = -1.0 if parity == "odd" else 1.0
     assert np.array_equal(state.psi, sign * state.psi[::-1])
     assert np.array_equal(state.psi[n - 1:], half)
+    # the nodes linspace(0, a, n) mirrored: exactly antisymmetric
     assert len(state.grid) == 2 * n - 1
+    assert np.array_equal(state.grid, -state.grid[::-1])
+    assert np.array_equal(state.grid[n - 1:], np.linspace(0.0, a, n))
+    assert state.grid[n - 1] == 0.0
     assert state.grid[0] == -a and state.grid[-1] == a
     for label, bad in (("both", half), (parity, np.stack([half, half])), (parity, half[:1])):
         with pytest.raises(ValueError):
-            wp.Eigenstate(parity=label, index=1, energy=1.0, half=bad, spec=spec)
+            wp.Eigenstate(energy=1.0, parity=label, index=1, residual=0.0, n=2,
+                          half=bad, spec=spec)
 
 
 def _is_5_smooth(v):
@@ -772,6 +822,4 @@ def test_transform_memory_budget_at_cli_defaults():
 
 def test_position_density_curve(table1_states):
     spec, level, st = table1_states[0]
-    d = wp.position_density(st)
-    assert d.variable == "position"
-    assert abs(d.trapezoid_mass() - 1.0) < 1e-6
+    assert abs(np.trapezoid(st.psi ** 2, st.grid) - 1.0) < 1e-6

@@ -9,30 +9,39 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
+import pytest
+
 import wellprob as wp
 from wellprob import cli, config
 from wellprob.config import TaskOptions, parse_text
 
-# Load wellprob.model under a bare package (so the package __init__, which
+# Load one module under a bare package (so the package __init__, which
 # imports everything, does not run) and use it; classical must stay unloaded.
-_MODEL_ALONE = """
+_ALONE = """
 import sys, types
 pkg = types.ModuleType("wellprob")
 pkg.__path__ = [{path!r}]
 sys.modules["wellprob"] = pkg
 import wellprob.model as model
-state = model.classical_state(model.closed_court(a=25.0, v0=10.0), 10.066)
-assert state.tau > 0.0
+import wellprob.{module}
+{use}
 print(sorted(name for name in sys.modules if name.startswith("wellprob")))
 """
 
+_USES = {
+    "model": "assert model.classical_state(model.closed_court(a=25.0, v0=10.0), 10.066).tau > 0.0",
+    "quantum": "assert wellprob.quantum.nearest_level("
+               "model.closed_court(a=25.0, v0=10.0), 10.066).n == 34",
+}
 
-def test_model_does_not_import_classical():
-    code = _MODEL_ALONE.format(path=str(Path(wp.__file__).parent))
+
+@pytest.mark.parametrize("module", sorted(_USES))
+def test_model_does_not_import_classical(module):
+    code = _ALONE.format(path=str(Path(wp.__file__).parent), module=module, use=_USES[module])
     cp = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert cp.returncode == 0, cp.stderr
     assert "wellprob.classical" not in cp.stdout
-    assert "wellprob.model" in cp.stdout
+    assert f"wellprob.{module}" in cp.stdout
 
 
 def test_public_surface_has_no_airy_cross():

@@ -51,6 +51,10 @@ MATRIX = {
     "eigensolve-40-12": ("eigensolve", (*_CC, "potential.a=40", "potential.v0=12", *_SLOW,
                                         "task.e_max=20", "task.energy=15")),
     "eigensolve-infinite-well": ("eigensolve", (*_IW, "task.index=3", "task.parity=odd")),
+    # a = 3.7: nodes from linspace(-a, a, 101) put the centre at 4.4e-16, not 0
+    "eigensolve-infinite-well-3.7": ("eigensolve", ("potential.kind=infinite_well",
+                                                    "potential.a=3.7", "task.n_grid=101",
+                                                    "task.index=1", "task.parity=odd")),
     "momentum-25-10": ("momentum", (*_CC, "potential.a=25", "potential.v0=10",
                                     "task.energy=10.066")),
     # an even n_points: a symmetric p grid with no p = 0 point
