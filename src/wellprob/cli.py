@@ -6,9 +6,14 @@ a thin wrapper over the library.  A package error is printed as one line,
 (config, regime, support, resolution or numerical).  Exit codes: 0
 success, 3 numerical failure, 2 any other error.  All floats are written
 with 17 significant digits and LF line endings so repeated runs are
-byte-identical.  ``_write_csv``
-takes each table as columns and streams it in blocks of rows, formatting a
-block with one %-format: the same bytes as formatting each value alone.
+byte-identical.  ``_write_csv`` takes each table as columns and streams it
+in blocks of ``_BLOCK_ROWS`` rows, so its memory is bounded by a block (a
+few hundred kB), not by the file.  ``_csvfmt`` formats a block: a float64
+array cell gets exactly the bytes of ``'%.17g' % v``, from integer digits
+computed in bulk with double-double arithmetic (the exactness argument is
+in that module).  Nan, inf, |v| outside [1e-280, 1e280] and near-ties go
+through ``_csvfmt.fmt`` (``format(v, ".17g")``) one value at a time, as
+does every cell of any other column.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from ._csvfmt import encode_rows
 from .classical import (classical_momentum_density, classical_position_density,
                         measurement_histogram, momentum_delta_masses,
                         sample_measurements, trajectory)
@@ -44,14 +50,6 @@ TABLE1_ROWS = (
 )
 
 
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
-
-
 # Rows per formatted block: bounds the writer's memory by the block, not the file.
 _BLOCK_ROWS = 1024
 
@@ -59,23 +57,18 @@ _BLOCK_ROWS = 1024
 def _write_csv(path: Path, header, columns) -> Path:
     """Write ``header`` and one equal-length sequence per column as CSV.
 
-    A float64 array column is formatted with %.17g, which gives the same
-    string as ``format(v, ".17g")``; any other column goes through ``_fmt``
-    value by value.
+    A float64 array column's cells are those of ``'%.17g' % v``; any
+    other column's are ``_csvfmt.fmt(v)``, value by value.  ValueError when
+    the columns do not fill a table of ``header``'s width.
     """
     n_rows = len(columns[0]) if columns else 0
     if len(columns) != len(header) or any(len(col) != n_rows for col in columns):
         raise ValueError(f"CSV columns of lengths {[len(col) for col in columns]} "
                          f"do not fill a {len(header)}-column table")
-    floats = [isinstance(col, np.ndarray) and col.dtype == np.float64 for col in columns]
-    template = ",".join("%.17g" if f else "%s" for f in floats) + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode("utf-8"))
         for start in range(0, n_rows, _BLOCK_ROWS):
-            stop = start + _BLOCK_ROWS
-            block = [col[start:stop].tolist() if f else list(map(_fmt, col[start:stop]))
-                     for col, f in zip(columns, floats)]
-            fh.write("".join(map(template.__mod__, zip(*block))))
+            fh.write(encode_rows([col[start:start + _BLOCK_ROWS] for col in columns]))
     return path
 
 

@@ -81,14 +81,17 @@ class EigenLevel:
     n: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Eigenstate(EigenLevel):
     """A level and its state, given by ``half``: psi at the nodes x >= 0,
     linspace(0, a, len(half)).  ``grid`` is those nodes mirrored (exactly
     antisymmetric, 0 at the centre) and ``psi`` the half mirrored by the
     parity label, so the state has that parity by construction; ``half`` is
     then a view of ``psi``.  ValueError for a label other than even | odd,
-    or a ``half`` that is not 1-D with at least 2 points."""
+    or a ``half`` that is not 1-D with at least 2 points.
+
+    States compare and hash as their ``EigenLevel`` does, by energy,
+    parity, index, residual and n; the arrays and the spec take no part."""
 
     half: np.ndarray
     spec: PotentialSpec

@@ -1,7 +1,10 @@
+import math
 import subprocess
 import sys
 import time
 import tracemalloc
+from decimal import Decimal, localcontext
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +14,7 @@ from hypothesis.extra import numpy as hnp
 
 import oracles
 import wellprob as wp
-from wellprob import cli
+from wellprob import _csvfmt, cli
 
 
 def run_cli(*args: str) -> subprocess.CompletedProcess:
@@ -387,6 +390,92 @@ def test_writer_memory_is_bounded_by_the_block(tmp_path: Path):
         tracemalloc.stop()
     assert peak <= 0.5e6, peak
     assert (tmp_path / "table.csv").read_bytes().count(b"\n") == 12002
+    # and a mixed table: text cells are laid out next to the float cells
+    n = 12001
+    columns = (list(range(-n, n, 2)), [f"s{i % 97}\u00e9" for i in range(n)],
+               [i % 3 == 0 for i in range(n)], x)
+    tracemalloc.start()
+    try:
+        cli._write_csv(tmp_path / "mixed.csv", ("i", "s", "b", "x"), columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.5e6, peak
+    ref = oracles.write_csv_rows(tmp_path / "mixed-rows.csv", ("i", "s", "b", "x"), zip(*columns))
+    assert (tmp_path / "mixed.csv").read_bytes() == ref.read_bytes()
+
+
+def _exact_ties(rng) -> list:
+    """Doubles x = r / 2^e (r odd) whose x 10^(16 - k), k = floor(log10 |x|),
+    is a half-integer: 17-digit rounding ties, such as 1523937510000000.25."""
+    ties = [1523937510000000.25]
+    for e in range(2, 25):  # k = 17 - e
+        lo = math.ceil(Fraction(10) ** (17 - e) * 2 ** e)
+        hi = min(math.floor(Fraction(10) ** (18 - e) * 2 ** e), 2 ** 53)
+        for r in rng.integers(lo, hi, size=40) | 1:
+            x = int(r) / 2 ** e
+            k = Decimal(x).adjusted()
+            if (Fraction(x) * Fraction(10) ** (16 - k)).denominator == 2:
+                ties.append(x)
+    return ties
+
+
+def _hand_backs(monkeypatch) -> list:
+    """Record the values the float kernel hands to ``fmt`` one at a time."""
+    seen, one_value = [], _csvfmt.fmt
+
+    def fmt(value):
+        seen.append(value)
+        return one_value(value)
+
+    monkeypatch.setattr(_csvfmt, "fmt", fmt)
+    return seen
+
+
+def test_writer_float_cells_equal_percent_17g(tmp_path: Path, monkeypatch):
+    rng = np.random.default_rng(20)
+    powers = np.array([float(f"1e{k}") for k in range(-324, 309)])
+    ties = np.array(_exact_ties(rng))
+    assert len(ties) > 400
+    special = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324,
+                        2.2250738585072009e-308, 2.2250738585072014e-308, 1.7976931348623157e308,
+                        99999999999999999.0, 9.9999999999999995e16, 1e-5, 0.0001, 1e16, 1e17])
+    subnormals = rng.integers(1, 2 ** 52, size=1000).view(np.float64)
+    finite = np.concatenate([powers, ties, special, subnormals])
+    with np.errstate(over="ignore"):  # the largest double's upper neighbour is inf
+        finite = np.concatenate([finite, np.nextafter(finite, np.inf),
+                                 np.nextafter(finite, -np.inf)])
+    bits = rng.integers(0, 2 ** 64, size=10 ** 6, dtype=np.uint64).view(np.float64)
+    values = np.concatenate([finite, -finite, bits])
+    handed_back = _hand_backs(monkeypatch)
+    chunk = 1 << 17
+    for start in range(0, len(values), chunk):
+        col = values[start:start + chunk]
+        got = cli._write_csv(tmp_path / "x.csv", ("x",), (col,)).read_text().split("\n")
+        assert got[0] == "x" and got[-1] == ""
+        expected = ["%.17g" % v for v in col.tolist()]
+        bad = [(v, g) for v, g, e in zip(col.tolist(), got[1:-1], expected) if g != e]
+        assert len(got) == len(col) + 2 and not bad, bad[:5]
+    # what the kernel hands back is non-finite, outside [1e-280, 1e280] or
+    # within 1e-6 of a rounding tie, judged on the exact value; the ties all
+    # come back
+    assert set(ties.tolist()) <= set(handed_back)
+    with localcontext() as ctx:
+        ctx.prec = 1200
+        for v in handed_back:
+            if math.isfinite(v) and 1e-280 <= abs(v) <= 1e280:
+                d = abs(Decimal(v))
+                y = d.scaleb(16 - d.adjusted())
+                assert abs(y - int(y) - Decimal("0.5")) < Decimal("1e-6"), v
+
+
+def test_writer_takes_no_fallback_on_a_grid_and_its_sine(tmp_path: Path, monkeypatch):
+    x = np.linspace(-25.0, 25.0, 12001)
+    handed_back = _hand_backs(monkeypatch)
+    got = cli._write_csv(tmp_path / "grid.csv", ("x", "psi"), (x, np.sin(x)))
+    assert handed_back == []
+    ref = oracles.write_csv_rows(tmp_path / "rows.csv", ("x", "psi"), zip(x, np.sin(x)))
+    assert got.read_bytes() == ref.read_bytes()
 
 
 _BYTE_IDENTITY_RUNS = {

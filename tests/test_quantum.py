@@ -563,6 +563,18 @@ def test_eigenstate_is_its_level(a, v0, gap, n_grid):
         assert _level_fields(state) == _level_fields(lv)
 
 
+def test_states_compare_and_hash_as_their_level():
+    # the generated comparison of the state's arrays raised on == and hash()
+    well = wp.infinite_well(3.0)
+    s = wp.eigenstate_infinite_well(well, 1, "odd", n_grid=11)
+    t = wp.eigenstate_infinite_well(well, 1, "odd", n_grid=11)
+    other_grid = wp.eigenstate_infinite_well(well, 1, "odd", n_grid=21)
+    assert s == t == other_grid and hash(s) == hash(t)
+    assert s != wp.eigenstate_infinite_well(well, 2, "odd", n_grid=11)
+    assert hash(s) == hash(wp.EigenLevel(*_level_fields(s)))
+    assert len({s, t, other_grid}) == 1
+
+
 # ---------------------------------------------------------------------------
 # momentum transforms
 

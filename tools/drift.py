@@ -75,6 +75,10 @@ MATRIX = {
     "classical-infinite-well": ("classical", (*_IW, "task.energy=4", *_HISTOGRAMS)),
     "classical-closed-court": ("classical", (*_CC, "potential.a=25", "potential.v0=10",
                                              "task.energy=10.5", *_HISTOGRAMS)),
+    # the benchmark's largest sizes: 8001 = 7 * 1024 + 833 rows end in a partial block
+    "classical-closed-court-8001": ("classical", (*_CC, "potential.a=25", "potential.v0=10",
+                                                  "task.energy=10.5", "task.n_points=8001",
+                                                  "task.n_bins=97", "task.n_draws=5000")),
     "bounce-sim-default": ("bounce-sim", ()),
     "bounce-sim-seeded": ("bounce-sim", ("task.seed=7", "task.energy=3", "task.n_draws=2000")),
 }
