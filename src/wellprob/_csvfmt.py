@@ -28,19 +28,20 @@ after it.  One row of ``_LAYOUTS`` per cell, chosen by its sign, exponent
 and last nonzero digit, applies ``%g``'s layout: the exponent form when
 k < -4 or k > 16, trailing zeros and a bare ``.`` dropped, at least two
 exponent digits.  It holds the fixed characters and marks every slot the
-cell does not use with the byte 0xFF, which UTF-8 text never contains.
-Any other column (ints, bools, text, lists of floats) goes through ``fmt``
-value by value, each cell padded with 0xFF to the column's widest, so NUL
-characters survive.  A block's bytes are its slots without the 0xFF ones.
-The kernel holds about 90 bytes per float cell while it computes; a block
-then holds its slots (56 bytes per float cell, the widest cell plus one
-per other column) and its bytes.
+cell does not use with the byte 0xFF, which never occurs in these cells.
+A block's bytes are its slots without the 0xFF ones.  The kernel holds
+about 90 bytes per float cell while it computes; a block then holds its
+slots (56 bytes per cell) and its bytes.
+
+``encode_rows`` takes one of two paths per block.  When every column is
+a float64 array, the columns are stacked row by row and formatted in one
+kernel call; otherwise every cell of every row goes through ``fmt``, value
+by value, and the block holds its rows' text and its bytes.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 
 import numpy as np
 
@@ -242,35 +243,13 @@ def _float_cells(x) -> bytearray:
     return block
 
 
-def _is_float(column) -> bool:
-    return isinstance(column, np.ndarray) and column.dtype == np.float64
-
-
-def _text_cells(column) -> bytearray:
-    """The cells of any other column, each padded with 0xFF to the widest."""
-    cells = [fmt(v).encode() for v in column]
-    w = max(map(len, cells))
-    return bytearray(b"".join(cell.ljust(w, _DROP) + b"," for cell in cells))
-
-
-def encode_rows(columns) -> bytearray:
+def encode_rows(columns) -> bytes:
     """The CSV lines (LF-terminated, comma-separated) of equal-length
     ``columns``.  A float64 array column's cells are those of
     ``'%.17g' % v``; any other column's are ``fmt(v)``."""
-    rows = len(columns[0])
-    pieces = []  # the slot bytes of a run of float columns, or of one other column
-    for floats, run in itertools.groupby(columns, key=_is_float):
-        if floats:  # one kernel call for the whole run
-            pieces.append(_float_cells(np.stack(list(run), axis=1).ravel()))
-        else:
-            pieces += map(_text_cells, run)
-    block = pieces[0] if len(pieces) == 1 else bytearray(sum(map(len, pieces)))
-    chars = np.frombuffer(block, np.uint8).reshape(rows, -1)
-    if len(pieces) > 1:
-        start = 0
-        for piece in pieces:
-            width = len(piece) // rows
-            chars[:, start:start + width] = np.frombuffer(piece, np.uint8).reshape(rows, width)
-            start += width
+    if not all(isinstance(c, np.ndarray) and c.dtype == np.float64 for c in columns):
+        return "".join(",".join(map(fmt, row)) + "\n" for row in zip(*columns)).encode()
+    block = _float_cells(np.stack(columns, axis=1).ravel())
+    chars = np.frombuffer(block, np.uint8).reshape(len(columns[0]), -1)
     chars[:, -1] = ord("\n")
     return block.translate(None, _DROP)

@@ -130,7 +130,8 @@ def classical_position_density(spec: PotentialSpec, energy: float, grid=None,
     Grid points must lie inside the allowed region and strictly away from
     divergent turning points (the bouncer apex).  The default grid covers
     the region, grading toward the apex and leaving its last sliver of mass
-    to the ``omitted_mass`` metadata.
+    to the ``omitted_mass`` metadata.  RegimeError where 1/(tau v) is not
+    finite and positive.
     """
     state = classical_state(spec, energy)
     if grid is None:
@@ -145,7 +146,11 @@ def classical_position_density(spec: PotentialSpec, energy: float, grid=None,
         if np.any(grid >= hi):
             raise SupportError(
                 f"grid must stay strictly below the divergent turning point z={hi}")
-    values = 1.0 / (state.tau * speed(spec, energy, grid))
+    with np.errstate(over="ignore", divide="ignore"):
+        values = 1.0 / (state.tau * speed(spec, energy, grid))
+    if np.any((values == 0.0) | (values == np.inf)):  # a NaN grid point is DensityCurve's
+        raise RegimeError(f"P_CL(x) = 1/(tau v) leaves double precision at E={energy}, "
+                          f"tau={state.tau}")
     covered = position_cdf(spec, energy, grid[-1]) - position_cdf(spec, energy, grid[0])
     return DensityCurve(variable="position", grid=grid, values=values,
                         support=((lo, hi),), omitted_mass=float(1.0 - covered),

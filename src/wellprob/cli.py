@@ -8,12 +8,13 @@ success, 3 numerical failure, 2 any other error.  All floats are written
 with 17 significant digits and LF line endings so repeated runs are
 byte-identical.  ``_write_csv`` takes each table as columns and streams it
 in blocks of ``_BLOCK_ROWS`` rows, so its memory is bounded by a block (a
-few hundred kB), not by the file.  ``_csvfmt`` formats a block: a float64
-array cell gets exactly the bytes of ``'%.17g' % v``, from integer digits
-computed in bulk with double-double arithmetic (the exactness argument is
-in that module).  Nan, inf, |v| outside [1e-280, 1e280] and near-ties go
-through ``_csvfmt.fmt`` (``format(v, ".17g")``) one value at a time, as
-does every cell of any other column.
+few hundred kB), not by the file.  ``_csvfmt`` formats a block on one of
+two paths.  When every column is a float64 array, each cell gets exactly
+the bytes of ``'%.17g' % v``, from integer digits computed in bulk with
+double-double arithmetic (the exactness argument is in that module); nan,
+inf, |v| outside [1e-280, 1e280] and near-ties go through ``_csvfmt.fmt``
+(``format(v, ".17g")``) one value at a time.  Any other block goes through
+``_csvfmt.fmt`` row by row, value by value.
 """
 
 from __future__ import annotations

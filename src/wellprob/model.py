@@ -177,12 +177,21 @@ def classical_state(spec: PotentialSpec, energy: float) -> ClassicalState:
     tau = sqrt(m/2) int dx / sqrt(E - V(x)) is ``sides`` arcs of
     2 m x_out / (p_plus + p_out) each, with no division by F: the closed
     court tends to the infinite well's 2 a sqrt(m/(2E)) as V0 -> 0.
+    RegimeError, as :func:`check_energy`, also when x_out, p_plus or the
+    arc's duration is not finite and positive, or 2 m F is not finite.
     """
     check_energy(spec, energy)
     c = spec.constants
     p_plus = math.sqrt(2.0 * c.mass * energy)
     if spec.kind is PotentialKind.BOUNCER:
-        return ClassicalState(energy, c.mass, c.mass * c.g, 1, energy / (c.mass * c.g),
-                              p_plus, 0.0)
-    return ClassicalState(energy, c.mass, spec.v0 / spec.a, 2, spec.a, p_plus,
-                          math.sqrt(2.0 * c.mass * (energy - spec.v0)))
+        arc = ClassicalState(energy, c.mass, c.mass * c.g, 1, energy / (c.mass * c.g),
+                             p_plus, 0.0)
+    else:
+        arc = ClassicalState(energy, c.mass, spec.v0 / spec.a, 2, spec.a, p_plus,
+                             math.sqrt(2.0 * c.mass * (energy - spec.v0)))
+    # p_plus > 0 is tested before the duration divides by it
+    if not (0.0 < arc.x_out < math.inf and 0.0 < p_plus < math.inf
+            and 0.0 < arc.duration < math.inf and math.isfinite(2.0 * c.mass * arc.force)):
+        raise RegimeError(f"E={energy} at mass={c.mass} leaves double precision: x_out="
+                          f"{arc.x_out}, p_plus={p_plus}, 2 m F={2.0 * c.mass * arc.force}")
+    return arc

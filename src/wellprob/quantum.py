@@ -256,7 +256,7 @@ def _levels(spec: PotentialSpec, e_max: float, above: float) -> list[EigenLevel]
     if e_max <= bottom:
         return []
     scales = AiryScales.from_spec(spec, e_max)
-    if scales.sigma / scales.rho > Z_MAX:
+    if not scales.sigma / scales.rho <= Z_MAX:  # NaN too: inf / inf
         raise RegimeError(f"e_max={e_max:g} puts the Airy argument at the origin past "
                           f"-{Z_MAX:g}")
     delta = _mismatch(spec, np.array([lo, bottom, e_max]), np.array([[False], [True]]))[0]
@@ -405,11 +405,19 @@ def _well_mode(index: int, parity: str) -> float:
 def infinite_well_energy(spec: PotentialSpec, index: int, parity: str) -> float:
     """E = hbar^2 k^2 / 2m with k = (index - 1/2) pi / a (even) or index pi / a (odd).
 
-    ValueError unless the index is an integer >= 1 and the parity even | odd.
+    ValueError unless the index is an integer >= 1 and the parity even | odd;
+    RegimeError unless E is finite and positive.
     """
     c = spec.constants
     k = _well_mode(index, parity) * math.pi / spec.a
-    return (c.hbar * k) ** 2 / (2.0 * c.mass)
+    try:
+        energy = (c.hbar * k) ** 2 / (2.0 * c.mass)
+    except OverflowError:
+        energy = math.inf
+    if not 0.0 < energy < math.inf:
+        raise RegimeError(f"infinite-well level {index} {parity} leaves double precision: "
+                          f"E={energy}")
+    return energy
 
 
 def eigenstate_infinite_well(spec: PotentialSpec, index: int, parity: str,

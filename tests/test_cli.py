@@ -390,7 +390,7 @@ def test_writer_memory_is_bounded_by_the_block(tmp_path: Path):
         tracemalloc.stop()
     assert peak <= 0.5e6, peak
     assert (tmp_path / "table.csv").read_bytes().count(b"\n") == 12002
-    # and a mixed table: text cells are laid out next to the float cells
+    # and a mixed table: every cell of a block goes through fmt, row by row
     n = 12001
     columns = (list(range(-n, n, 2)), [f"s{i % 97}\u00e9" for i in range(n)],
                [i % 3 == 0 for i in range(n)], x)
@@ -403,6 +403,20 @@ def test_writer_memory_is_bounded_by_the_block(tmp_path: Path):
     assert peak <= 0.5e6, peak
     ref = oracles.write_csv_rows(tmp_path / "mixed-rows.csv", ("i", "s", "b", "x"), zip(*columns))
     assert (tmp_path / "mixed.csv").read_bytes() == ref.read_bytes()
+
+
+def test_writer_memory_with_one_wide_text_cell(tmp_path: Path):
+    # a cell is laid out at its own width, not padded to its column's widest
+    columns = (list(range(_BLOCK)), ["x"] * (_BLOCK - 1) + ["y" * 200_000])
+    tracemalloc.start()
+    try:
+        got = cli._write_csv(tmp_path / "wide.csv", ("i", "s"), columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1e6, peak
+    ref = oracles.write_csv_rows(tmp_path / "rows.csv", ("i", "s"), zip(*columns))
+    assert got.read_bytes() == ref.read_bytes()
 
 
 def _exact_ties(rng) -> list:
@@ -523,6 +537,23 @@ def test_cli_csv_bytes_equal_reference_writer(tmp_path: Path, monkeypatch, capsy
             assert got.read_bytes() == ref.read_bytes(), (name, got.name)
 
 
+def test_cli_blocks_are_all_float64_arrays_or_hold_none(tmp_path: Path, monkeypatch, capsys):
+    # the writer's kernel takes a block whose columns are all float64 arrays;
+    # a block that mixes them with other columns goes value by value
+    kinds, encode_rows = [], cli.encode_rows
+
+    def spy(columns):
+        kinds.append({isinstance(c, np.ndarray) and c.dtype == np.float64 for c in columns})
+        return encode_rows(columns)
+
+    monkeypatch.setattr(cli, "encode_rows", spy)
+    for name, argv in _BYTE_IDENTITY_RUNS.items():
+        assert cli.main([*argv, "--out", str(tmp_path / name)]) == 0, name
+    capsys.readouterr()
+    assert {True} in kinds and {False} in kinds
+    assert all(len(k) == 1 for k in kinds), kinds
+
+
 # ---------------------------------------------------------------------------
 # the parser is built once; configs are checked before anything runs
 
@@ -599,6 +630,39 @@ def test_unusable_values_exit_2(tmp_path: Path, capsys, args, category):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {category}:")
     assert "\n" not in err.strip()
+
+
+_BOUNCER = ("potential.kind=bouncer",)
+_IW = ("potential.kind=infinite_well", "task.index=2", "task.parity=odd")
+
+
+@pytest.mark.parametrize("command, sets", [
+    ("classical", (*_BOUNCER, "constants.g=1e-200", "task.energy=1e200")),
+    ("classical", (*_BOUNCER, "constants.g=1e-8", "task.energy=1e300")),
+    ("classical", (*_BOUNCER, "task.energy=1e-310")),
+    ("classical", (*_BOUNCER, "constants.g=1e8", "task.energy=1e-300")),
+    ("bounce-sim", ("constants.mass=1e-300", "task.energy=1e-300")),
+    ("bounce-sim", ("constants.mass=1e200",)),
+    ("bounce-sim", ("constants.g=1e200", "task.energy=1e-300")),
+    ("momentum", (*_IW, "potential.a=1e6", "constants.hbar=1e200")),
+    ("momentum", (*_IW, "potential.a=1e-9", "constants.mass=1e-300")),
+    ("eigensolve", ("potential.kind=closed_court", "potential.a=1e200", "potential.v0=1e-300",
+                    "task.energy=10.5")),
+], ids=["bouncer-x_out-overflows", "bouncer-x_out-overflows-at-1e300",
+        "bouncer-density-overflows", "bouncer-density-overflows-at-g-1e8",
+        "bounce-sim-p_plus-underflows", "bounce-sim-2mF-overflows",
+        "bounce-sim-x_out-underflows", "infinite-well-energy-overflows",
+        "infinite-well-energy-over-mass-overflows", "closed-court-airy-scales-nan"])
+def test_scales_out_of_double_range_exit_2(tmp_path: Path, command, sets):
+    # before these checks: a traceback (exit 1), or exit 0 with inf or nan
+    # densities in the CSV files
+    argv = [command, "--out", str(tmp_path / "out")]
+    for s in sets:
+        argv += ["--set", s]
+    cp = run_cli(*argv)
+    assert cp.returncode == 2, cp.stderr
+    assert cp.stderr.startswith("error: regime:")
+    assert cp.stderr.count("\n") == 1, cp.stderr
 
 
 @pytest.mark.parametrize("command", ["momentum", "eigensolve"])

@@ -44,6 +44,8 @@ MATRIX = {
     "sweep-default": ("sweep", ()),
     "sweep-10-6-2": ("sweep", ("task.v0_list=10,6,2", "task.energy=10")),
     "sweep-12-8-4-1": ("sweep", ("task.v0_list=12,8,4,1", "task.energy=12.5", "potential.a=17")),
+    # V0 = 0 and V0 = 30 > E: rows of long flag text and nan cells, written value by value
+    "sweep-flagged": ("sweep", ("task.v0_list=10,0,30", "task.energy=10")),
     "eigensolve-25-10": ("eigensolve", (*_CC, "potential.a=25", "potential.v0=10",
                                         "task.e_max=12", "task.energy=10.066")),
     "eigensolve-17-3": ("eigensolve", (*_CC, "potential.a=17", "potential.v0=3",
