@@ -134,17 +134,22 @@ def _asym_neg(z):
 
 def _local_series(z0, w, wp):
     """Taylor coefficients about z0 of the solutions of w'' = z w with values
-    w and slopes wp (rows k = 0.._TAYLOR_DEGREE), followed along axis 1 by
-    those of their slopes, (k + 1) c_{k+1}.  z0 broadcasts against w.
+    w and slopes wp (rows k = 0.._TAYLOR_DEGREE).  z0 broadcasts against w.
 
-    Two callers: the anchor build below (Ai and Bi about each anchor, and
-    the steps between anchors) and ``quantum.eigenstate_closed_court``
-    (an eigenstate about each of its block starts, spanning
-    sqrt(|z|) |t| <= 0.75 as the anchors' series do)."""
+    Two callers: the anchor build below, through :func:`_with_slopes` (Ai
+    and Bi about each anchor, and the steps between anchors), and
+    ``quantum.eigenstate_closed_court`` (an eigenstate about each of its
+    block starts, spanning sqrt(|z|) |t| <= 0.75 as the anchors' series do)."""
     c = np.empty((_TAYLOR_DEGREE + 1,) + np.broadcast(z0, w).shape)
     c[0], c[1], c[2] = w, wp, 0.5 * z0 * w
     for k in range(1, _TAYLOR_DEGREE - 1):
         c[k + 2] = (z0 * c[k] + c[k - 1]) / ((k + 1) * (k + 2))
+    return c
+
+
+def _with_slopes(c):
+    """Taylor coefficients c followed along axis 1 by those of their slopes,
+    (k + 1) c_{k+1}."""
     slope = np.zeros_like(c)
     slope[:-1] = np.arange(1.0, _TAYLOR_DEGREE + 1).reshape((-1,) + (1,) * (c.ndim - 1)) * c[1:]
     return np.concatenate([c, slope], axis=1)
@@ -176,7 +181,7 @@ def _anchor_values():
     wp = np.array([aip0, bip0, bip0, top_aip[0]])
     steps = [np.concatenate([w, wp])]
     for _ in range(len(_ANCHORS) // 2):
-        steps.append(_horner(_local_series(z, w, wp), np.concatenate([h, h])))
+        steps.append(_horner(_with_slopes(_local_series(z, w, wp)), np.concatenate([h, h])))
         w, wp = np.split(steps[-1], 2)
         z = z + h
     # s[r, i]: solution r (values 0-3, slopes 4-7) after i steps
@@ -188,7 +193,7 @@ def _anchor_values():
 
 # (anchor, degree, function): the local series of (Ai, Bi, Ai', Bi')
 _TAYLOR_TABLE = np.ascontiguousarray(
-    _local_series(_ANCHORS, *np.split(_anchor_values(), 2)).transpose(2, 0, 1))
+    _with_slopes(_local_series(_ANCHORS, *np.split(_anchor_values(), 2))).transpose(2, 0, 1))
 # points per gather of their anchors' 27 x 4 tables: bounds the temporary
 # (a 6001-point eigenstate gathered at once would take 5.2 MB)
 _GATHER_BLOCK = 512

@@ -73,10 +73,13 @@ def _write_csv(path: Path, header, columns) -> Path:
     return path
 
 
-def _outdir(cfg: RunConfig) -> Path:
-    d = Path(cfg.output.directory)
-    d.mkdir(parents=True, exist_ok=True)
-    return d
+def _write_tables(cfg: RunConfig, tables) -> list[Path]:
+    """Write each (file name, header, columns) table into the output
+    directory.  Commands compute every table first, so a run that fails
+    leaves no directory behind."""
+    out = Path(cfg.output.directory)
+    out.mkdir(parents=True, exist_ok=True)
+    return [_write_csv(out / name, header, columns) for name, header, columns in tables]
 
 
 def _require_energy(cfg: RunConfig) -> float:
@@ -125,53 +128,47 @@ def _select_state(cfg: RunConfig, spec: PotentialSpec, levels: list[EigenLevel] 
                                    n_grid=t.n_grid, index=level.index)
 
 
-def _write_histograms(out: Path, prefix: str, spec: PotentialSpec, energy: float,
-                      n_bins: int, n_draws: int, seed: int) -> list[Path]:
-    """The position and momentum projection histograms, one CSV file each."""
-    written = []
+def _histograms(prefix: str, spec: PotentialSpec, energy: float,
+                n_bins: int, n_draws: int, seed: int) -> list[tuple]:
+    """The position and momentum projection histograms, one table each."""
+    tables = []
     for variable in ("position", "momentum"):
         hist = measurement_histogram(spec, energy, n_bins, variable, n_draws, seed)
-        written.append(_write_csv(out / f"{prefix}histogram_{variable}.csv",
-                                  ("bin_lo", "bin_hi", "mass"),
-                                  (hist.bin_edges[:-1], hist.bin_edges[1:], hist.bin_mass)))
-    return written
+        tables.append((f"{prefix}histogram_{variable}.csv", ("bin_lo", "bin_hi", "mass"),
+                       (hist.bin_edges[:-1], hist.bin_edges[1:], hist.bin_mass)))
+    return tables
 
 
 def cmd_classical(cfg: RunConfig) -> list[Path]:
     spec = cfg.spec()
     energy = _require_energy(cfg)
-    out = _outdir(cfg)
-    written = []
     state = classical_state(spec, energy)
 
     pos = classical_position_density(spec, energy, n_points=cfg.task.n_points)
-    written.append(_write_csv(out / "classical_position.csv", ("x", "density"),
-                              (pos.grid, pos.values)))
     meta = [("energy", energy), ("tau", state.tau), ("period", state.period),
             ("p_minus", state.p_minus), ("p_plus", state.p_plus),
             ("delta_p", state.delta_p),
             ("turning_lo", state.turning_points[0]),
             ("turning_hi", state.turning_points[1]),
             ("position_omitted_mass", pos.omitted_mass)]
-    written.append(_write_csv(out / "classical_meta.csv", ("key", "value"),
-                              list(zip(*meta))))
+    tables = [("classical_position.csv", ("x", "density"), (pos.grid, pos.values)),
+              ("classical_meta.csv", ("key", "value"), list(zip(*meta)))]
 
     if spec.kind is PotentialKind.INFINITE_WELL:
-        written.append(_write_csv(out / "classical_momentum_delta.csv", ("p", "mass"),
-                                  list(zip(*momentum_delta_masses(spec, energy)))))
+        tables.append(("classical_momentum_delta.csv", ("p", "mass"),
+                       list(zip(*momentum_delta_masses(spec, energy)))))
     else:
         mom = classical_momentum_density(spec, energy, n_points=cfg.task.n_points)
-        written.append(_write_csv(out / "classical_momentum.csv", ("p", "density"),
-                                  (mom.grid, mom.values)))
+        tables.append(("classical_momentum.csv", ("p", "density"), (mom.grid, mom.values)))
 
     if cfg.task.n_bins:
-        written += _write_histograms(out, "", spec, energy, cfg.task.n_bins,
-                                     cfg.task.n_draws or 1, cfg.task.seed)
+        tables += _histograms("", spec, energy, cfg.task.n_bins,
+                              cfg.task.n_draws or 1, cfg.task.seed)
     if cfg.task.n_draws:
         draws = sample_measurements(spec, energy, cfg.task.n_draws, cfg.task.seed)
-        written.append(_write_csv(out / "draws.csv", ("t", "position", "momentum"),
-                                  (draws.times, draws.positions, draws.momenta)))
-    return written
+        tables.append(("draws.csv", ("t", "position", "momentum"),
+                       (draws.times, draws.positions, draws.momenta)))
+    return _write_tables(cfg, tables)
 
 
 def cmd_eigensolve(cfg: RunConfig) -> list[Path]:
@@ -181,39 +178,34 @@ def cmd_eigensolve(cfg: RunConfig) -> list[Path]:
     parity = cfg.task.parity
     levels = [lv for lv in spectrum(spec, _e_max(cfg)) if parity in ("both", lv.parity)]
     state = _select_state(cfg, spec, levels)
-    out = _outdir(cfg)
-    written = [_write_csv(out / "eigenvalues.csv",
-                          ("index", "parity", "energy", "residual", "n"),
-                          ([lv.index for lv in levels], [lv.parity for lv in levels],
-                           [lv.energy for lv in levels], [lv.residual for lv in levels],
-                           [lv.n for lv in levels]))]
+    tables = [("eigenvalues.csv", ("index", "parity", "energy", "residual", "n"),
+               ([lv.index for lv in levels], [lv.parity for lv in levels],
+                [lv.energy for lv in levels], [lv.residual for lv in levels],
+                [lv.n for lv in levels]))]
     if state is not None:
-        written.append(_write_csv(out / "wavefunction.csv", ("x", "psi", "density"),
-                                  (state.grid, state.psi, state.psi ** 2)))
-    return written
+        tables.append(("wavefunction.csv", ("x", "psi", "density"),
+                       (state.grid, state.psi, state.psi ** 2)))
+    return _write_tables(cfg, tables)
 
 
 def cmd_momentum(cfg: RunConfig) -> list[Path]:
     spec = cfg.spec()
-    out = _outdir(cfg)
     state = _select_state(cfg, spec)
     wave = momentum_transform(state, n_points=cfg.task.n_points)
-    written = []
+    tables = []
     if spec.kind is PotentialKind.CLOSED_COURT:
         overlay = classical_momentum_density(spec, state.energy, grid=wave.grid).values
     else:
         overlay = np.zeros_like(wave.grid)
-        written.append(_write_csv(out / "classical_momentum_delta.csv", ("p", "mass"),
-                                  list(zip(*momentum_delta_masses(spec, state.energy)))))
-    written.insert(0, _write_csv(
-        out / "momentum_wavefunction.csv",
-        ("p", "phi_re", "phi_im", "density", "classical_density"),
-        (wave.grid, wave.phi.real, wave.phi.imag, wave.density, overlay)))
+        tables.append(("classical_momentum_delta.csv", ("p", "mass"),
+                       list(zip(*momentum_delta_masses(spec, state.energy)))))
+    tables.insert(0, ("momentum_wavefunction.csv",
+                      ("p", "phi_re", "phi_im", "density", "classical_density"),
+                      (wave.grid, wave.phi.real, wave.phi.imag, wave.density, overlay)))
     meta = [("energy", state.energy), ("parity", state.parity), ("index", state.index),
             ("residual", state.residual), ("hbar", spec.constants.hbar), ("n", state.n)]
-    written.append(_write_csv(out / "momentum_meta.csv", ("key", "value"),
-                              list(zip(*meta))))
-    return written
+    tables.append(("momentum_meta.csv", ("key", "value"), list(zip(*meta))))
+    return _write_tables(cfg, tables)
 
 
 def cmd_table1(cfg: RunConfig) -> list[Path]:
@@ -230,7 +222,7 @@ def cmd_table1(cfg: RunConfig) -> list[Path]:
     header = ("v0", "a", "energy", "parity", "index", "p_minus", "p_plus",
               "delta_p", "hbar_over_a", "energy_ref", "p_minus_ref", "p_plus_ref",
               "delta_p_ref", "dev_energy", "dev_p_minus", "dev_p_plus", "dev_delta_p", "n")
-    return [_write_csv(_outdir(cfg) / "table1.csv", header, list(zip(*rows)))]
+    return _write_tables(cfg, [("table1.csv", header, list(zip(*rows)))])
 
 
 def cmd_sweep(cfg: RunConfig) -> list[Path]:
@@ -254,7 +246,7 @@ def cmd_sweep(cfg: RunConfig) -> list[Path]:
     header = ("v0", "energy", "parity", "index", "window", "l2_gap_position",
               "support_mass_momentum", "delta_p_classical", "plateau_height",
               "delta_p_intrinsic", "classical_unreliable", "flag", "n")
-    return [_write_csv(_outdir(cfg) / "sweep.csv", header, list(zip(*rows)))]
+    return _write_tables(cfg, [("sweep.csv", header, list(zip(*rows)))])
 
 
 def cmd_bounce_sim(cfg: RunConfig) -> list[Path]:
@@ -267,17 +259,14 @@ def cmd_bounce_sim(cfg: RunConfig) -> list[Path]:
     t = cfg.task
     energy = t.energy if t.energy is not None else 2.0
     n_draws = t.n_draws or 1000
-    out = _outdir(cfg)
     state = classical_state(spec, energy)
     times = np.linspace(0.0, state.period, 801)
     z, p = trajectory(spec, energy, times)
-    written = [_write_csv(out / "bounce_trajectory.csv", ("t", "z", "p"),
-                          (times, z, p))]
-    written += _write_histograms(out, "bounce_", spec, energy, t.n_bins or 25, n_draws, t.seed)
     draws = sample_measurements(spec, energy, n_draws, t.seed)
-    written.append(_write_csv(out / "bounce_draws.csv", ("t", "z", "p"),
-                              (draws.times, draws.positions, draws.momenta)))
-    return written
+    return _write_tables(cfg, [
+        ("bounce_trajectory.csv", ("t", "z", "p"), (times, z, p)),
+        *_histograms("bounce_", spec, energy, t.n_bins or 25, n_draws, t.seed),
+        ("bounce_draws.csv", ("t", "z", "p"), (draws.times, draws.positions, draws.momenta))])
 
 
 _COMMANDS = {

@@ -2,8 +2,9 @@
 
 The quantum position density, averaged over one local de Broglie
 wavelength at the walls, is compared to the classical curve through a
-relative L2 gap on the interior; the momentum density is compared through
-the fraction of quantum probability inside the (slightly widened)
+relative L2 gap on the interior, taken on the eigenstate's nodes x >= 0
+alone since both curves are even in x.  The momentum density is compared
+through the fraction of quantum probability inside the (slightly widened)
 classical momentum band.  A sweep over decreasing ramp heights V0 at fixed
 target energy exposes the approach to the infinite-well limit, where the
 classical band 1/(2 delta_p) sharpens toward a pair of point masses.
@@ -50,11 +51,18 @@ class ComparisonReport:
 
 def moving_average(grid: np.ndarray, values: np.ndarray, window: float,
                    eval_points: np.ndarray) -> np.ndarray:
-    """Boxcar average of a sampled curve via its cumulative trapezoid."""
+    """Boxcar average of an even curve sampled on nodes x >= 0 from x = 0.
+
+    The cumulative trapezoid F from x = 0 is odd, F(-y) = -F(y), so the
+    average (F(x + w/2) - F(x - w/2)) / w is defined for any x with
+    |x| + w/2 within the grid's end.
+    """
     cum = np.concatenate([[0.0], np.cumsum(0.5 * (values[1:] + values[:-1]) * np.diff(grid))])
-    upper = np.interp(eval_points + 0.5 * window, grid, cum)
-    lower = np.interp(eval_points - 0.5 * window, grid, cum)
-    return (upper - lower) / window
+
+    def odd_cum(y):
+        return np.copysign(np.interp(np.abs(y), grid, cum), y)
+
+    return (odd_cum(eval_points + 0.5 * window) - odd_cum(eval_points - 0.5 * window)) / window
 
 
 def momentum_support_mass(phi: MomentumWavefunction, state: ClassicalState,
@@ -83,17 +91,23 @@ def momentum_support_mass(phi: MomentumWavefunction, state: ClassicalState,
 
 def compare_state(spec: PotentialSpec, level_energy: float, parity: str,
                   index: int) -> ComparisonReport:
-    """Full position + momentum comparison for one closed-court eigenstate."""
+    """Full position + momentum comparison for one closed-court eigenstate.
+
+    P_CL(x), |psi|^2 and its boxcar average are even in x, so the position
+    gap is taken on the state's nodes x >= 0 out to a - window: both of its
+    integrals are half those over the symmetric interior, and the ratio is
+    the same.
+    """
     state = classical_state(spec, level_energy)
     eigen = eigenstate_closed_court(spec, level_energy, parity, index=index)
-    pcl = classical_position_density(spec, level_energy, grid=eigen.grid)
     # one local de Broglie wavelength where the particle is slowest, at the walls
     window = 2.0 * math.pi * spec.constants.hbar / state.p_minus
     if spec.a <= window:
         raise SupportError("window leaves no interior to compare on")
-    inside = (pcl.grid >= window - spec.a) & (pcl.grid <= spec.a - window)
-    interior, cl = pcl.grid[inside], pcl.values[inside]
-    avg_qm = moving_average(eigen.grid, eigen.psi ** 2, window, interior)
+    x = eigen.grid[len(eigen.half) - 1:]
+    interior = x[x <= spec.a - window]
+    cl = classical_position_density(spec, level_energy, grid=interior).values
+    avg_qm = moving_average(x, eigen.half ** 2, window, interior)
     gap = math.sqrt(float(np.trapezoid((avg_qm - cl) ** 2, interior))
                     / float(np.trapezoid(cl ** 2, interior)))
     phi = momentum_transform(eigen)

@@ -63,8 +63,12 @@ class AiryScales:
 
     @classmethod
     def from_spec(cls, spec: PotentialSpec, energy: float) -> "AiryScales":
+        """rho is inf where hbar^2 leaves double precision."""
         c = spec.constants
-        rho = (c.hbar ** 2 * spec.a / (2.0 * c.mass * spec.v0)) ** (1.0 / 3.0)
+        try:
+            rho = (c.hbar ** 2 * spec.a / (2.0 * c.mass * spec.v0)) ** (1.0 / 3.0)
+        except OverflowError:
+            rho = math.inf
         return cls(rho=rho, sigma=energy * spec.a / spec.v0)
 
 
@@ -256,7 +260,11 @@ def _levels(spec: PotentialSpec, e_max: float, above: float) -> list[EigenLevel]
     if e_max <= bottom:
         return []
     scales = AiryScales.from_spec(spec, e_max)
-    if not scales.sigma / scales.rho <= Z_MAX:  # NaN too: inf / inf
+    if not (0.0 < scales.rho < math.inf and math.isfinite(scales.sigma)):
+        raise RegimeError(f"the Airy scales rho={scales.rho:g} and sigma={scales.sigma:g} "
+                          f"of a={spec.a:g}, V0={spec.v0:g} at e_max={e_max:g} leave "
+                          f"double precision")
+    if not scales.sigma / scales.rho <= Z_MAX:
         raise RegimeError(f"e_max={e_max:g} puts the Airy argument at the origin past "
                           f"-{Z_MAX:g}")
     delta = _mismatch(spec, np.array([lo, bottom, e_max]), np.array([[False], [True]]))[0]
@@ -386,7 +394,7 @@ def eigenstate_closed_court(spec: PotentialSpec, energy: float, parity: str,
             f"(normalized residual {residual:.2e} > {_EIGEN_RESIDUAL_TOL})")
     ai, bi, aip, bip = (v[:-1] for v in vals)
     ca, cb = (bi[0], ai[0]) if odd else (bip[0], aip[0])
-    coef = _local_series(z[:-1], ca * ai - cb * bi, ca * aip - cb * bip)[:, :len(ai)]
+    coef = _local_series(z[:-1], ca * ai - cb * bi, ca * aip - cb * bip)
     powers = np.vander(dz * np.arange(block), _TAYLOR_DEGREE + 1, increasing=True)
     half = (powers @ coef).T.ravel()[:n_half]
     sq = half ** 2  # |psi|^2 is even whatever the parity
@@ -470,23 +478,23 @@ def default_momentum_grid(state: Eigenstate, n_points: int = 4001) -> np.ndarray
 
 
 def _filon_moments(q: np.ndarray, h: float):
-    """Panel moments M_j = int_{-h}^{h} s^j exp(i q s) ds for j = 0, 1, 2."""
+    """Panel moments M_j = int_{-h}^{h} s^j exp(i q s) ds for j = 0, 1, 2:
+    the series in theta = q h everywhere, replaced by the closed form where
+    |theta| >= 0.1 (at the CLI defaults nowhere)."""
     theta = q * h
-    small = np.abs(theta) < 0.1
-    m0, m1, m2 = np.empty_like(theta), np.empty_like(theta), np.empty_like(theta)
-    ts = theta[small]
-    t2 = ts * ts
-    m0[small] = 2.0 * h * (1.0 - t2 / 6.0 + t2 * t2 / 120.0 - t2 * t2 * t2 / 5040.0)
-    m1[small] = 2.0 * h * h * ts * (1.0 / 3.0 - t2 / 30.0 + t2 * t2 / 840.0
-                                    - t2 * t2 * t2 / 45360.0)
-    m2[small] = 2.0 * h ** 3 * (1.0 / 3.0 - t2 / 10.0 + t2 * t2 / 168.0
-                                - t2 * t2 * t2 / 6480.0)
-    big = ~small
-    qq, tb = q[big], theta[big]
-    sin_t, cos_t = np.sin(tb), np.cos(tb)
-    m0[big] = 2.0 * sin_t / qq
-    m1[big] = 2.0 * (sin_t - tb * cos_t) / (qq * qq)
-    m2[big] = 2.0 * ((tb * tb - 2.0) * sin_t + 2.0 * tb * cos_t) / (qq ** 3)
+    t2 = theta * theta
+    t4 = t2 * t2
+    t6 = t4 * t2
+    m0 = 2.0 * h * (1.0 - t2 / 6.0 + t4 / 120.0 - t6 / 5040.0)
+    m1 = 2.0 * h * h * theta * (1.0 / 3.0 - t2 / 30.0 + t4 / 840.0 - t6 / 45360.0)
+    m2 = 2.0 * h ** 3 * (1.0 / 3.0 - t2 / 10.0 + t4 / 168.0 - t6 / 6480.0)
+    big = np.abs(theta) >= 0.1
+    if big.any():
+        qq, tb = q[big], theta[big]
+        sin_t, cos_t = np.sin(tb), np.cos(tb)
+        m0[big] = 2.0 * sin_t / qq
+        m1[big] = 2.0 * (sin_t - tb * cos_t) / (qq * qq)
+        m2[big] = 2.0 * ((tb * tb - 2.0) * sin_t + 2.0 * tb * cos_t) / (qq ** 3)
     return m0, 1.0j * m1, m2
 
 
@@ -528,20 +536,25 @@ def _panel_sums_chirp(q: np.ndarray, centers: np.ndarray, rows: np.ndarray) -> n
     With c_j = c_0 + j dc and q_m = q_0 + m dq, the identity
     m j = (m^2 + j^2 - (m - j)^2) / 2 turns each sum into a convolution
     with the chirp exp(-i alpha k^2), alpha = dq dc / 2, k = -(N-1)..M-1
-    (Bluestein), done at the 5-smooth FFT length >= N + M - 1.
+    (Bluestein), done at the 5-smooth FFT length >= N + M - 1.  The one
+    chirp also gives the pre-phase exp(i (q_0 dc j + alpha j^2)) when
+    q_0 = 0 and the post-phase exp(i (q_m c_0 + alpha m^2)) when c_0 = 0, as
+    their conjugates; only a nonzero shift costs a phase of its own.  At
+    the CLI defaults neither does: the momenta transformed are p >= 0 of an
+    odd-length symmetric grid, and the centres start at x = 0.
     """
     n, m = len(centers), len(q)
     dq, dc = _step(q), _step(centers)
     alpha = 0.5 * dq * dc
-    j = np.arange(n, dtype=float)
     k = np.arange(max(n, m), dtype=float)
     chirp = np.exp(-1.0j * alpha * k * k)  # even in k, bit for bit: built for k >= 0
+    j, mm = k[:n], k[:m]
+    pre = np.exp(1.0j * (q[0] * dc * j + alpha * j * j)) if q[0] else chirp[:n].conj()
+    post = np.exp(1.0j * (q * centers[0] + alpha * mm * mm)) if centers[0] else chirp[:m].conj()
     size = _smooth_length(n + m - 1)
-    a = rows * np.exp(1.0j * (q[0] * dc * j + alpha * j * j))
-    conv = np.fft.ifft(np.fft.fft(a, size)
+    conv = np.fft.ifft(np.fft.fft(rows * pre, size)
                        * np.fft.fft(np.concatenate([chirp[n - 1:0:-1], chirp[:m]]), size))
-    mm = np.arange(m, dtype=float)
-    return conv[:, n - 1:n - 1 + m] * np.exp(1.0j * (q * centers[0] + alpha * mm * mm))
+    return conv[:, n - 1:n - 1 + m] * post
 
 
 def momentum_transform(state: Eigenstate, p_grid=None,

@@ -10,7 +10,7 @@ closed forms), the Airy boundary determinant from scipy's Airy
 functions, and CSV bytes from formatting each value on its own (the
 package formats blocks of rows with one %-format per block).
 
-Three references are the package's own earlier paths.  Closed-court
+Five references are the package's own earlier paths.  Closed-court
 levels come from an energy scan of each parity's boundary determinant,
 stepped by a fifth of the local level spacing, with every sign change
 refined by safeguarded Newton steps (the package solves for each level by
@@ -21,6 +21,11 @@ in energy order up to a closed-form count), to show that the listing
 changed no bit.  The third bounds a new path's rounding: closed-court eigenstates
 from Airy values at every point of the x >= 0 half (the package evaluates
 Airy functions at block starts only and sums each block's Taylor series).
+The fourth does too: the position gap of a comparison on the whole mirrored
+grid (the package takes it on the nodes x >= 0, where every quantity in it
+is even).  The fifth is the Airy anchors' Taylor table, rebuilt as it was
+when each local series carried its slope rows, to show that it changed no
+bit.
 
 The classical quantities also keep their earlier per-kind closed forms
 (the package derives them all from one constant-force arc): the
@@ -35,8 +40,9 @@ import numpy as np
 from scipy import linalg, special
 from scipy.integrate import simpson
 
-from wellprob import quantum
+from wellprob import airy, quantum
 from wellprob.airy import airy_eval_many
+from wellprob.classical import classical_position_density
 from wellprob.model import PotentialKind, classical_state, evaluate_potential
 
 
@@ -342,6 +348,76 @@ def eigenstate_pointwise(spec, energy, parity, n_grid=12001):
     psi = bi[0] * ai - ai[0] * bi if odd else bip[0] * ai - aip[0] * bi
     psi = np.concatenate([(-psi if odd else psi)[:0:-1], psi])
     return psi / math.sqrt(quantum._simpson_uniform(psi ** 2, x[1] - x[0]))
+
+
+# ---------------------------------------------------------------------------
+# the Airy anchors' Taylor table, built with each series and its slopes at once
+
+def _local_series_with_slopes(z0, w, wp):
+    """Taylor coefficients about z0 of the solutions of w'' = z w with values
+    w and slopes wp, followed along axis 1 by those of their slopes."""
+    degree = airy._TAYLOR_DEGREE
+    c = np.empty((degree + 1,) + np.broadcast(z0, w).shape)
+    c[0], c[1], c[2] = w, wp, 0.5 * z0 * w
+    for k in range(1, degree - 1):
+        c[k + 2] = (z0 * c[k] + c[k - 1]) / ((k + 1) * (k + 2))
+    slope = np.zeros_like(c)
+    slope[:-1] = np.arange(1.0, degree + 1).reshape((-1,) + (1,) * (c.ndim - 1)) * c[1:]
+    return np.concatenate([c, slope], axis=1)
+
+
+def taylor_table_with_slopes():
+    """``airy._TAYLOR_TABLE`` as it was built when the local series always
+    carried its slope rows: the same anchor steps, from the same start values."""
+    ai0 = 3.0 ** (-2.0 / 3.0) / math.gamma(2.0 / 3.0)
+    aip0 = -(3.0 ** (-1.0 / 3.0)) / math.gamma(1.0 / 3.0)
+    bi0, bip0 = math.sqrt(3.0) * ai0, -math.sqrt(3.0) * aip0
+    anchors = airy._ANCHORS
+    top_ai, _, top_aip, _ = airy._asym_pos(anchors[-1:])
+    z = np.array([0.0, 0.0, 0.0, anchors[-1]])
+    h = airy._ANCHOR_STEP * np.array([-1.0, -1.0, 1.0, -1.0])
+    w = np.array([ai0, bi0, bi0, top_ai[0]])
+    wp = np.array([aip0, bip0, bip0, top_aip[0]])
+    steps = [np.concatenate([w, wp])]
+    for _ in range(len(anchors) // 2):
+        coef, t = _local_series_with_slopes(z, w, wp), np.concatenate([h, h])
+        total = coef[-1]
+        for c in coef[-2::-1]:
+            total = total * t + c
+        steps.append(total)
+        w, wp = np.split(steps[-1], 2)
+        z = z + h
+    s = np.array(steps).T
+    values = np.concatenate([s[[0, 1, 4, 5], ::-1],
+                             np.stack([s[3, -2::-1], s[2, 1:], s[7, -2::-1], s[6, 1:]])], axis=1)
+    return np.ascontiguousarray(
+        _local_series_with_slopes(anchors, *np.split(values, 2)).transpose(2, 0, 1))
+
+
+# ---------------------------------------------------------------------------
+# the position gap on the full mirrored grid
+
+def _moving_average_full(grid, values, window, points):
+    """Boxcar average from the cumulative trapezoid taken from the grid's start."""
+    cum = np.concatenate([[0.0], np.cumsum(0.5 * (values[1:] + values[:-1]) * np.diff(grid))])
+    upper = np.interp(points + 0.5 * window, grid, cum)
+    lower = np.interp(points - 0.5 * window, grid, cum)
+    return (upper - lower) / window
+
+
+def position_gap_full_grid(state):
+    """``compare_state``'s relative L2 position gap as it was taken on the
+    state's whole grid: P_CL on every node, the boxcar average of the
+    mirrored |psi|^2 over one window 2 pi hbar / p_minus, and trapezoids over
+    the symmetric interior |x| <= a - window."""
+    spec, energy = state.spec, state.energy
+    window = 2.0 * math.pi * spec.constants.hbar / classical_state(spec, energy).p_minus
+    pcl = classical_position_density(spec, energy, grid=state.grid)
+    inside = (pcl.grid >= window - spec.a) & (pcl.grid <= spec.a - window)
+    interior, cl = pcl.grid[inside], pcl.values[inside]
+    avg = _moving_average_full(state.grid, state.psi ** 2, window, interior)
+    return math.sqrt(float(np.trapezoid((avg - cl) ** 2, interior))
+                     / float(np.trapezoid(cl ** 2, interior)))
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy import special
 
+import oracles
 import wellprob as wp
+from wellprob import airy
 from wellprob.airy import _asym_neg, _asym_pos, _taylor, modulus_phase
 
 
@@ -249,6 +251,11 @@ def test_anchor_series_against_mpmath():
                 env = np.hypot(ref[0], ref[1]), np.hypot(ref[2], ref[3])
                 err = np.abs(values[:, i] - ref) / np.repeat(env, 2)
             assert np.max(err) < bound, zi
+
+
+def test_taylor_table_is_unchanged_by_the_slope_split():
+    # the local series no longer carries slope rows; only the anchor build adds them
+    assert np.array_equal(airy._TAYLOR_TABLE, oracles.taylor_table_with_slopes())
 
 
 def test_modulus_phase_is_silent_and_finite_up_to_the_bi_bound():

@@ -648,14 +648,18 @@ _IW = ("potential.kind=infinite_well", "task.index=2", "task.parity=odd")
     ("momentum", (*_IW, "potential.a=1e-9", "constants.mass=1e-300")),
     ("eigensolve", ("potential.kind=closed_court", "potential.a=1e200", "potential.v0=1e-300",
                     "task.energy=10.5")),
+    ("eigensolve", ("potential.kind=closed_court", "potential.a=25", "potential.v0=10",
+                    "constants.hbar=1e200")),
 ], ids=["bouncer-x_out-overflows", "bouncer-x_out-overflows-at-1e300",
         "bouncer-density-overflows", "bouncer-density-overflows-at-g-1e8",
         "bounce-sim-p_plus-underflows", "bounce-sim-2mF-overflows",
         "bounce-sim-x_out-underflows", "infinite-well-energy-overflows",
-        "infinite-well-energy-over-mass-overflows", "closed-court-airy-scales-nan"])
+        "infinite-well-energy-over-mass-overflows", "closed-court-airy-scales-nan",
+        "closed-court-hbar-squared-overflows"])
 def test_scales_out_of_double_range_exit_2(tmp_path: Path, command, sets):
     # before these checks: a traceback (exit 1), or exit 0 with inf or nan
-    # densities in the CSV files
+    # densities in the CSV files; and classical, bounce-sim and momentum
+    # once made the output directory before the work that fails, leaving it empty
     argv = [command, "--out", str(tmp_path / "out")]
     for s in sets:
         argv += ["--set", s]
@@ -663,6 +667,7 @@ def test_scales_out_of_double_range_exit_2(tmp_path: Path, command, sets):
     assert cp.returncode == 2, cp.stderr
     assert cp.stderr.startswith("error: regime:")
     assert cp.stderr.count("\n") == 1, cp.stderr
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["momentum", "eigensolve"])

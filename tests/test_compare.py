@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import wellprob as wp
-from oracles import boxcar_average_bruteforce
+from oracles import boxcar_average_bruteforce, position_gap_full_grid
 
 IW = wp.infinite_well(a=25.0)
 CC2 = wp.closed_court(a=25.0, v0=2.0)
@@ -23,11 +24,29 @@ def test_minimal_window_formulas(sweep_reports):
 
 
 def test_moving_average_matches_bruteforce_oracle():
+    # the average takes the even |psi|^2 on x >= 0 only; the points lie on both sides
     st = wp.eigenstate_infinite_well(IW, 7, "even", n_grid=4001)
     pts = np.linspace(-15.0, 15.0, 21)
-    fast = wp.compare.moving_average(st.grid, st.psi ** 2, 4.0, pts)
+    fast = wp.compare.moving_average(st.grid[len(st.half) - 1:], st.half ** 2, 4.0, pts)
     slow = boxcar_average_bruteforce(st.grid, st.psi ** 2, 4.0, pts)
     assert np.max(np.abs(fast - slow)) < 1e-6
+
+
+def test_position_gap_matches_the_full_grid_oracle(table1_states):
+    for spec, lv, st in table1_states:
+        rep = wp.compare.compare_state(spec, lv.energy, lv.parity, lv.index)
+        assert rep.l2_gap_position == pytest.approx(position_gap_full_grid(st), rel=1e-12)
+
+
+@settings(max_examples=20, deadline=None)
+@given(a=st.floats(10.0, 40.0), v0=st.floats(1.0, 12.0), gap=st.floats(1.5, 4.0))
+def test_position_gap_matches_the_full_grid_oracle_on_any_court(a, v0, gap):
+    # the level lies at least 0.5 above V0, so the window 2 pi / p_minus < 9 < a
+    spec = wp.closed_court(a=a, v0=v0)
+    lv = wp.nearest_level(spec, v0 + gap)
+    rep = wp.compare.compare_state(spec, lv.energy, lv.parity, lv.index)
+    st = wp.eigenstate_closed_court(spec, lv.energy, lv.parity, index=lv.index)
+    assert rep.l2_gap_position == pytest.approx(position_gap_full_grid(st), rel=1e-12)
 
 
 def test_closed_court_row3_gap(sweep_reports):

@@ -218,6 +218,18 @@ def test_scan_past_the_airy_range_fails_fast():
     assert time.perf_counter() - start < 1.0
 
 
+def test_scales_out_of_double_range_are_named():
+    # rho and sigma are both inf at any e_max; the Airy-range message would
+    # blame an e_max that plays no part
+    spec = wp.closed_court(a=1e200, v0=1e-300)
+    for call in (lambda: wp.spectrum(spec, 12.0), lambda: wp.nearest_level(spec, 10.5)):
+        with pytest.raises(wp.RegimeError, match=r"rho=inf and sigma=inf .* leave double"):
+            call()
+    # hbar^2 overflows: once an OverflowError traceback
+    with pytest.raises(wp.RegimeError, match=r"rho=inf and sigma=30 .* leave double"):
+        wp.spectrum(wp.closed_court(a=25.0, v0=10.0, hbar=1e200), 12.0)
+
+
 def test_scan_level_count_is_capped():
     # about 1.1e5 levels, though the origin argument stays above -1e4
     spec = wp.closed_court(a=1e4, v0=1000.0)
