@@ -11,8 +11,7 @@ from .compare import ComparisonReport, momentum_support_mass, plateau_height, v0
 from .errors import (AiryOverflowError, ConfigError, NumericalError, RegimeError,
                      ResolutionError, SupportError, WellProbError)
 from .model import (ClassicalState, Constants, PotentialKind, PotentialSpec,
-                    bouncer, classical_state, closed_court, evaluate_potential,
-                    infinite_well)
+                    bouncer, classical_state, closed_court, infinite_well)
 from .quantum import (AiryScales, EigenLevel, Eigenstate, MomentumWavefunction,
                       eigenstate_closed_court, eigenstate_infinite_well,
                       eigenvalues_closed_court, infinite_well_energy,
@@ -28,7 +27,7 @@ __all__ = [
     "airy_eval_many", "bouncer",
     "classical_momentum_density", "classical_position_density", "classical_state",
     "closed_court", "eigenstate_closed_court", "eigenstate_infinite_well",
-    "eigenvalues_closed_court", "evaluate_potential",
+    "eigenvalues_closed_court",
     "infinite_well", "infinite_well_energy", "infinite_well_momentum",
     "measurement_histogram", "momentum_delta_masses", "momentum_support_mass",
     "momentum_transform", "nearest_level", "plateau_height", "project_trajectory",

@@ -1,10 +1,12 @@
 """Classical probability densities, orbits, histograms, and sampling.
 
 The classical position density is 1/(tau v(x)) and the momentum density is
-the branch-summed 1/(T_CL |F(p)|), both normalized by construction.  Orbits
-are cycles of the constant-force arc :class:`wellprob.model.ClassicalState`
-(no time stepping anywhere), and histogram masses come from the
-closed-form time CDFs of that arc.
+the branch-summed 1/(T_CL |F(p)|), both normalized by construction.  All of
+them come from one source, the constant-force arc
+:class:`wellprob.model.ClassicalState`, which each public function builds
+once and hands to the helpers: no potential is evaluated, orbits are cycles
+of the arc (no time stepping anywhere), and histogram masses come from its
+closed-form time CDFs.
 
 Measurement draws use the counter-based Philox generator keyed by the seed,
 so runs are reproducible across platforms.
@@ -17,8 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import RegimeError, SupportError
-from .model import (ClassicalState, PotentialKind, PotentialSpec, classical_state,
-                    evaluate_potential)
+from .model import ClassicalState, PotentialKind, PotentialSpec, classical_state
 
 # Fraction of the time on an arc that ends at rest (the bouncer apex) left
 # to the analytic sliver by the default grid; trapezoids cannot track the
@@ -50,6 +51,8 @@ class DensityCurve:
             raise ValueError("grid must be finite")
         if np.any(np.diff(self.grid) <= 0):
             raise ValueError("grid must be strictly increasing")
+        if not np.all(np.isfinite(self.values)):
+            raise ValueError("density values must be finite")
         if np.any(self.values < 0):
             raise ValueError("density values must be non-negative")
 
@@ -93,13 +96,7 @@ class MeasurementDraws:
 # ---------------------------------------------------------------------------
 # densities
 
-def speed(spec: PotentialSpec, energy: float, x):
-    """Classical speed sqrt(2 (E - V(x)) / m)."""
-    v = evaluate_potential(spec, x)
-    return np.sqrt(2.0 * (energy - v) / spec.constants.mass)
-
-
-def default_position_grid(spec: PotentialSpec, energy: float, n_points: int = 4001) -> np.ndarray:
+def default_position_grid(arc: ClassicalState, n_points: int = 4001) -> np.ndarray:
     """Grid covering the allowed region at equal time steps along the orbit.
 
     Equal times make the mass per cell constant; a uniform grid cannot
@@ -107,17 +104,15 @@ def default_position_grid(spec: PotentialSpec, energy: float, n_points: int = 40
     the bouncer apex to the 1e-6 budget.  A well with a ramp takes an odd
     count (2 (n_points // 2) - 1), which puts its kink at x = 0 on a node.
     """
-    arc = classical_state(spec, energy)
     if arc.sides == 2 and arc.force > 0.0:
         n_points = 2 * max(n_points // 2, 2) - 1
     reach = 1.0 - _APEX_FRACTION if arc.p_out == 0.0 else 1.0
     return _orbit(arc, np.linspace(0.0, reach * arc.tau, n_points))[0]
 
 
-def position_cdf(spec: PotentialSpec, energy: float, x):
+def position_cdf(arc: ClassicalState, x):
     """Fraction of the classical period spent left of x:
     (sides - 1)/2 + sign(x) t(|x|)/tau, with t the time from 0 out to |x|."""
-    arc = classical_state(spec, energy)
     xa = np.asarray(x, dtype=float)
     t = arc.time_to(np.minimum(np.abs(xa), arc.x_out))
     return np.clip((arc.sides - 1) / 2 + np.sign(xa) * t / arc.tau, 0.0, 1.0)[()]
@@ -125,48 +120,49 @@ def position_cdf(spec: PotentialSpec, energy: float, x):
 
 def classical_position_density(spec: PotentialSpec, energy: float, grid=None,
                                n_points: int = 4001) -> DensityCurve:
-    """P_CL(x) = 1/(tau v(x)) sampled on ``grid``.
+    """P_CL(x) = 1/(tau v(x)), v = sqrt(2 (E - F |x|) / m), sampled on ``grid``.
 
-    Grid points must lie inside the allowed region and strictly away from
-    divergent turning points (the bouncer apex).  The default grid covers
-    the region, grading toward the apex and leaving its last sliver of mass
-    to the ``omitted_mass`` metadata.  RegimeError where 1/(tau v) is not
-    finite and positive.
+    Grid points must lie inside the allowed region (a point up to 1e-12
+    outside takes the value at its end) and strictly away from divergent
+    turning points (the bouncer apex).  The default grid covers the region,
+    grading toward the apex and leaving its last sliver of mass to the
+    ``omitted_mass`` metadata.  RegimeError where 1/(tau v) is not finite
+    and positive.
     """
-    state = classical_state(spec, energy)
+    arc = classical_state(spec, energy)
     if grid is None:
-        grid = default_position_grid(spec, energy, n_points)
+        grid = default_position_grid(arc, n_points)
     grid = np.asarray(grid, dtype=float)
-    lo, hi = state.turning_points
+    lo, hi = arc.turning_points
     if np.any(grid < lo - 1e-12) or np.any(grid > hi + 1e-12):
         raise SupportError(f"grid leaves the allowed region [{lo}, {hi}]")
     singular = ()
-    if state.p_out == 0.0:  # the arc ends at rest: P_CL diverges there
+    if arc.p_out == 0.0:  # the arc ends at rest: P_CL diverges there
         singular = (hi,)
         if np.any(grid >= hi):
             raise SupportError(
                 f"grid must stay strictly below the divergent turning point z={hi}")
+    r = np.abs(np.clip(grid, lo, hi))
     with np.errstate(over="ignore", divide="ignore"):
-        values = 1.0 / (state.tau * speed(spec, energy, grid))
+        values = 1.0 / (arc.tau * np.sqrt(2.0 * (arc.energy - arc.force * r) / arc.mass))
     if np.any((values == 0.0) | (values == np.inf)):  # a NaN grid point is DensityCurve's
         raise RegimeError(f"P_CL(x) = 1/(tau v) leaves double precision at E={energy}, "
-                          f"tau={state.tau}")
-    covered = position_cdf(spec, energy, grid[-1]) - position_cdf(spec, energy, grid[0])
+                          f"tau={arc.tau}")
+    covered = position_cdf(arc, grid[-1]) - position_cdf(arc, grid[0])
     return DensityCurve(variable="position", grid=grid, values=values,
                         support=((lo, hi),), omitted_mass=float(1.0 - covered),
                         singular_points=singular)
 
 
-def momentum_support(spec: PotentialSpec, energy: float) -> tuple[tuple[float, float], ...]:
-    s = classical_state(spec, energy)
-    bands = ((-s.p_plus, -s.p_minus), (s.p_minus, s.p_plus))
-    return bands if s.p_minus > 0.0 else ((-s.p_plus, s.p_plus),)
+def momentum_support(arc: ClassicalState) -> tuple[tuple[float, float], ...]:
+    bands = ((-arc.p_plus, -arc.p_minus), (arc.p_minus, arc.p_plus))
+    return bands if arc.p_minus > 0.0 else ((-arc.p_plus, arc.p_plus),)
 
 
-def default_momentum_grid(spec: PotentialSpec, energy: float, n_points: int = 2001) -> np.ndarray:
+def default_momentum_grid(arc: ClassicalState, n_points: int = 2001) -> np.ndarray:
     """Grid covering the momentum support band by band; a band narrower than
     its points' spacing in floating point keeps each representable value once."""
-    bands = momentum_support(spec, energy)
+    bands = momentum_support(arc)
     per = max(n_points // len(bands), 2)
     grid = np.concatenate([np.linspace(lo, hi, per) for lo, hi in bands])
     return grid if np.all(np.diff(grid) > 0.0) else np.unique(grid)
@@ -189,7 +185,7 @@ def classical_momentum_density(spec: PotentialSpec, energy: float, grid=None,
             "of E): the density is two delta masses at +-sqrt(2mE); see "
             "momentum_delta_masses / project_trajectory")
     if grid is None:
-        grid = default_momentum_grid(spec, energy, n_points)
+        grid = default_momentum_grid(arc, n_points)
     grid = np.asarray(grid, dtype=float)
     p_abs = np.abs(grid)
     on_support = (p_abs >= arc.p_out - 1e-12) & (p_abs <= arc.p_plus + 1e-12)
@@ -197,7 +193,7 @@ def classical_momentum_density(spec: PotentialSpec, energy: float, grid=None,
     # from the rounded band edges it keeps even a band a few ulps wide at mass 1
     values = np.where(on_support, 0.5 / (arc.p_plus - arc.p_out), 0.0)
     return DensityCurve(variable="momentum", grid=grid, values=values,
-                        support=momentum_support(spec, energy))
+                        support=momentum_support(arc))
 
 
 def momentum_delta_masses(spec: PotentialSpec, energy: float) -> list[tuple[float, float]]:
@@ -238,11 +234,10 @@ def trajectory(spec: PotentialSpec, energy: float, t):
     return x[()], p[()]
 
 
-def momentum_cdf(spec: PotentialSpec, energy: float, q):
+def momentum_cdf(arc: ClassicalState, q):
     """Fraction of the classical period with momentum <= q: uniform on
     p_out <= |p| <= p_plus, or point masses at +-p_plus when that band has
     no width (each counted from its own q on)."""
-    arc = classical_state(spec, energy)
     qa = np.asarray(q, dtype=float)
     r = np.abs(qa)
     width = arc.p_plus - arc.p_out
@@ -253,6 +248,34 @@ def momentum_cdf(spec: PotentialSpec, energy: float, q):
     return (0.5 + np.copysign(0.5, qa) * inside)[()]
 
 
+def _projection(arc: ClassicalState, n_bins: int, variable: str) -> HistogramRun:
+    """Equal-width bins whose masses are differences of the arc's time CDFs."""
+    if n_bins < 2:
+        raise ValueError("n_bins must be >= 2")
+    if variable == "position":
+        (lo, hi), cdf = arc.turning_points, position_cdf
+    elif variable == "momentum":
+        (lo, hi), cdf = (-arc.p_plus, arc.p_plus), momentum_cdf
+    else:
+        raise ValueError(f"unknown variable {variable!r}")
+    edges = np.linspace(lo, hi, n_bins + 1)
+    at_edges = cdf(arc, edges)
+    mass = np.diff(at_edges)
+    # point masses sitting exactly on the outermost edges (infinite-well
+    # momentum) belong inside the histogram, not below/above it
+    mass[0] += at_edges[0]
+    mass[-1] += 1.0 - at_edges[-1]
+    return HistogramRun(bin_edges=edges, bin_mass=mass)
+
+
+def _draws(arc: ClassicalState, n: int, seed: int) -> MeasurementDraws:
+    """n instants uniform over one period, keyed by ``seed``, mapped to (x, p)."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    times = arc.period * np.random.Generator(np.random.Philox(key=seed)).random(n)
+    return MeasurementDraws(times, *_orbit(arc, times))
+
+
 def project_trajectory(spec: PotentialSpec, energy: float, n_bins: int,
                        variable: str) -> HistogramRun:
     """Equal-width bins whose masses are the exact orbit time fractions.
@@ -261,42 +284,19 @@ def project_trajectory(spec: PotentialSpec, energy: float, n_bins: int,
     is the analytic limit of the bin-projection construction rather than a
     time-stepped estimate.
     """
-    if n_bins < 2:
-        raise ValueError("n_bins must be >= 2")
-    state = classical_state(spec, energy)
-    if variable == "position":
-        lo, hi = state.turning_points
-        cdf = lambda e: position_cdf(spec, energy, e)
-    elif variable == "momentum":
-        lo, hi = -state.p_plus, state.p_plus
-        cdf = lambda e: momentum_cdf(spec, energy, e)
-    else:
-        raise ValueError(f"unknown variable {variable!r}")
-    edges = np.linspace(lo, hi, n_bins + 1)
-    mass = np.diff(cdf(edges))
-    # point masses sitting exactly on the outermost edges (infinite-well
-    # momentum) belong inside the histogram, not below/above it
-    mass[0] += cdf(edges[0])
-    mass[-1] += 1.0 - cdf(edges[-1])
-    return HistogramRun(bin_edges=edges, bin_mass=mass)
+    return _projection(classical_state(spec, energy), n_bins, variable)
 
 
 def sample_measurements(spec: PotentialSpec, energy: float, n: int,
                         seed: int) -> MeasurementDraws:
     """n measurement instants uniform over one period, mapped to (x, p)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    state = classical_state(spec, energy)
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    times = state.period * rng.random(n)
-    x, p = trajectory(spec, energy, times)
-    return MeasurementDraws(times=times, positions=x, momenta=p)
+    return _draws(classical_state(spec, energy), n, seed)
 
 
 def measurement_histogram(spec: PotentialSpec, energy: float, n_bins: int,
                           variable: str, n_draws: int, seed: int) -> HistogramRun:
     """Analytic projection histogram with measurement draws attached."""
-    hist = project_trajectory(spec, energy, n_bins, variable)
-    draws = sample_measurements(spec, energy, n_draws, seed)
+    arc = classical_state(spec, energy)
+    hist, draws = _projection(arc, n_bins, variable), _draws(arc, n_draws, seed)
     return HistogramRun(bin_edges=hist.bin_edges, bin_mass=hist.bin_mass,
                         draws=draws.pairs(variable), n_draws=n_draws)

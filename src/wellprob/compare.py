@@ -99,11 +99,11 @@ def compare_state(spec: PotentialSpec, level_energy: float, parity: str,
     the same.
     """
     state = classical_state(spec, level_energy)
-    eigen = eigenstate_closed_court(spec, level_energy, parity, index=index)
     # one local de Broglie wavelength where the particle is slowest, at the walls
     window = 2.0 * math.pi * spec.constants.hbar / state.p_minus
     if spec.a <= window:
         raise SupportError("window leaves no interior to compare on")
+    eigen = eigenstate_closed_court(spec, level_energy, parity, index=index)
     x = eigen.grid[len(eigen.half) - 1:]
     interior = x[x <= spec.a - window]
     cl = classical_position_density(spec, level_energy, grid=interior).values

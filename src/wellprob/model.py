@@ -14,8 +14,9 @@ constant force F toward x = 0.  An arc leaves x = 0 with |p| = p_plus and
 reaches |x| = x_out with |p| = p_out, on one side of x = 0 (the bouncer:
 F = m g, x_out = E/F, p_out = 0) or on both (the closed court: F = V0/a,
 x_out = a, p_out = sqrt(2m(E - V0)); the infinite well is its F = 0 case,
-p_out = p_plus).  :class:`ClassicalState` is that arc, and every classical
-quantity is derived from it.
+p_out = p_plus).  :class:`ClassicalState` is that arc, with E, F and m on
+it, and the only source of every classical quantity: no potential V(x) is
+evaluated anywhere.
 
 All quantities are in scaled units; the default constants are
 hbar = 2m = 1, which is the convention required to reproduce the reference
@@ -141,21 +142,6 @@ class ClassicalState:
     @property
     def turning_points(self) -> tuple[float, float]:
         return (-self.x_out if self.sides == 2 else 0.0, self.x_out)
-
-
-def evaluate_potential(spec: PotentialSpec, x):
-    """V(x) = F |x| inside the walls, ``inf`` outside the allowed region.
-
-    Accepts scalars or arrays; the infinite walls are represented exactly
-    so that density supports are exact intervals.
-    """
-    xa = np.asarray(x, dtype=float)
-    c = spec.constants
-    if spec.kind is PotentialKind.BOUNCER:
-        force, outside = c.mass * c.g, xa < 0.0
-    else:
-        force, outside = spec.v0 / spec.a, np.abs(xa) > spec.a
-    return np.where(outside, np.inf, force * np.abs(xa))[()]
 
 
 def check_energy(spec: PotentialSpec, energy: float) -> None:

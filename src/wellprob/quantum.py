@@ -117,7 +117,6 @@ class MomentumWavefunction:
     grid: np.ndarray
     phi: np.ndarray
     density: np.ndarray
-    hbar: float
 
     def norm_mass(self) -> float:
         return float(np.trapezoid(self.density, self.grid))
@@ -633,5 +632,4 @@ def momentum_transform(state: Eigenstate, p_grid=None,
     phi = node_sum + sign * node_sum.conj()
     phi = np.concatenate([phi[::-1][:mid].conj(), phi])
     phi /= math.sqrt(2.0 * math.pi * c.hbar)
-    return MomentumWavefunction(grid=p_grid, phi=phi,
-                                density=np.abs(phi) ** 2, hbar=c.hbar)
+    return MomentumWavefunction(grid=p_grid, phi=phi, density=np.abs(phi) ** 2)

@@ -43,7 +43,7 @@ from scipy.integrate import simpson
 from wellprob import airy, quantum
 from wellprob.airy import airy_eval_many
 from wellprob.classical import classical_position_density
-from wellprob.model import PotentialKind, classical_state, evaluate_potential
+from wellprob.model import PotentialKind, classical_state
 
 
 def fd_eigenvalues(a, v0, e_max, hbar=1.0, mass=0.5, n=3000):
@@ -182,7 +182,7 @@ def _linear_segments(spec, energy):
 
 
 def _raw_integrand(spec, energy):
-    return lambda x: 1.0 / np.sqrt(energy - evaluate_potential(spec, x))
+    return lambda x: 1.0 / np.sqrt(energy - potential_by_kind(spec, x))
 
 
 def half_period_quadrature(spec, energy):
@@ -195,7 +195,7 @@ def half_period_quadrature(spec, energy):
     """
     total = 0.0
     for x0, x1, turning in _linear_segments(spec, energy):
-        v0, v1 = evaluate_potential(spec, x0), evaluate_potential(spec, x1)
+        v0, v1 = potential_by_kind(spec, x0), potential_by_kind(spec, x1)
         slope = (v1 - v0) / (x1 - x0)
         if slope == 0.0:
             total += _gauss(_raw_integrand(spec, energy), x0, x1)
@@ -205,7 +205,7 @@ def half_period_quadrature(spec, energy):
 
         def transformed(u, _s=slope, _x0=x0, _v0=v0):
             x = _x0 + (energy - u * u - _v0) / _s
-            return 2.0 * u / (abs(_s) * np.sqrt(energy - evaluate_potential(spec, x)))
+            return 2.0 * u / (abs(_s) * np.sqrt(energy - potential_by_kind(spec, x)))
 
         total += _gauss(transformed, min(ua, ub), max(ua, ub))
     return math.sqrt(spec.constants.mass / 2.0) * total

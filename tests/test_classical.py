@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from scipy.integrate import quad
 
 import wellprob as wp
+from wellprob import classical, cli, model
 from wellprob.classical import position_cdf, momentum_cdf
 import oracles
 from oracles import half_period_quadrature, half_period_tanh_sinh, tanh_sinh
@@ -47,12 +49,12 @@ def test_half_period_scipy_adaptive_oracle():
     for spec, e in [(CC10, 10.066), (CC2, 10.105), (IW, 4.0)]:
         m = spec.constants.mass
         oracle = math.sqrt(m / 2.0) * quad(
-            lambda x: 1.0 / math.sqrt(e - wp.evaluate_potential(spec, x)),
+            lambda x: 1.0 / math.sqrt(e - oracles.potential_by_kind(spec, x)),
             -spec.a, spec.a, points=[0.0], limit=200)[0]
         assert wp.classical_state(spec, e).tau == pytest.approx(oracle, rel=1e-9)
     # bouncer: integrable singularity at the apex
     oracle = math.sqrt(0.5) * quad(
-        lambda z: 1.0 / math.sqrt(2.0 - wp.evaluate_potential(BOUNCER, z)),
+        lambda z: 1.0 / math.sqrt(2.0 - oracles.potential_by_kind(BOUNCER, z)),
         0.0, 2.0, points=[2.0])[0]
     assert wp.classical_state(BOUNCER, 2.0).tau == pytest.approx(oracle, rel=1e-9)
 
@@ -95,7 +97,8 @@ def test_position_density_closed_court_center_value():
     assert d.values[0] == pytest.approx(0.01895, abs=2e-5)
     # cross-check against 1/(tau v) with the quadrature-oracle tau
     tau_q = half_period_quadrature(CC2, e)
-    assert 1.0 / (tau_q * wp.classical.speed(CC2, e, 0.0)) == pytest.approx(closed, rel=1e-10)
+    arc = wp.classical_state(CC2, e)
+    assert 1.0 / (tau_q * arc.p_plus / arc.mass) == pytest.approx(closed, rel=1e-10)
 
 
 def test_position_density_closed_form_everywhere():
@@ -135,11 +138,33 @@ def test_densities_reject_non_finite_grid_points():
             wp.classical_momentum_density(CC10, 10.066, grid=[0.1, bad])
 
 
+@pytest.mark.parametrize("spec, e, grid, ends", [
+    (CC10, 10.066, [-25.0 - 5e-13, 0.0, 25.0 + 5e-13], [-25.0, 0.0, 25.0]),
+    (wp.bouncer(mass=0.5, g=1.0), 2.0, [-5e-13, 1.0], [0.0, 1.0]),
+], ids=["closed-court-walls", "bouncer-floor"])
+def test_position_density_in_the_support_tolerance_takes_the_end_value(spec, e, grid, ends):
+    # the support check admits points up to 1e-12 outside the allowed region;
+    # there V(x) was inf and the density NaN, with a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        d = wp.classical_position_density(spec, e, grid=grid)
+    assert np.array_equal(d.values, wp.classical_position_density(spec, e, grid=ends).values)
+
+
+def test_density_curve_rejects_non_finite_values():
+    # values < 0 is False for NaN, so the sign check let a NaN value through
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            wp.DensityCurve("position", np.array([0.0, 1.0]), np.array([bad, 1.0]),
+                            ((0.0, 1.0),))
+
+
 def test_position_cdf_endpoints_and_symmetry():
-    assert position_cdf(CC10, 10.066, -25.0) == 0.0
-    assert position_cdf(CC10, 10.066, 25.0) == 1.0
-    assert position_cdf(CC10, 10.066, 0.0) == pytest.approx(0.5, rel=1e-14)
-    assert position_cdf(BOUNCER, 2.0, 2.0) == 1.0
+    arc = wp.classical_state(CC10, 10.066)
+    assert position_cdf(arc, -25.0) == 0.0
+    assert position_cdf(arc, 25.0) == 1.0
+    assert position_cdf(arc, 0.0) == pytest.approx(0.5, rel=1e-14)
+    assert position_cdf(wp.classical_state(BOUNCER, 2.0), 2.0) == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +246,7 @@ def test_trajectory_infinite_well_mid_crossing():
 def test_trajectory_conserves_energy(t):
     for spec, e in [(CC10, 10.066), (IW, 4.0), (BOUNCER, 2.0)]:
         x, p = wp.trajectory(spec, e, t)
-        assert p * p / (2.0 * spec.constants.mass) + wp.evaluate_potential(spec, x) == \
+        assert p * p / (2.0 * spec.constants.mass) + oracles.potential_by_kind(spec, x) == \
             pytest.approx(e, rel=1e-9)
 
 
@@ -288,9 +313,9 @@ def test_projection_rejects_single_bin():
 
 def test_momentum_cdf_closed_court_plateau():
     s = wp.classical_state(CC10, 10.066)
-    assert momentum_cdf(CC10, 10.066, -s.p_plus) == 0.0
-    assert momentum_cdf(CC10, 10.066, 0.0) == 0.5
-    assert momentum_cdf(CC10, 10.066, s.p_plus) == 1.0
+    assert momentum_cdf(s, -s.p_plus) == 0.0
+    assert momentum_cdf(s, 0.0) == 0.5
+    assert momentum_cdf(s, s.p_plus) == 1.0
 
 
 def test_draws_reproducible_and_single():
@@ -349,10 +374,11 @@ def test_arc_state_and_potential_match_closed_forms(case):
     assert lo == (0.0 if spec.kind is wp.PotentialKind.BOUNCER else -spec.a)
     assert hi == pytest.approx(e / (spec.constants.mass * spec.constants.g)
                                if spec.kind is wp.PotentialKind.BOUNCER else spec.a, rel=1e-15)
-    x = np.linspace(lo - 1.0, hi + 1.0, 101)
-    v, ref = wp.evaluate_potential(spec, x), oracles.potential_by_kind(spec, x)
-    assert np.array_equal(np.isinf(v), np.isinf(ref))
-    assert np.allclose(v[np.isfinite(v)], ref[np.isfinite(ref)], rtol=1e-12, atol=0.0)
+    # on the allowed region the potential is the arc's F |x|
+    x = np.linspace(lo, hi, 101)
+    ref = oracles.potential_by_kind(spec, x)
+    assert np.all(np.isfinite(ref))
+    assert np.allclose(s.force * np.abs(x), ref, rtol=1e-12, atol=0.0)
 
 
 @settings(max_examples=200)
@@ -362,11 +388,11 @@ def test_arc_cdfs_match_closed_forms(case):
     s = wp.classical_state(spec, e)
     lo, hi = s.turning_points
     x = np.concatenate([np.linspace(lo - 0.1 * (hi - lo), hi + 0.1 * (hi - lo), 241), [0.0]])
-    assert np.max(np.abs(position_cdf(spec, e, x)
+    assert np.max(np.abs(position_cdf(s, x)
                          - oracles.position_cdf_by_kind(spec, e, x))) <= 1e-12
     q = np.concatenate([np.linspace(-1.2 * s.p_plus, 1.2 * s.p_plus, 241),
                         [-s.p_plus, -s.p_minus, 0.0, s.p_minus, s.p_plus]])
-    assert np.max(np.abs(momentum_cdf(spec, e, q)
+    assert np.max(np.abs(momentum_cdf(s, q)
                          - oracles.momentum_cdf_by_kind(spec, e, q))) <= 1e-12
 
 
@@ -391,10 +417,10 @@ def test_arc_trajectory_matches_closed_forms(case, phase):
 @given(case=ARC_CASES, n_points=st.integers(16, 600))
 def test_arc_default_grid_matches_closed_forms(case, n_points):
     spec, e = case
-    grid = wp.classical.default_position_grid(spec, e, n_points)
+    s = wp.classical_state(spec, e)
+    grid = wp.classical.default_position_grid(s, n_points)
     ref = oracles.position_grid_by_kind(spec, e, n_points)
     assert grid.shape == ref.shape
-    s = wp.classical_state(spec, e)
     assert np.max(np.abs(grid - ref)) <= 1e-12 * s.turning_points[1]
     if spec.kind is not wp.PotentialKind.INFINITE_WELL:
         mid_band = np.array([0.5 * (s.p_minus + s.p_plus)])
@@ -406,12 +432,12 @@ def test_arc_default_grid_matches_closed_forms(case, n_points):
 @given(case=st.one_of(CLOSED_COURTS, INFINITE_WELLS, BOUNCERS), u=st.floats(0.0, 1.0))
 def test_position_cdf_inverts_the_orbit(case, u):
     spec, e = case
-    tau = wp.classical_state(spec, e).tau
-    x = wp.trajectory(spec, e, u * tau)[0]
+    arc = wp.classical_state(spec, e)
+    x = wp.trajectory(spec, e, u * arc.tau)[0]
     # near the bouncer's apex x rounds to a few ulps of H, which the CDF's
     # square root turns into up to sqrt(ulp/H) ~ 1e-8
     near_apex = spec.kind is wp.PotentialKind.BOUNCER and u > 1.0 - 1e-4
-    assert position_cdf(spec, e, x) == pytest.approx(u, abs=1e-7 if near_apex else 1e-12)
+    assert position_cdf(arc, x) == pytest.approx(u, abs=1e-7 if near_apex else 1e-12)
 
 
 @pytest.mark.parametrize("v0", [1e-3, 1e-6, 1e-8, 1e-10, 1e-12, 1e-14])
@@ -433,3 +459,53 @@ def test_closed_court_band_below_rounding_is_the_infinite_well_pair():
         wp.classical_momentum_density(spec, 10.0)
     h = wp.project_trajectory(spec, 10.0, 8, "momentum")
     assert np.array_equal(h.bin_mass, wp.project_trajectory(IW, 10.0, 8, "momentum").bin_mass)
+
+
+# ---------------------------------------------------------------------------
+# one arc per call
+
+@pytest.fixture
+def arc_builds(monkeypatch):
+    """Energies of every arc built through the classical layer or the CLI."""
+    built = []
+
+    def spy(spec, energy):
+        built.append(energy)
+        return model.classical_state(spec, energy)
+
+    for module in (classical, cli):
+        monkeypatch.setattr(module, "classical_state", spy)
+    return built
+
+
+@pytest.mark.parametrize("name, args", [
+    ("classical_position_density", (BOUNCER, 2.0)),
+    ("classical_momentum_density", (CC10, 10.066)),
+    ("momentum_delta_masses", (IW, 4.0)),
+    ("trajectory", (CC10, 10.066, np.linspace(0.0, 60.0, 7))),
+    ("project_trajectory", (CC10, 10.066, 10, "position")),
+    ("sample_measurements", (IW, 4.0, 50, 7)),
+    ("measurement_histogram", (BOUNCER, 2.0, 10, "momentum", 50, 7)),
+])
+def test_each_public_classical_call_builds_the_arc_once(arc_builds, name, args):
+    getattr(classical, name)(*args)
+    assert arc_builds == [args[1]]
+
+
+_CLASSICAL_RUN = ("task.n_bins=20", "task.n_draws=500")
+
+
+@pytest.mark.parametrize("command, overrides, most", [
+    ("classical", ("potential.kind=bouncer", "task.energy=2", *_CLASSICAL_RUN), 8),
+    ("classical", ("potential.kind=infinite_well", "potential.a=25", "task.energy=4",
+                   *_CLASSICAL_RUN), 8),
+    ("classical", ("potential.kind=closed_court", "potential.a=25", "potential.v0=10",
+                   "task.energy=10.5", *_CLASSICAL_RUN), 8),
+    ("bounce-sim", (), 7),
+], ids=["classical-bouncer", "classical-infinite-well", "classical-closed-court", "bounce-sim"])
+def test_one_cli_run_builds_few_arcs(arc_builds, tmp_path, capsys, command, overrides, most):
+    args = [command, "--out", str(tmp_path)]
+    for item in overrides:
+        args += ["--set", item]
+    assert cli.main(args) == 0
+    assert 0 < len(arc_builds) <= most

@@ -62,8 +62,7 @@ def test_support_mass_of_classical_curve_is_one():
     plateau = 1.0 / (2.0 * state.delta_p)
     inside = (np.abs(grid) >= state.p_minus) & (np.abs(grid) <= state.p_plus)
     density = np.where(inside, plateau, 0.0)
-    wave = wp.MomentumWavefunction(grid=grid, phi=np.sqrt(density) + 0.0j,
-                                   density=density, hbar=1.0)
+    wave = wp.MomentumWavefunction(grid=grid, phi=np.sqrt(density) + 0.0j, density=density)
     assert wp.momentum_support_mass(wave, state, widen=2.0 / 25.0) == 1.0
     # an edge a fraction t of a cell from the last inside point leaves the
     # triangle 0.5 h plateau (1 - t)^2 of that cell outside the band
@@ -129,3 +128,19 @@ def test_breakdown_flag_turns_on_for_narrow_band():
     rep = wp.compare.compare_state(spec, level.energy, level.parity, level.index)
     assert rep.delta_p_classical < 0.08
     assert rep.classical_unreliable
+
+
+def test_window_check_precedes_the_eigenstate(monkeypatch):
+    # p_minus = 0.25 at V0 = 10.01 puts the window past a = 25: the report is
+    # flagged before any state is synthesised
+    synthesised = []
+    synthesise = wp.compare.eigenstate_closed_court
+
+    def spy(*args, **kwargs):
+        synthesised.append(args)
+        return synthesise(*args, **kwargs)
+
+    monkeypatch.setattr(wp.compare, "eigenstate_closed_court", spy)
+    reports = wp.v0_sweep(a=25.0, hbar=1.0, mass=0.5, e_target=10.07, v0_list=[10.01])
+    assert reports[0].flag == "window-exceeds-well: window leaves no interior to compare on"
+    assert synthesised == []

@@ -1,32 +1,7 @@
-import math
-
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import wellprob as wp
-
-
-def test_evaluate_potential_closed_court_edge_and_center():
-    spec = wp.closed_court(a=25.0, v0=10.0)
-    assert wp.evaluate_potential(spec, 25.0) == pytest.approx(10.0)
-    assert wp.evaluate_potential(spec, 0.0) == 0.0
-    assert wp.evaluate_potential(spec, -12.5) == pytest.approx(5.0)
-
-
-def test_evaluate_potential_infinite_outside():
-    iw = wp.infinite_well(a=25.0)
-    assert wp.evaluate_potential(iw, 26.0) == math.inf
-    bn = wp.bouncer()
-    assert wp.evaluate_potential(bn, -0.1) == math.inf
-    assert wp.evaluate_potential(bn, 3.0) == pytest.approx(3.0)  # m g z with m=g=1
-
-
-def test_evaluate_potential_vectorized():
-    spec = wp.closed_court(a=25.0, v0=10.0)
-    v = wp.evaluate_potential(spec, np.array([-30.0, -25.0, 0.0, 25.0, 30.0]))
-    assert v[0] == math.inf and v[-1] == math.inf
-    assert v[1] == pytest.approx(10.0) and v[2] == 0.0
 
 
 def test_classical_state_table_row1():

@@ -14,7 +14,8 @@ import wellprob as wp
 from wellprob import quantum
 from oracles import (airy_cross, closed_court_determinant, eigenstate_pointwise,
                      fd_eigenvalues, filon_transform_full, infinite_well_levels_loop,
-                     nearest_level_one_parity_at_a_time, roots_one_parity,
+                     nearest_level_one_parity_at_a_time, potential_by_kind,
+                     roots_one_parity,
                      simpson_transform, spectrum_one_parity_at_a_time)
 
 CC10 = wp.closed_court(a=25.0, v0=10.0)
@@ -462,7 +463,7 @@ def test_eigenstate_schrodinger_residual(table1_states):
         stencil = (-psi_at(x + 2 * h) + 16 * psi_at(x + h) - 30 * psi_at(x)
                    + 16 * psi_at(x - h) - psi_at(x - 2 * h)) / (12.0 * h * h)
         hbar2_2m = spec.constants.hbar ** 2 / (2.0 * spec.constants.mass)
-        v = wp.evaluate_potential(spec, x)
+        v = potential_by_kind(spec, x)
         residual = -hbar2_2m * stencil + (v - level.energy) * psi_at(x)
         rel = np.linalg.norm(residual) / np.linalg.norm(level.energy * psi_at(x))
         assert rel < 1e-5
