@@ -36,9 +36,18 @@ level search relies on that.
 
 The budget target is relative error <= 1e-10 for |z| <= 40.  On the far
 negative axis the phase zeta = (2/3)|z|^1.5 grows, and the trig argument
-reduction limits accuracy to about zeta * eps (still < 1e-10 for
-|z| <= 1500).  Bi overflows the double range for z >~ 103.9; that raises
-:class:`AiryOverflowError`.  A z that is not finite raises ValueError.
+reduction limits the accuracy of the values to about zeta * eps (still
+< 1e-10 for |z| <= 1500).  Bi overflows the double range for z >~ 103.9;
+that raises :class:`AiryOverflowError`.  A z that is not finite raises
+ValueError.
+
+The level solve needs the modulus-phase form (DLMF 9.8) instead, which
+:func:`_phases` gives without the values' two limits: each phase as its
+offset from the closed-form trend pi/4 - (2/3) max(-z, 0)^1.5, taken on
+the negative asymptotic range straight from the series' rows (no cos, sin
+or unwrap, so no zeta * eps error: within 2.2e-16 of 50-digit mpmath at
+z = -3000), and on the positive one from Ai/Bi, scaled, so that Bi never
+overflows.
 """
 
 from __future__ import annotations
@@ -220,35 +229,82 @@ def airy_eval_many(z: np.ndarray):
     (z > ~103.9) and ValueError for a z that is not finite or has |z| > 1e4.
     """
     z = np.asarray(z, dtype=float)
-    az = np.abs(z)
-    if not (az <= Z_MAX).all():
+    if not (np.abs(z) <= Z_MAX).all():
         raise ValueError(f"z must be finite with |z| <= {Z_MAX:g}")
     if (z > _Z_BI_OVERFLOW).any():
         raise AiryOverflowError(
             f"Bi(z) overflows double precision for z > {_Z_BI_OVERFLOW:.1f}")
+    return _by_regime(z, _taylor, _asym_pos, _asym_neg)
+
+
+def _by_regime(z, taylor, pos, neg):
+    """Four rows at each z: ``taylor`` on |z| <= Z_SWITCH, ``pos`` on
+    z > Z_SWITCH and ``neg`` on z < -Z_SWITCH, each called on its points."""
     out = np.empty((4,) + z.shape)
-    for pick, regime in ((az <= Z_SWITCH, _taylor), (z > Z_SWITCH, _asym_pos),
-                         (z < -Z_SWITCH, _asym_neg)):
+    for pick, regime in ((np.abs(z) <= Z_SWITCH, taylor), (z > Z_SWITCH, pos),
+                         (z < -Z_SWITCH, neg)):
         if pick.any():
             out[:, pick] = regime(z[pick])
     return tuple(out)
 
 
-def modulus_phase(z, ai, bi, aip, bip):
-    """(M^2, theta, N^2, phi) of the values :func:`airy_eval_many` gave at z,
-    with Ai = M cos theta, Bi = M sin theta, Ai' = N cos phi, Bi' = N sin phi
-    (DLMF 9.8).  The Wronskian 1/pi gives theta' = 1/(pi M^2) and
+def _phases(z):
+    """(M^2, theta - ref, N^2, phi - ref) at each z, with Ai = M cos theta,
+    Bi = M sin theta, Ai' = N cos phi, Bi' = N sin phi (DLMF 9.8) and
+    ref = pi/4 - (2/3) max(-z, 0)^(3/2): the phases as offsets from their
+    closed-form trend, so a caller can take differences of the trend in
+    closed form.  The Wronskian 1/pi gives theta' = 1/(pi M^2) and
     phi' = -z/(pi N^2), so the phases are continuous in z: theta(0) = pi/3,
     phi(0) = 2 pi/3, both tend to pi/2 as z -> +inf, and to pi/4 - zeta and
-    3 pi/4 - zeta as z -> -inf.  Each atan2 is unwrapped against
-    ref = pi/4 - (2/3) max(-z, 0)^(3/2) (ref + pi/2 for phi), which stays
-    within pi/4 of the phase, so no table is needed.  For z >~ 66, Bi^2
-    passes the double range and M^2, N^2 are inf, silently: theta' = 0 is
-    then right to the last digit.
+    3 pi/4 - zeta as z -> -inf.  The theta offset stays within pi/4 of 0 and
+    the phi offset within pi/4 of pi/2 on the whole axis.
+
+    * ``|z| <= Z_SWITCH``: one atan2 of the Taylor values each, less ref,
+      reduced into that range.
+    * ``z < -Z_SWITCH``: straight from the rows P, Q, R, S of
+      :func:`_asym_split`, theta - ref = atan2(Q, P), phi - ref =
+      pi/2 + atan2(S, R), M^2 = (P^2 + Q^2)/(pi sqrt(-z)) and
+      N^2 = (R^2 + S^2) sqrt(-z)/pi: no cos, no sin and no unwrap, so no
+      zeta * eps error.
+    * ``z > Z_SWITCH``: theta - ref = pi/4 - atan(Ai/Bi), and alike for phi,
+      with Ai/Bi from the exponentially scaled terms, so Bi never overflows.
+      M^2 and N^2 overflow to inf, silently, for z above about 66, where
+      theta' = 0 is right to the last digit.
+
+    Each point is computed on its own, bit-equal in any batch.  ValueError
+    for a z that is not finite.
     """
+    z = np.asarray(z, dtype=float)
+    if not np.isfinite(z).all():
+        raise ValueError("z must be finite")
+    return _by_regime(z, _phases_taylor, _phases_pos, _phases_neg)
+
+
+def _phases_taylor(z):
+    ai, bi, aip, bip = _taylor(z)
     ref = 0.25 * math.pi - (2.0 / 3.0) * np.maximum(-z, 0.0) ** 1.5
-    theta, phi = np.arctan2(bi, ai), np.arctan2(bip, aip)
-    theta += 2.0 * math.pi * np.round((ref - theta) / (2.0 * math.pi))
-    phi += 2.0 * math.pi * np.round((ref + 0.5 * math.pi - phi) / (2.0 * math.pi))
+    theta, phi = np.arctan2(bi, ai) - ref, np.arctan2(bip, aip) - ref
+    theta -= 2.0 * math.pi * np.round(theta / (2.0 * math.pi))
+    phi -= 2.0 * math.pi * np.round((phi - 0.5 * math.pi) / (2.0 * math.pi))
+    return ai * ai + bi * bi, theta, aip * aip + bip * bip, phi
+
+
+def _phases_neg(z):
+    rt = np.sqrt(-z)
+    p, q, r, s = _asym_split((2.0 / 3.0) * rt ** 3, -1.0)
+    return ((p * p + q * q) / (math.pi * rt), np.arctan2(q, p),
+            (r * r + s * s) * rt / math.pi, 0.5 * math.pi + np.arctan2(s, r))
+
+
+def _phases_pos(z):
+    rt = np.sqrt(z)
+    zeta = (2.0 / 3.0) * rt ** 3
+    u_even, u_odd, v_even, v_odd = _asym_split(zeta, 1.0)
+    u, v = u_even + u_odd, v_even + v_odd
+    em2 = np.exp(-2.0 * zeta)
+    ai_bi = em2 * (u_even - u_odd) / (2.0 * u)  # Ai/Bi
+    aip_bip = -em2 * (v_even - v_odd) / (2.0 * v)  # Ai'/Bi'
     with np.errstate(over="ignore"):
-        return ai * ai + bi * bi, theta, aip * aip + bip * bip, phi
+        ep2 = np.exp(2.0 * zeta) / math.pi  # Bi^2 = ep2 u^2 / sqrt(z), Bi'^2 = ep2 v^2 sqrt(z)
+    return (ep2 * u * u / rt * (1.0 + ai_bi * ai_bi), 0.25 * math.pi - np.arctan(ai_bi),
+            ep2 * v * v * rt * (1.0 + aip_bip * aip_bip), 0.25 * math.pi - np.arctan(aip_bip))

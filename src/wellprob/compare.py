@@ -69,24 +69,30 @@ def momentum_support_mass(phi: MomentumWavefunction, state: ClassicalState,
                           widen: float) -> float:
     """Fraction of momentum probability inside the widened classical band.
 
-    Each band [p_minus, p_plus] (and its mirror) is widened by ``widen`` on
-    both sides before integrating; partial cells at band edges are split by
-    linear interpolation.
+    The band [p_minus, p_plus] is widened by ``widen`` on both sides before
+    integrating; partial cells at band edges are split by linear
+    interpolation.  |phi|^2 is even on a p grid symmetric about 0 (the
+    transform mirrors it), so band and total are both integrated over
+    p >= 0 alone, from p = 0 (a node, or the midpoint of the two middle
+    ones), and the factor 2 cancels.  ValueError for a grid that is not
+    symmetric about 0.
     """
-    grid, dens = phi.grid, phi.density
-    total = float(np.trapezoid(dens, grid))
+    grid = phi.grid
+    top = float(grid[-1])
+    if not abs(float(grid[0]) + top) <= 8.0 * np.finfo(float).eps * top:
+        raise ValueError("the momentum grid must be symmetric about 0")
+    mid = len(grid) // 2
+    half, dens = grid[mid:], phi.density[mid:]
+    # from p = 0: half[0] is 0, or half the middle cell, where |phi|^2 is dens[0]
+    total = float(np.trapezoid(dens, half)) + float(half[0] * dens[0])
     if total <= 0.0:
         raise NumericalError("momentum density has no mass on its grid")
-    band_lo = max(state.p_minus - widen, 0.0)
-    band_hi = state.p_plus + widen
-    mass = 0.0
-    for lo, hi in ((-band_hi, -band_lo), (band_lo, band_hi)):
-        a, b = max(lo, float(grid[0])), min(hi, float(grid[-1]))
-        if b <= a:
-            continue
-        xs = np.concatenate([[a], grid[(grid > a) & (grid < b)], [b]])
-        mass += float(np.trapezoid(np.interp(xs, grid, dens), xs))
-    return min(mass / total, 1.0)
+    lo, hi = max(state.p_minus - widen, 0.0), min(state.p_plus + widen, top)
+    if not lo < hi:
+        return 0.0
+    xs = np.concatenate([[lo], half[(half > lo) & (half < hi)], [hi]])
+    # np.interp holds dens[0] on [0, half[0]]
+    return min(float(np.trapezoid(np.interp(xs, half, dens), xs)) / total, 1.0)
 
 
 def compare_state(spec: PotentialSpec, level_energy: float, parity: str,

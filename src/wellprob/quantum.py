@@ -9,9 +9,12 @@ resulting 2x2 determinant, a cross product of Airy functions.  In the
 modulus-phase form of the Airy functions that determinant is an envelope
 times sin(Delta), with Delta a difference of Airy phases, so level k of a
 parity solves Delta = k pi and floor(Delta / pi) counts the levels below E
-exactly (Sturm oscillation).  Levels are listed in the regime E > V0, where
-both Airy arguments stay in the oscillatory range.  Infinite-well levels
-and states are closed forms.
+exactly (Sturm oscillation).  Delta is formed from the phases' offsets from
+their closed-form trend plus the trend's difference, taken as the action
+between the two arguments, so its error does not grow with the origin
+argument: levels agree with 50-digit mpmath to 2e-15 relative from deep
+levels (origin argument -230) down to V0 = 1e-3.  Levels are listed in the
+regime E > V0.  Infinite-well levels and states are closed forms.
 
 Momentum-space wavefunctions come from the +i kernel Fourier transform
 phi(p) = (2 pi hbar)^(-1/2) int psi(x) exp(+i p x / hbar) dx, evaluated
@@ -32,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .airy import _TAYLOR_DEGREE, Z_MAX, _local_series, airy_eval_many, modulus_phase
+from .airy import _TAYLOR_DEGREE, Z_MAX, _local_series, _phases, airy_eval_many
 from .errors import NumericalError, RegimeError, ResolutionError
 from .model import PotentialKind, PotentialSpec
 
@@ -40,8 +43,9 @@ _EIGEN_RESIDUAL_TOL = 1e-6  # |sin Delta| at an accepted E
 _NEWTON_MAX_ITERS = 64
 _NEWTON_STEP_TOL = 4.0 * np.finfo(float).eps  # relative to |E|
 _NEWTON_STALL_TOL = math.sqrt(np.finfo(float).eps)  # relative; see _newton_roots
-_START_TABLE = 65  # points of the action table that Newton starts are read from
 _MAX_LEVELS = 100_000  # levels one solve may face, both parities
+_LATTICE_PER_PI = 4  # lattice steps per pi of the trend of Delta, where it is steepest
+_OPENING_BLOCK = 4096  # energies per call of a level solve's opening evaluation
 _UNIFORM_ULPS = 8.0  # tolerance of the uniform-p test, in ulps of max |p|
 _SUBNORMAL_ULPS = 32.0  # its floor, in subnormal ulps per point; see _is_uniform
 _BLOCK_REACH = 0.75  # largest sqrt(|z|) |t| of an eigenstate block, as of an Airy anchor's
@@ -146,53 +150,79 @@ def _is_odd(parity: str) -> bool:
 
 
 def _mismatch(spec: PotentialSpec, energies: np.ndarray, odd):
-    """The phase mismatch Delta and dDelta/dE at each energy, from one Airy
-    call on the origin and wall arguments together; both move with
-    dz/dE = -a / (V0 rho).  ``odd`` is a bool or a bool array broadcast
-    against the energies (rows [[False], [True]] give both parities).
+    """The phase mismatch Delta and dDelta/dE at each energy, from the Airy
+    phases (:func:`airy._phases`) of the origin and wall arguments together;
+    both move with dz/dE = -a / (V0 rho).  ``odd`` is a bool or a bool array
+    broadcast against the energies (rows [[False], [True]] give both
+    parities).
 
-    In the modulus-phase form (:func:`airy.modulus_phase`) the boundary
-    determinant is M(z_0) M(z_w) sin(Delta) for odd states, with
-    Delta = theta(z_w) - theta(z_0), and N(z_0) M(z_w) sin(Delta) for even
-    ones, with Delta = theta(z_w) - phi(z_0).  By Sturm oscillation
-    floor(Delta / pi) counts the odd levels below E, and floor(Delta / pi) + 1
-    the even ones: odd level k >= 1 (n = 2k) solves Delta = k pi, and so
-    does even level k >= 0 (n = 2k + 1).
+    In the modulus-phase form the boundary determinant is
+    M(z_0) M(z_w) sin(Delta) for odd states, with Delta = theta(z_w) -
+    theta(z_0), and N(z_0) M(z_w) sin(Delta) for even ones, with
+    Delta = theta(z_w) - phi(z_0).  By Sturm oscillation floor(Delta / pi)
+    counts the odd levels below E, and floor(Delta / pi) + 1 the even ones:
+    odd level k >= 1 (n = 2k) solves Delta = k pi, and so does even level
+    k >= 0 (n = 2k + 1).
+
+    Delta is formed as (ref_w - ref_0) + (offset_w - offset_0), the phases'
+    closed-form trend ref = pi/4 - zeta(z), zeta = (2/3) max(-z, 0)^(3/2),
+    plus their offsets from it.  Where both arguments are <= 0,
+    t_0 - t_w = a / rho (t = -z), and ref_w - ref_0 = zeta_0 - zeta_w is
+    taken in action form, (2/3)(a / rho)(t_0 + sqrt(t_0 t_w) + t_w) /
+    (sqrt(t_0) + sqrt(t_w)), free of cancellation: Delta stays near k a
+    while zeta_0 grows like 1/V0.
     """
     scales = AiryScales.from_spec(spec, np.asarray(energies, dtype=float))
+    reach = spec.a / scales.rho  # z_w - z_0
     z_origin = -scales.sigma / scales.rho
     n = len(z_origin)
     z = np.concatenate([z_origin, (spec.a - scales.sigma) / scales.rho])
-    m2, theta, n2, phi = modulus_phase(z, *airy_eval_many(z))
+    m2, theta, n2, phi = _phases(z)
+    t0, tw = np.maximum(-z_origin, 0.0), np.maximum(-z[n:], 0.0)
+    s0, sw = np.sqrt(t0), np.sqrt(tw)
+    with np.errstate(invalid="ignore", divide="ignore"):  # the branch not taken at E <= 0
+        trend = (2.0 / 3.0) * np.where(tw > 0.0, reach * (t0 + s0 * sw + tw) / (s0 + sw),
+                                       t0 * s0)
     origin = np.where(odd, theta[:n], phi[:n])
     rate = np.where(odd, 1.0 / m2[:n], -z_origin / n2[:n])  # pi dphase/dz at z_0
     dz_de = -spec.a / (spec.v0 * scales.rho)
-    return theta[n:] - origin, (1.0 / m2[n:] - rate) * (dz_de / math.pi)
+    return trend + (theta[n:] - origin), (1.0 / m2[n:] - rate) * (dz_de / math.pi)
+
+
+def _gate(spec: PotentialSpec, energy: float, odd: bool):
+    """k = round(Delta / pi) at one energy and the residual |sin(Delta - k pi)|,
+    formed as the level solve forms them."""
+    delta = _mismatch(spec, np.array([energy]), odd)[0]
+    k = np.round(delta / math.pi)
+    return float(k[0]), float(np.abs(np.sin(delta - k * math.pi))[0])
 
 
 def eigencondition_residual(spec: PotentialSpec, energy: float, parity: str) -> float:
-    """|sin Delta|, the boundary determinant over its envelope; ~0 at an eigenvalue."""
-    delta, _ = _mismatch(spec, np.array([energy]), _is_odd(parity))
-    return abs(math.sin(delta[0]))
+    """|sin(Delta - k pi)| for the nearest k, the boundary determinant over its
+    envelope; ~0 at an eigenvalue."""
+    return _gate(spec, energy, _is_odd(parity))[1]
 
 
 def _newton_roots(spec: PotentialSpec, odd: np.ndarray, k: np.ndarray, left: np.ndarray,
                   right: np.ndarray, start: np.ndarray):
     """The energies where the mismatch of parity ``odd`` equals k pi, one in
     each bracket (Delta < k pi at ``left``, >= k pi at ``right``), and the
-    residual |sin Delta| at each; vectorized over the roots.
+    residual |sin(Delta - k pi)| at each; vectorized over the roots.
 
     A bracket-safeguarded Newton iteration from ``start``.  Every evaluation
     shrinks the bracket to the side that keeps the root; a Newton step that
     leaves the bracket is replaced by its midpoint.  A root is done once its
     raw Newton step |(Delta - k pi) / Delta'| is within 4 eps |E|, or once
     that step, already below sqrt(eps) |E|, stops shrinking: it is then the
-    phase's noise floor, which the Airy phase error zeta * eps lifts above
-    4 eps |E| for |z| beyond about 50.  Near a root the sign of Delta - k pi
-    is noise too, so neither the bracket width nor a bisection step is a
-    usable stop test.  Each root stops on its own test, so it takes the same
-    steps whatever other roots share the loop.  Each root's result is the
-    last energy evaluated, with its residual.
+    mismatch's noise floor.  Delta is good to a few ulps of itself, which
+    keeps that floor near 2 eps |E|: the second test stopped 3 of 11404
+    roots of the level-search and spectrum inputs at seeds 3, 7 and 11
+    (1280 when Delta was a difference of two unwrapped phases, each
+    zeta * eps off).  Near a root the sign of Delta - k pi is noise too, so
+    neither the bracket width nor a bisection step is a usable stop test.
+    Each root stops on its own test, so it takes the same steps whatever
+    other roots share the loop.  Each root's result is the last energy
+    evaluated, with its residual.
     """
     x = start
     energy, residual = np.empty(len(x)), np.empty(len(x))
@@ -220,37 +250,57 @@ def _newton_roots(spec: PotentialSpec, odd: np.ndarray, k: np.ndarray, left: np.
     return energy, residual
 
 
-def _solve(spec: PotentialSpec, ends, delta: np.ndarray):
-    """The levels of both parities in (ends[0], ends[1]], given the mismatch
-    of each parity (rows even, odd) at both ends: their parities, their
-    integer targets k, their energies and their residuals.
+def _solve(spec: PotentialSpec, ends: np.ndarray, grid: np.ndarray, delta: np.ndarray,
+           slope: np.ndarray):
+    """The levels of both parities in a window, given the mismatch of each
+    parity (rows even, odd) at the window's ends (``ends``, two columns) and
+    Delta and dDelta/dE at every energy of an ascending table ``grid`` that
+    spans the window: their parities, their integer targets k, their
+    energies and their residuals.
 
-    floor(Delta / pi) at the ends lists each parity's targets.  Every root
-    starts from the semiclassical action E^1.5 - max(E - V0, 0)^1.5, to
-    which Delta is close to affine, interpolated between the ends, and all
-    roots share one Newton loop: one Airy call per step.
+    floor(Delta / pi) at the window's ends lists each parity's targets.
+    Each root lies in one table interval, Delta < k pi at its left end and
+    >= k pi at its right, which is its bracket; it starts from the cubic
+    Hermite interpolant of E(Delta) on that interval, whose end slopes are
+    1 / Delta' (the interval's affine interpolant where the cubic leaves the
+    bracket).  All roots share one Newton loop: one Airy phase call per step.
     """
-    count = np.floor(delta / math.pi).astype(int)
+    count = np.floor(ends / math.pi).astype(int)
     per_parity = count[:, 1] - count[:, 0]
     if per_parity.sum() > _MAX_LEVELS:
-        raise RegimeError(f"{per_parity.sum()} levels lie in ({ends[0]:g}, {ends[1]:g}]; "
+        raise RegimeError(f"{per_parity.sum()} levels lie in the window; "
                           f"a spectrum holds at most {_MAX_LEVELS}")
     odd = np.repeat([False, True], per_parity)
-    rows = odd.astype(int)
-    k = np.concatenate([np.arange(c[0] + 1, c[1] + 1) for c in count])
-    grid = np.linspace(ends[0], ends[1], _START_TABLE)
-    action = grid ** 1.5 - np.maximum(grid - spec.v0, 0.0) ** 1.5
-    frac = (k * math.pi - delta[rows, 0]) / (delta[rows, 1] - delta[rows, 0])
-    start = np.interp(action[0] + frac * (action[-1] - action[0]), action, grid)
-    return (odd, k, *_newton_roots(spec, odd, k, np.full(len(k), float(ends[0])),
-                                   np.full(len(k), float(ends[1])), start))
+    targets = [np.arange(c[0] + 1, c[1] + 1) for c in count]
+    k = np.concatenate(targets)
+    right = np.concatenate([np.searchsorted(row, t * math.pi) for row, t in zip(delta, targets)])
+    right = np.clip(right, 1, len(grid) - 1)
+    rows, left = odd.astype(int), right - 1
+    d0, d1 = delta[rows, left], delta[rows, right]
+    e0, e1 = grid[left], grid[right]
+    u = (k * math.pi - d0) / (d1 - d0)
+    start = (e0 + (e1 - e0) * u * u * (3.0 - 2.0 * u)
+             + (d1 - d0) * u * (1.0 - u) * ((1.0 - u) / slope[rows, left]
+                                            - u / slope[rows, right]))
+    start = np.where((start > e0) & (start < e1), start, e0 + u * (e1 - e0))
+    return (odd, k, *_newton_roots(spec, odd, k, e0, e1, start))
 
 
 def _levels(spec: PotentialSpec, e_max: float, above: float) -> list[EigenLevel]:
     """The levels of both parities in (max(V0, above), e_max], sorted by
-    energy and indexed as in :func:`spectrum`: one Airy call gives the
-    mismatch of both parities at V0 and at the window's ends, the count at
-    V0 gives each level's index, and only the window's levels are solved."""
+    energy and indexed as in :func:`spectrum`.
+
+    One opening call gives the mismatch of both parities and its slope at
+    V0, at the window's ends and on a lattice that spans the window; the
+    count at V0 gives each level's index, and only the window's levels are
+    solved.  The lattice is sqrt(E) = j ds, with ds set by the spec alone:
+    the trend of Delta, (2/3)(a / (V0 rho))^1.5 (E^1.5 - (E - V0)^1.5),
+    rises by at most pi/4 per step (its slope in sqrt(E) is largest at
+    E = V0).  So a level's bracket, start and Newton steps do not depend on
+    the window: every window that holds a level gives it the same energy
+    and residual, bit for bit.  A window that the trend puts above 10^5
+    levels fails before any Airy call.
+    """
     _require_closed_court(spec)
     if not math.isfinite(e_max):
         raise ValueError(f"e_max must be finite, got {e_max!r}")
@@ -266,12 +316,34 @@ def _levels(spec: PotentialSpec, e_max: float, above: float) -> list[EigenLevel]
     if not scales.sigma / scales.rho <= Z_MAX:
         raise RegimeError(f"e_max={e_max:g} puts the Airy argument at the origin past "
                           f"-{Z_MAX:g}")
-    delta = _mismatch(spec, np.array([lo, bottom, e_max]), np.array([[False], [True]]))[0]
-    odd, k, energies, residuals = _solve(spec, (bottom, e_max), delta[:, 1:])
+    # the trend of Delta, (2/3)(t_0^1.5 - max(t_0 - a / rho, 0)^1.5) with
+    # t_0 = sigma / rho, lies within pi of each parity's Delta
+    reach, t_top = spec.a / scales.rho, scales.sigma / scales.rho
+    trend = [(2.0 / 3.0) * (t ** 1.5 - max(t - reach, 0.0) ** 1.5)
+             for t in (t_top * bottom / e_max, t_top)]
+    about = 2.0 * (trend[1] - trend[0]) / math.pi
+    if about > _MAX_LEVELS + 4:
+        raise RegimeError(f"about {about:.3g} levels lie in ({bottom:g}, {e_max:g}]; "
+                          f"a spectrum holds at most {_MAX_LEVELS}")
+    # lattice steps per unit sqrt(E): the trend's slope in sqrt(E) is largest
+    # at E = V0, 2 (a / rho)^1.5 / sqrt(V0); at least one step spans the
+    # window, and one more on each side keeps it covered under rounding
+    steps = max(2.0 * _LATTICE_PER_PI * reach ** 1.5 / (math.pi * math.sqrt(spec.v0)),
+                1.0 / math.sqrt(e_max))
+    first = max(math.floor(math.sqrt(bottom) * steps) - 1, 0)
+    last = math.ceil(math.sqrt(e_max) * steps) + 1
+    grid = (np.arange(first, last + 1) / steps) ** 2
+    energies = np.concatenate([[lo, bottom, e_max], grid])
+    # in blocks, to bound memory: each energy's values are bit-equal in any batch
+    blocks = [_mismatch(spec, energies[i:i + _OPENING_BLOCK], np.array([[False], [True]]))
+              for i in range(0, len(energies), _OPENING_BLOCK)]
+    delta, slope = (np.concatenate(rows, axis=1) for rows in zip(*blocks))
+    odd, k, energies, residuals = _solve(spec, delta[:, 1:3], grid, delta[:, 3:], slope[:, 3:])
     below = np.floor(delta[:, 0] / math.pi).astype(int)[odd.astype(int)]
-    levels = [EigenLevel(energy=float(e), parity="odd" if o else "even", index=int(j - b),
-                         residual=float(r), n=int(2 * j + 1 - o))
-              for e, o, j, b, r in zip(energies, odd, k, below, residuals)]
+    levels = [EigenLevel(energy=e, parity="odd" if o else "even", index=j - b, residual=r,
+                         n=2 * j + 1 - o)
+              for e, o, j, b, r in zip(energies.tolist(), odd.tolist(), k.tolist(),
+                                       below.tolist(), residuals.tolist())]
     levels.sort(key=lambda lv: lv.energy)
     return levels
 
@@ -297,7 +369,7 @@ def spectrum(spec: PotentialSpec, e_max: float) -> list[EigenLevel]:
     mismatch Delta of each parity at V0 and at e_max lists the integer
     targets k with Delta = k pi in between, so no level can be missed, and
     one bracket-safeguarded Newton iteration refines them all to
-    machine-level relative accuracy, one Airy call per step.  A level's
+    machine-level relative accuracy, one Airy phase call per step.  A level's
     index is its rank among the levels of its parity above V0 and ``n``
     its rank among all levels, those below V0 included.  ValueError for a
     non-finite ``e_max``; RegimeError when ``e_max`` takes the Airy
@@ -326,7 +398,8 @@ def nearest_level(spec: PotentialSpec, e_target: float, search_width: float = 1.
     e_target + search_width], indexed as in :func:`spectrum`.
 
     Only the levels in the window are solved: the phase count at V0 gives
-    their index, so the cost does not grow with the levels below it.
+    their index, so the cost does not grow with the levels below it.  Each
+    level is the one :func:`spectrum` lists, bit for bit.
     """
     levels = _levels(spec, e_target + search_width, max(spec.v0, e_target - search_width))
     if not levels:
@@ -352,9 +425,11 @@ def eigenstate_closed_court(spec: PotentialSpec, energy: float, parity: str,
     The coefficient pair is the null vector of the origin condition, so odd
     states vanish at x = 0 exactly; the wall value is then proportional to
     the residual |sin(Delta - k pi)|, k = round(Delta / pi), which with
-    n = 2k + 1 - [odd] the state carries as :func:`spectrum` gives them.
-    Energies that fail the eigencondition are rejected, and so are a
-    non-finite energy and n_grid < 2 (ValueError, before any Airy call).
+    n = 2k + 1 - [odd] the state carries as :func:`spectrum` gives them:
+    both come from the level solve's own mismatch at this one energy,
+    before any synthesis.  Energies that fail the eigencondition are
+    rejected, and so are a non-finite energy and n_grid < 2 (ValueError,
+    before any Airy call).
     ``index`` is the level's rank within its parity, as in :func:`spectrum`.
 
     z = (|x| - sigma) / rho depends on |x| only, so psi is built on the
@@ -362,8 +437,8 @@ def eigenstate_closed_court(spec: PotentialSpec, energy: float, parity: str,
     h = a / (n_grid // 2), cut into blocks of ``block`` points, each
     spanning sqrt(|z|) |t| <= 0.75 in z (|z| taken as at least 1), the
     bound of the Airy anchors' series (see :mod:`wellprob.airy`), so their
-    error analysis carries over.  One Airy call on the block starts and the
-    wall gives psi and dpsi/dz at every start and the residual; each
+    error analysis carries over.  One Airy call on the block starts gives
+    psi and dpsi/dz at every start; each
     block's Taylor series of w'' = z w to the anchors' degree then comes
     from :func:`airy._local_series`, and all blocks are summed by one
     (block x 27) @ (27 x blocks) product against the shared powers of
@@ -375,31 +450,26 @@ def eigenstate_closed_court(spec: PotentialSpec, energy: float, parity: str,
     if not math.isfinite(energy):
         raise ValueError(f"energy must be finite, got {energy!r}")
     odd = _is_odd(parity)
+    k, residual = _gate(spec, energy, odd)
+    if not residual <= _EIGEN_RESIDUAL_TOL:  # a NaN residual fails too
+        raise NumericalError(
+            f"E={energy!r} is not a {parity} eigenvalue "
+            f"(normalized residual {residual:.2e} > {_EIGEN_RESIDUAL_TOL})")
     scales = AiryScales.from_spec(spec, energy)
     h = spec.a / (n_half - 1)
     dz = h / scales.rho
     z_far = max(1.0, abs(scales.sigma) / scales.rho, abs(spec.a - scales.sigma) / scales.rho)
     block = max(1, int(_BLOCK_REACH / (math.sqrt(z_far) * dz)))
-    # the block starts, then the wall
-    z = (np.append(h * np.arange(0, n_half, block), spec.a) - scales.sigma) / scales.rho
-    vals = airy_eval_many(z)
-    _, theta, _, phi = modulus_phase(z[[0, -1]], *(v[[0, -1]] for v in vals))
-    delta = theta[1:] - (theta[:1] if odd else phi[:1])  # as _newton_roots forms it
-    k = np.round(delta / math.pi)
-    residual = float(np.abs(np.sin(delta - k * math.pi))[0])
-    if not residual <= _EIGEN_RESIDUAL_TOL:  # a NaN residual fails too
-        raise NumericalError(
-            f"E={energy!r} is not a {parity} eigenvalue "
-            f"(normalized residual {residual:.2e} > {_EIGEN_RESIDUAL_TOL})")
-    ai, bi, aip, bip = (v[:-1] for v in vals)
+    z = (h * np.arange(0, n_half, block) - scales.sigma) / scales.rho  # the block starts
+    ai, bi, aip, bip = airy_eval_many(z)
     ca, cb = (bi[0], ai[0]) if odd else (bip[0], aip[0])
-    coef = _local_series(z[:-1], ca * ai - cb * bi, ca * aip - cb * bip)
+    coef = _local_series(z, ca * ai - cb * bi, ca * aip - cb * bip)
     powers = np.vander(dz * np.arange(block), _TAYLOR_DEGREE + 1, increasing=True)
     half = (powers @ coef).T.ravel()[:n_half]
     sq = half ** 2  # |psi|^2 is even whatever the parity
     half = half / math.sqrt(_simpson_uniform(np.concatenate([sq[:0:-1], sq]), h))
     return Eigenstate(energy=float(energy), parity=parity, index=index, residual=residual,
-                      n=int(2 * k[0] + 1 - odd), half=half, spec=spec)
+                      n=int(2 * k + 1 - odd), half=half, spec=spec)
 
 
 def _well_mode(index: int, parity: str) -> float:

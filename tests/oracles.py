@@ -10,7 +10,7 @@ closed forms), the Airy boundary determinant from scipy's Airy
 functions, and CSV bytes from formatting each value on its own (the
 package formats blocks of rows with one %-format per block).
 
-Five references are the package's own earlier paths.  Closed-court
+Six references are the package's own earlier paths.  Closed-court
 levels come from an energy scan of each parity's boundary determinant,
 stepped by a fifth of the local level spacing, with every sign change
 refined by safeguarded Newton steps (the package solves for each level by
@@ -23,9 +23,13 @@ from Airy values at every point of the x >= 0 half (the package evaluates
 Airy functions at block starts only and sums each block's Taylor series).
 The fourth does too: the position gap of a comparison on the whole mirrored
 grid (the package takes it on the nodes x >= 0, where every quantity in it
-is even).  The fifth is the Airy anchors' Taylor table, rebuilt as it was
-when each local series carried its slope rows, to show that it changed no
-bit.
+is even), and with it the momentum support mass on the whole symmetric p
+grid (the package integrates p >= 0 alone).  The fifth is the Airy
+anchors' Taylor table, rebuilt as it was when each local series carried
+its slope rows, to show that it changed no bit.  The sixth is the phase
+mismatch from the four Airy values, one atan2 each, unwrapped (the package
+takes the phases' offsets from the asymptotic series directly and the
+trend between the arguments as an action).
 
 The classical quantities also keep their earlier per-kind closed forms
 (the package derives them all from one constant-force arc): the
@@ -245,6 +249,45 @@ def closed_court_determinant(spec, energy, parity):
 
 
 # ---------------------------------------------------------------------------
+# the phase mismatch from Airy values
+
+def modulus_phase(z, ai, bi, aip, bip):
+    """(M^2, theta, N^2, phi) of the values :func:`airy_eval_many` gave at z,
+    with Ai = M cos theta, Bi = M sin theta, Ai' = N cos phi, Bi' = N sin phi
+    (DLMF 9.8).  Each atan2 is unwrapped against
+    ref = pi/4 - (2/3) max(-z, 0)^(3/2) (ref + pi/2 for phi), which stays
+    within pi/4 of the phase.  On the far negative axis theta itself is
+    about zeta = (2/3)|z|^(3/2), and the cos/sin argument reduction in the
+    Airy values leaves it an absolute error of about zeta * eps.  For
+    z >~ 66, Bi^2 passes the double range and M^2, N^2 are inf, silently.
+    """
+    ref = 0.25 * math.pi - (2.0 / 3.0) * np.maximum(-z, 0.0) ** 1.5
+    theta, phi = np.arctan2(bi, ai), np.arctan2(bip, aip)
+    theta += 2.0 * math.pi * np.round((ref - theta) / (2.0 * math.pi))
+    phi += 2.0 * math.pi * np.round((ref + 0.5 * math.pi - phi) / (2.0 * math.pi))
+    with np.errstate(over="ignore"):
+        return ai * ai + bi * bi, theta, aip * aip + bip * bip, phi
+
+
+def mismatch_modulus_phase(spec, energies, odd):
+    """Delta and dDelta/dE as :func:`quantum._mismatch` gives them, from the
+    four Airy values at the origin and wall arguments: Delta = theta(z_w) -
+    theta(z_0) (odd) or theta(z_w) - phi(z_0) (even), the difference of two
+    unwrapped phases (the package forms it from the phases' offsets and the
+    action between the arguments).  AiryOverflowError for a wall argument
+    past Bi's range."""
+    scales = quantum.AiryScales.from_spec(spec, np.asarray(energies, dtype=float))
+    z_origin = -scales.sigma / scales.rho
+    n = len(z_origin)
+    z = np.concatenate([z_origin, (spec.a - scales.sigma) / scales.rho])
+    m2, theta, n2, phi = modulus_phase(z, *airy_eval_many(z))
+    origin = np.where(odd, theta[:n], phi[:n])
+    rate = np.where(odd, 1.0 / m2[:n], -z_origin / n2[:n])  # pi dphase/dz at z_0
+    dz_de = -spec.a / (spec.v0 * scales.rho)
+    return theta[n:] - origin, (1.0 / m2[n:] - rate) * (dz_de / math.pi)
+
+
+# ---------------------------------------------------------------------------
 # closed-court levels, one parity at a time
 
 _SCAN_STEPS_PER_LEVEL = 5  # scan points per local level spacing pi hbar / tau
@@ -418,6 +461,25 @@ def position_gap_full_grid(state):
     avg = _moving_average_full(state.grid, state.psi ** 2, window, interior)
     return math.sqrt(float(np.trapezoid((avg - cl) ** 2, interior))
                      / float(np.trapezoid(cl ** 2, interior)))
+
+
+
+def support_mass_full_grid(phi, state, widen):
+    """``momentum_support_mass`` as it was taken on the whole momentum grid:
+    the band and its mirror each integrated over the grid's nodes inside them,
+    against the trapezoid over every node."""
+    grid, dens = phi.grid, phi.density
+    total = float(np.trapezoid(dens, grid))
+    band_lo = max(state.p_minus - widen, 0.0)
+    band_hi = state.p_plus + widen
+    mass = 0.0
+    for lo, hi in ((-band_hi, -band_lo), (band_lo, band_hi)):
+        a, b = max(lo, float(grid[0])), min(hi, float(grid[-1]))
+        if b <= a:
+            continue
+        xs = np.concatenate([[a], grid[(grid > a) & (grid < b)], [b]])
+        mass += float(np.trapezoid(np.interp(xs, grid, dens), xs))
+    return min(mass / total, 1.0)
 
 
 # ---------------------------------------------------------------------------

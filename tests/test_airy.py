@@ -9,7 +9,8 @@ from scipy import special
 import oracles
 import wellprob as wp
 from wellprob import airy
-from wellprob.airy import _asym_neg, _asym_pos, _taylor, modulus_phase
+from wellprob.airy import _asym_neg, _asym_pos, _taylor
+from oracles import modulus_phase
 
 
 # High-precision references (50-digit mpmath, rounded to double).  The
@@ -268,3 +269,67 @@ def test_modulus_phase_is_silent_and_finite_up_to_the_bi_bound():
     assert np.all(np.isfinite(theta)) and np.all(np.isfinite(phi))
     assert not np.any(np.isnan(m2)) and not np.any(np.isnan(n2))
     assert np.isinf(m2[-1]) and np.all(np.diff(theta) >= 0.0)
+
+
+def _mp_offsets(z):
+    """(M^2, theta - ref, N^2, phi - ref) at z from 50-digit mpmath, with
+    ref = pi/4 - (2/3) max(-z, 0)^1.5, each offset reduced as _phases does."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        z = mpmath.mpf(z)
+        ref = mpmath.pi / 4 - mpmath.mpf(2) / 3 * max(-z, 0) ** 1.5
+        out = []
+        for d, centre in ((0, 0), (1, mpmath.pi / 2)):
+            ai, bi = mpmath.airyai(z, d), mpmath.airybi(z, d)
+            off = mpmath.atan2(bi, ai) - ref
+            off -= 2 * mpmath.pi * mpmath.nint((off - centre) / (2 * mpmath.pi))
+            out += [ai * ai + bi * bi, off]
+        return out
+
+
+@pytest.mark.parametrize("z", [-3000.0, -200.0, -60.0, -9.5, -9.0001, -9.0, -3.3, 0.0,
+                               4.1, 9.0, 9.2, 30.0, 70.0, 123.5])
+def test_phases_against_mpmath(z):
+    # every regime, with no zeta * eps error in the phases on the far negative
+    # axis (measured at most 2.2e-16 there; 1.3e-15 at z = -9, the rounding of
+    # ref = -17.2 that the Taylor phase is reduced by).  The moduli carry the
+    # rounding of zeta in exp(2 zeta) on z > 9 (measured 2.3 (zeta + 1) eps),
+    # and past z ~ 66 leave the double range and read inf, silently.
+    m2, theta, n2, phi = (float(v[0]) for v in airy._phases(np.array([z])))
+    ref = _mp_offsets(z)
+    assert abs(theta - float(ref[1])) <= 2e-15 and abs(phi - float(ref[3])) <= 2e-15
+    zeta = (2.0 / 3.0) * abs(z) ** 1.5
+    for ours, exact in ((m2, ref[0]), (n2, ref[2])):
+        if exact > np.finfo(float).max:
+            assert ours == math.inf
+        else:
+            assert abs(ours / float(exact) - 1.0) <= 4.0 * (zeta + 1.0) * np.finfo(float).eps
+
+
+def test_phases_are_silent_monotone_and_batch_independent():
+    # theta' = 1/(pi M^2) >= 0; each point's four values are bit-equal alone,
+    # in chunks and in the batch (the level solve relies on it); the unwrapped
+    # phases of the Airy values agree to their own zeta * eps error
+    z = np.linspace(-3000.0, 200.0, 32001)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        batch = np.array(airy._phases(z))
+    ref = 0.25 * math.pi - (2.0 / 3.0) * np.maximum(-z, 0.0) ** 1.5
+    assert np.all(np.isfinite(batch[[1, 3]])) and np.all(np.diff(ref + batch[1]) >= 0.0)
+    assert np.isinf(batch[0, -1]) and not np.any(np.isnan(batch))
+    chunked = np.concatenate([np.array(airy._phases(z[i:i + 777])) for i in range(0, len(z), 777)],
+                             axis=1)
+    assert np.array_equal(chunked, batch)
+    for i in range(0, len(z), 1601):
+        assert np.array_equal(np.array(airy._phases(z[i:i + 1]))[:, 0], batch[:, i])
+    low = z <= 100.0
+    _, theta, _, phi = modulus_phase(z[low], *wp.airy_eval_many(z[low]))
+    zeta = (2.0 / 3.0) * np.abs(z[low]) ** 1.5
+    assert np.all(np.abs(ref[low] + batch[1, low] - theta) <= 4.0 * (zeta + 1.0) * 2.2e-16)
+    assert np.all(np.abs(ref[low] + batch[3, low] - phi) <= 4.0 * (zeta + 1.0) * 2.2e-16)
+
+
+@pytest.mark.parametrize("batch", [[math.nan], [1.0, math.inf], [-math.inf, -20.0]], ids=str)
+def test_phases_reject_non_finite_input(batch):
+    with pytest.raises(ValueError, match="finite"):
+        airy._phases(np.array(batch))

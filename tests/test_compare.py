@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import wellprob as wp
-from oracles import boxcar_average_bruteforce, position_gap_full_grid
+from oracles import boxcar_average_bruteforce, position_gap_full_grid, support_mass_full_grid
 
 IW = wp.infinite_well(a=25.0)
 CC2 = wp.closed_court(a=25.0, v0=2.0)
@@ -79,6 +79,31 @@ def test_support_mass_bounds(table1_waves):
         cl = wp.classical_state(spec, level.energy)
         frac = wp.momentum_support_mass(wave, cl, widen=2.0 * spec.constants.hbar / spec.a)
         assert 0.9 < frac <= 1.0
+
+
+@pytest.mark.parametrize("n_points", [801, 800])
+def test_support_mass_on_the_half_grid_is_the_full_grids(n_points, table1_waves):
+    # |phi|^2 is even on a symmetric grid, so p >= 0 carries half of band and
+    # total alike; an even count has no p = 0 node, and the half starts at the
+    # midpoint of the two middle nodes
+    state = wp.classical_state(CC2, 10.105)
+    grid = np.linspace(-4.0, 4.0, n_points)
+    density = np.exp(-((np.abs(grid) - 3.0) / 0.2) ** 2)
+    wave = wp.MomentumWavefunction(grid=grid, phi=np.sqrt(density) + 0.0j, density=density)
+    cases = [(wave, state, 0.08)] + [
+        (w, wp.classical_state(spec, lv.energy), 2.0 / spec.a) for spec, lv, _, w in table1_waves]
+    for w, cl, widen in cases:
+        for wide in (0.0, widen, 10.0):
+            assert wp.momentum_support_mass(w, cl, wide) == pytest.approx(
+                support_mass_full_grid(w, cl, wide), rel=1e-14, abs=0.0)
+
+
+def test_support_mass_rejects_a_grid_not_symmetric_about_zero():
+    state = wp.classical_state(CC2, 10.105)
+    grid = np.linspace(-4.0, 5.0, 801)
+    wave = wp.MomentumWavefunction(grid=grid, phi=np.ones(801) + 0.0j, density=np.ones(801))
+    with pytest.raises(ValueError, match="symmetric"):
+        wp.momentum_support_mass(wave, state, 0.0)
 
 
 def test_sweep_delta_p_matches_reference(sweep_reports):

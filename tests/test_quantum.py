@@ -14,6 +14,7 @@ import wellprob as wp
 from wellprob import quantum
 from oracles import (airy_cross, closed_court_determinant, eigenstate_pointwise,
                      fd_eigenvalues, filon_transform_full, infinite_well_levels_loop,
+                     mismatch_modulus_phase,
                      nearest_level_one_parity_at_a_time, potential_by_kind,
                      roots_one_parity,
                      simpson_transform, spectrum_one_parity_at_a_time)
@@ -123,14 +124,15 @@ def test_roots_match_scipy_oracle_and_fd_count(a, v0, gap):
 
 
 def _count_airy_calls(monkeypatch):
+    # the points of each call into the Airy layer: its values (eigenstates)
+    # and its phases (the level solve and the eigenvalue gate)
     calls = []
-    airy_eval_many = wp.quantum.airy_eval_many
+    for name in ("airy_eval_many", "_phases"):
+        def counted(z, evaluate=getattr(wp.quantum, name)):
+            calls.append(len(z))
+            return evaluate(z)
 
-    def counted(z):
-        calls.append(len(z))
-        return airy_eval_many(z)
-
-    monkeypatch.setattr(wp.quantum, "airy_eval_many", counted)
+        monkeypatch.setattr(wp.quantum, name, counted)
     return calls
 
 
@@ -295,9 +297,9 @@ def test_levels_below_v0_are_the_airy_zeros():
     # -a'_{k+1} F rho (Ai'(z_0) = 0); the wall moves the eighth odd level,
     # whose wall argument is only 7.4, by 2.8e-14 of E.
     spec = CC10
-    ends = np.array([1e-300, 6.2])
-    odd, k, energies, residuals = quantum._solve(
-        spec, ends, quantum._mismatch(spec, ends, BOTH)[0])
+    grid = np.linspace(1e-300, 6.2, 65)
+    delta, slope = quantum._mismatch(spec, grid, BOTH)
+    odd, k, energies, residuals = quantum._solve(spec, delta[:, [0, -1]], grid, delta, slope)
     assert k[~odd].tolist() == list(range(8)) and k[odd].tolist() == list(range(1, 9))
     f_rho = spec.v0 / spec.a * (spec.a / spec.v0) ** (1.0 / 3.0)  # hbar = 2m = 1
     for o, j, e in zip(odd, k, energies):
@@ -329,6 +331,115 @@ def test_phase_counts_grow_with_energy_and_interlace(spec, top, fractions):
     assert n_even[0] == 0 and n_odd[0] == 0
     assert np.all(np.diff(count, axis=1) >= 0)
     assert np.all((n_odd <= n_even) & (n_even <= n_odd + 1))
+
+
+def _mp_phase(z, derivative):
+    """theta (derivative 0) or phi (1) at z, and M^2 or N^2, at the working
+    precision: the atan2 unwrapped against pi/4 - (2/3) max(-z, 0)^1.5, and on
+    z > 0 taken as pi/2 - atan(Ai / Bi), whose Bi may pass the double range."""
+    z = mpmath.mpf(z)
+    ai, bi = mpmath.airyai(z, derivative), mpmath.airybi(z, derivative)
+    ref = mpmath.pi / 4 - mpmath.mpf(2) / 3 * max(-z, 0) ** 1.5 + derivative * mpmath.pi / 2
+    if z > 0:
+        return mpmath.pi / 2 - mpmath.atan(ai / bi), ai * ai + bi * bi
+    phase = mpmath.atan2(bi, ai)
+    return phase + 2 * mpmath.pi * mpmath.nint((ref - phase) / (2 * mpmath.pi)), ai * ai + bi * bi
+
+
+def test_mismatch_is_finite_where_bi_overflows():
+    # at (200, 50) and E = 1 the wall argument is 123.5, past Bi's double
+    # range (103.9): the wall phase comes from the scaled ratio Ai / Bi
+    spec = wp.closed_court(200.0, 50.0)
+    delta, slope = quantum._mismatch(spec, np.array([1.0]), BOTH)
+    with mpmath.workdps(40):
+        a, v0, e = mpmath.mpf(200), mpmath.mpf(50), mpmath.mpf(1)
+        rho = mpmath.cbrt(a / v0)
+        z0, zw = -e * a / v0 / rho, (a - e * a / v0) / rho
+        theta_w, m2_w = _mp_phase(zw, 0)
+        for row, derivative in ((0, 1), (1, 0)):  # even: phi(z_0); odd: theta(z_0)
+            origin, mod2 = _mp_phase(z0, derivative)
+            rate = -z0 / mod2 if derivative else 1 / mod2
+            ref = theta_w - origin
+            ref_slope = (1 / m2_w - rate) * (-a / (v0 * rho)) / mpmath.pi
+            assert abs(delta[row, 0] - ref) <= 1e-15 * abs(ref), row
+            assert abs(slope[row, 0] / ref_slope - 1) <= 1e-14, row
+
+
+def _mp_error(spec, level):
+    """|E - E_mp| / E_mp for the root of the boundary determinant nearest the
+    level, at 50 digits (hbar = 2m = 1)."""
+    with mpmath.workdps(50):
+        a, v0 = mpmath.mpf(spec.a), mpmath.mpf(spec.v0)
+        rho = mpmath.cbrt(a / v0)
+        d = 0 if level.parity == "odd" else 1
+
+        def det(e):
+            z0, zw = -e * a / v0 / rho, (a - e * a / v0) / rho
+            return (mpmath.airyai(z0, d) * mpmath.airybi(zw)
+                    - mpmath.airybi(z0, d) * mpmath.airyai(zw))
+
+        root = mpmath.findroot(det, mpmath.mpf(level.energy))
+        return float(abs(level.energy - root) / root)
+
+
+@pytest.mark.parametrize("v0", [1.0, 0.1, 0.01, 0.001])
+def test_small_v0_levels_agree_with_mpmath(v0):
+    # zeta_0 grows like 1/V0 while Delta stays near k a; a difference of two
+    # unwrapped phases, each zeta eps off, put these levels 9.9e-16, 9.7e-15,
+    # 2.0e-13 and 2.5e-12 off
+    spec = wp.closed_court(25.0, v0)
+    assert _mp_error(spec, wp.nearest_level(spec, 10.0)) <= 2e-15
+
+
+def test_deep_levels_agree_with_mpmath():
+    # origin arguments -120 to -240, as deep as the benchmark's; the
+    # unwrapped-phase difference put these levels up to 9.5e-15 off
+    spec = wp.closed_court(15.3, 4.06)
+    levels = [lv for lv in wp.spectrum(spec, 100.0) if lv.energy > 50.0]
+    assert len(levels) == 29 and wp.nearest_level(spec, 57.92) in levels
+    assert max(_mp_error(spec, lv) for lv in levels) <= 2e-15
+
+
+@settings(max_examples=30, deadline=None)
+@given(v0=st.floats(1e-3, 0.1), pick=st.integers(0, 10 ** 6))
+def test_odd_levels_approach_the_infinite_well_at_first_order(v0, pick):
+    # E_n = E_inf + V0 <|x|> / a + O(V0^2), and <|x|> = a / 2 for an odd
+    # infinite-well state; measured deviation up to 2.3e-3 V0 near E = 10
+    spec = wp.closed_court(25.0, v0)
+    odd = [lv for lv in wp.spectrum(spec, 10.5) if lv.energy > 9.5 and lv.parity == "odd"]
+    level = odd[pick % len(odd)]
+    e_inf = wp.infinite_well_energy(wp.infinite_well(25.0), level.n // 2, "odd")
+    assert abs((level.energy - e_inf) / v0 - 0.5) <= 3e-3 * v0
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=st.floats(10.0, 40.0), v0=st.floats(1.0, 12.0), gap=st.floats(0.01, 20.0))
+def test_mismatch_agrees_with_the_unwrapped_phase_difference(a, v0, gap):
+    # the oracle subtracts two unwrapped phases, each about zeta * eps off
+    # (measured up to 3.0 zeta_0 eps, 6.3e-13 absolute); the slopes share
+    # their formula
+    spec = wp.closed_court(a, v0)
+    energies = np.array([v0 + gap])
+    delta, slope = quantum._mismatch(spec, energies, BOTH)
+    ref, ref_slope = mismatch_modulus_phase(spec, energies, BOTH)
+    scales = wp.AiryScales.from_spec(spec, v0 + gap)
+    zeta0 = (2.0 / 3.0) * (scales.sigma / scales.rho) ** 1.5
+    assert np.all(np.abs(delta - ref) <= 4.0 * (zeta0 + 1.0) * np.finfo(float).eps)
+    assert np.all(np.abs(slope / ref_slope - 1.0) <= 1e-13)
+
+
+@settings(max_examples=40, deadline=None)
+@given(a=st.floats(10.0, 40.0), v0=st.floats(1.0, 12.0), gap=st.floats(0.5, 6.0),
+       width=st.floats(0.05, 2.0), shift=st.floats(-0.5, 0.5))
+def test_a_level_is_the_same_in_every_window(a, v0, gap, width, shift):
+    # brackets and starts come from a lattice that the spec alone fixes, so a
+    # level solved in a narrow window is the spectrum's, bit for bit
+    spec = wp.closed_court(a=a, v0=v0)
+    levels = wp.spectrum(spec, v0 + gap)
+    for lv in levels[::max(1, len(levels) // 8)]:
+        found = wp.nearest_level(spec, lv.energy + shift * width, width)
+        if found.n == lv.n:
+            assert _level_fields(found) == _level_fields(lv)
 
 
 @pytest.mark.parametrize("a,v0,e_max", [(25.0, 10.0, 11.2), (1.0, 1.0, 60.0)])
@@ -411,7 +522,7 @@ def test_eigenstate_evaluates_half_grid(monkeypatch, n_grid):
        parity=st.sampled_from(["even", "odd"]), pick=st.integers(0, 10 ** 6),
        n_grid=st.sampled_from([101, 2000, 12001]))
 def test_eigenstate_blocks_match_the_pointwise_synthesis(a, v0, gap, parity, pick, n_grid):
-    # Airy values at the block starts and the wall only, each block summed from
+    # Airy values at the block starts only, each block summed from
     # its start's Taylor series; blocks span sqrt(|z|) |t| <= 0.75 in z, so
     # n_grid = 101 gives blocks of one or two points, and most larger grids
     # end in a partial block
@@ -431,7 +542,8 @@ def test_eigenstate_blocks_match_the_pointwise_synthesis(a, v0, gap, parity, pic
     n_half = len(state.grid) // 2 + 1
     dz = a / (n_half - 1) / scales.rho
     block = max(1, math.floor(0.75 / (math.sqrt(max(1.0, scales.sigma / scales.rho)) * dz)))
-    assert len(calls) == 1 and calls[0] <= -(-n_half // block) + 1
+    # the eigenvalue gate's phases at the origin and the wall, then the block starts
+    assert calls[0] == 2 and len(calls) == 2 and calls[1] <= -(-n_half // block) + 1
 
 
 def test_eigenstate_normalized(table1_states):
@@ -478,8 +590,7 @@ def test_eigenstate_rejects_a_nan_residual(monkeypatch):
     # residual > tol is False for NaN, so the acceptance test must be
     # "not residual <= tol" for a NaN determinant to fail it
     level = wp.nearest_level(CC10, 10.066)
-    monkeypatch.setattr(quantum, "airy_eval_many",
-                        lambda z: tuple(np.full((4, len(z)), np.nan)))
+    monkeypatch.setattr(quantum, "_phases", lambda z: tuple(np.full((4, len(z)), np.nan)))
     with pytest.raises(wp.NumericalError, match="nan"):
         wp.eigenstate_closed_court(CC10, level.energy, level.parity, index=level.index)
 

@@ -52,6 +52,12 @@ MATRIX = {
                                        "task.e_max=9", "task.index=5", "task.parity=odd")),
     "eigensolve-40-12": ("eigensolve", (*_CC, "potential.a=40", "potential.v0=12", *_SLOW,
                                         "task.e_max=20", "task.energy=15")),
+    # origin arguments down to -230, as deep as the benchmark's levels
+    "eigensolve-15.3-4.06-deep": ("eigensolve", (*_CC, "potential.a=15.3", "potential.v0=4.06",
+                                                 "task.e_max=100", "task.energy=57.92")),
+    # V0 = 0.01: zeta at the origin near 3e3, the approach to the infinite well
+    "eigensolve-25-0.01": ("eigensolve", (*_CC, "potential.a=25", "potential.v0=0.01",
+                                          "task.e_max=11", "task.energy=10")),
     "eigensolve-infinite-well": ("eigensolve", (*_IW, "task.index=3", "task.parity=odd")),
     # a = 3.7: nodes from linspace(-a, a, 101) put the centre at 4.4e-16, not 0
     "eigensolve-infinite-well-3.7": ("eigensolve", ("potential.kind=infinite_well",
