@@ -16,8 +16,7 @@ used.  Two regimes, switched at ``|z| = Z_SWITCH``:
   at |z| = 9 loses 4e15.  Plain double arithmetic therefore suffices:
   against 40-digit mpmath on [-9, 9] the error is at most about 1.1e-15
   relative on z >= 0 and 7e-16 relative to the envelope hypot(Ai, Bi) on
-  z < 0.  Every point costs the same: its powers t^0..t^26 contracted with
-  its anchor's (degree, function) table.
+  z < 0.
 
 * ``|z| > Z_SWITCH``: Poincare asymptotic expansions (DLMF 9.7.5-9.7.10),
   exponential form on the positive axis and trigonometric phase form on
@@ -28,11 +27,16 @@ used.  Two regimes, switched at ``|z| = Z_SWITCH``:
   The crossover band agrees with the series well inside the 1e-9
   continuity budget.
 
-Each regime costs a fixed handful of array operations per call, whatever
-the degree.  Every point is contracted on its own (a batch of 1 x k by
-k x 4 products, never one product across points), so a point's four
-values are bit-equal whether it is evaluated alone or in any batch; the
-level search relies on that.
+Both regimes are one contraction (:func:`_contract`): each point's powers
+t^0..t^26 of its own variable, t = z - z_j on the series and
+sign(z) / zeta^2 on the asymptotic range, times its own 27 x 4 table, its
+anchor's or the asymptotic one (20 rows, padded with zeros).  So a call
+costs a fixed handful of array operations whatever the regimes of its
+points, and every point is contracted on its own (a batch of 1 x k by
+k x 4 products, never one product across points): a point's four values
+are bit-equal whether it is evaluated alone or in any batch; the level
+search relies on that.  The rows are then finished into the values
+(:func:`airy_eval_many`) or the phases (:func:`_phases`).
 
 The budget target is relative error <= 1e-10 for |z| <= 40.  On the far
 negative axis the phase zeta = (2/3)|z|^1.5 grows, and the trig argument
@@ -68,10 +72,10 @@ _ASYM_TERMS = 40
 _ANCHOR_STEP = 0.5
 _ANCHORS = _ANCHOR_STEP * np.arange(-20, 21)  # -10 ... 10
 _TAYLOR_DEGREE = 26
+# points per gather of their 27 x 4 tables: bounds the temporary (a
+# 6001-point eigenstate gathered at once would take 5.2 MB)
+_GATHER_BLOCK = 512
 
-
-# ---------------------------------------------------------------------------
-# asymptotic regime
 
 def _split_coefficients(n):
     """u_k, v_k (DLMF 9.7.2) for k < n as a power-basis table: row j is the
@@ -84,58 +88,6 @@ def _split_coefficients(n):
         v.append(u[-1] * (6 * k + 1) / (1 - 6 * k))
     u, v = np.array(u), np.array(v)
     return np.stack([u[0::2], u[1::2], v[0::2], v[1::2]], axis=1)
-
-
-_SPLIT_COEF = _split_coefficients(_ASYM_TERMS)
-
-
-def _power_sum(t, coef):
-    """sum_k coef[..., k, :] t^k as rows by coef's last axis: one 1 x k by
-    k x 4 product per point, so no point's value depends on its batch."""
-    powers = np.vander(t, coef.shape[-2], increasing=True)[:, None, :]
-    return np.matmul(powers, coef)[:, 0, :].T
-
-
-def _asym_split(zeta, s):
-    """Even and odd parts of the u- and v-series as rows (u_even, u_odd,
-    v_even, v_odd): sum_j c_{2j} x^j and (1/zeta) sum_j c_{2j+1} x^j with
-    x = s / zeta^2, s = +1 on the positive axis and -1 on the negative one.
-    All coefficients, no truncation.
-    """
-    total = _power_sum(s / (zeta * zeta), _SPLIT_COEF)
-    total[1::2] /= zeta
-    return total
-
-
-def _asym_pos(z):
-    """Exponential asymptotics for z > 0: Ai carries e^{-zeta}, Bi e^{+zeta}."""
-    z = np.asarray(z, dtype=float)
-    zeta = (2.0 / 3.0) * z ** 1.5
-    u_even, u_odd, v_even, v_odd = _asym_split(zeta, 1.0)
-    q = z ** 0.25
-    sqp = math.sqrt(math.pi)
-    ai_s = (u_even - u_odd) / (2.0 * sqp * q)
-    aip_s = -q * (v_even - v_odd) / (2.0 * sqp)
-    bi_s = (u_even + u_odd) / (sqp * q)
-    bip_s = q * (v_even + v_odd) / sqp
-    with np.errstate(over="ignore"):
-        ep = np.exp(zeta)
-    em = np.exp(-zeta)
-    return np.array([ai_s * em, bi_s * ep, aip_s * em, bip_s * ep])
-
-
-def _asym_neg(z):
-    """Trigonometric asymptotics for z < 0 (t = -z large)."""
-    t = -np.asarray(z, dtype=float)
-    zeta = (2.0 / 3.0) * t ** 1.5
-    split = _asym_split(zeta, -1.0)  # rows P, Q, R, S
-    w = zeta - 0.25 * math.pi
-    c, s = split * np.cos(w), split * np.sin(w)  # cos w P, ..., sin w S
-    q = t ** 0.25
-    sqp = math.sqrt(math.pi)
-    sqpq = sqp * q
-    return np.array([(c[0] + s[1]) / sqpq, (c[1] - s[0]) / sqpq,  # Ai, Bi
-                     (s[2] - c[3]) * q / sqp, (c[2] + s[3]) * q / sqp])  # Ai', Bi'
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +135,7 @@ def _anchor_values():
     ai0 = 3.0 ** (-2.0 / 3.0) / math.gamma(2.0 / 3.0)
     aip0 = -(3.0 ** (-1.0 / 3.0)) / math.gamma(1.0 / 3.0)
     bi0, bip0 = math.sqrt(3.0) * ai0, -math.sqrt(3.0) * aip0
-    top_ai, _, top_aip, _ = _asym_pos(_ANCHORS[-1:])
+    top_ai, _, top_aip, _ = _values(_ANCHORS[-1:], np.array([False]))
     z = np.array([0.0, 0.0, 0.0, _ANCHORS[-1]])
     h = _ANCHOR_STEP * np.array([-1.0, -1.0, 1.0, -1.0])
     w = np.array([ai0, bi0, bi0, top_ai[0]])
@@ -200,23 +152,71 @@ def _anchor_values():
     return np.concatenate([negative, positive], axis=1)
 
 
-# (anchor, degree, function): the local series of (Ai, Bi, Ai', Bi')
-_TAYLOR_TABLE = np.ascontiguousarray(
-    _with_slopes(_local_series(_ANCHORS, *np.split(_anchor_values(), 2))).transpose(2, 0, 1))
-# points per gather of their anchors' 27 x 4 tables: bounds the temporary
-# (a 6001-point eigenstate gathered at once would take 5.2 MB)
-_GATHER_BLOCK = 512
+# ---------------------------------------------------------------------------
+# one contraction for both regimes
 
+def _contract(z, series, zeta):
+    """The four series rows at each point of 1-D z.
 
-def _taylor(z):
-    """(ai, bi, aip, bip) rows for array z with |z| <= 10.25, each from the
-    series about its nearest anchor: |z - anchor| <= 1/4, no stop rule."""
+    Where ``series`` (any |z| <= 10.25; ``zeta`` must be 1 there):
+    (Ai, Bi, Ai', Bi') from the series about the nearest anchor,
+    |z - anchor| <= 1/4, no stop rule.  Elsewhere, with zeta = (2/3)|z|^1.5:
+    the u- and v-series split by the parity of the term index,
+    (u_even, u_odd, v_even, v_odd) = (sum_j c_2j x^j,
+    (1/zeta) sum_j c_2j+1 x^j, ...) with x = sign(z) / zeta^2 and c_k = u_k
+    or v_k, all 40 coefficients, no truncation.
+    """
     j = np.rint(z / _ANCHOR_STEP)
-    t = z - j * _ANCHOR_STEP
-    j = j.astype(int) + len(_ANCHORS) // 2
+    t = np.where(series, z - j * _ANCHOR_STEP, np.sign(z) / (zeta * zeta))
+    table = np.where(series, j + len(_ANCHORS) // 2, -1).astype(int)
+    powers = np.empty((len(z), 1, _TAYLOR_DEGREE + 1))  # t^0 .. t^26, as np.vander has them
+    powers[:, 0, 0], powers[:, 0, 1:] = 1.0, t[:, None]
+    np.multiply.accumulate(powers, axis=2, out=powers)
+    rows = np.empty((len(z), 1, 4))
     b = _GATHER_BLOCK
-    return np.concatenate([_power_sum(t[i:i + b], _TAYLOR_TABLE[j[i:i + b]])
-                           for i in range(0, len(z), b)], axis=1)
+    for i in range(0, len(z), b):
+        np.matmul(powers[i:i + b], _TABLE[table[i:i + b]], out=rows[i:i + b])
+    rows = rows[:, 0].T
+    rows[1::2] /= zeta
+    return rows
+
+
+def _values(z, series):
+    """(Ai, Bi, Ai', Bi') rows at 1-D z: from the series where the mask
+    ``series`` holds, elsewhere from the trigonometric form on z < 0 and
+    the exponential one on z > 0, where Ai carries e^{-zeta} and Bi
+    e^{+zeta}."""
+    zeta = np.where(series, 1.0, (2.0 / 3.0) * np.abs(z) ** 1.5)
+    rows = _contract(z, series, zeta)
+    sqp = math.sqrt(math.pi)
+    asym = ~series
+    neg, pos = asym & (z < 0.0), asym & (z > 0.0)
+    if neg.any():
+        p, q, r, s = rows[:, neg]
+        w = zeta[neg] - 0.25 * math.pi
+        cos, sin, quarter = np.cos(w), np.sin(w), np.abs(z[neg]) ** 0.25
+        sqpq = sqp * quarter
+        rows[:, neg] = ((p * cos + q * sin) / sqpq, (q * cos - p * sin) / sqpq,
+                        (r * sin - s * cos) * quarter / sqp, (r * cos + s * sin) * quarter / sqp)
+    if pos.any():
+        u_even, u_odd, v_even, v_odd = rows[:, pos]
+        quarter, em, ep = z[pos] ** 0.25, np.exp(-zeta[pos]), np.exp(zeta[pos])
+        rows[:, pos] = ((u_even - u_odd) / (2.0 * sqp * quarter) * em,
+                        (u_even + u_odd) / (sqp * quarter) * ep,
+                        -quarter * (v_even - v_odd) / (2.0 * sqp) * em,
+                        quarter * (v_even + v_odd) / sqp * ep)
+    return rows
+
+
+# (table, degree, function): the anchors' series of (Ai, Bi, Ai', Bi'), and
+# last the asymptotic split series (u_2j, u_2j+1, v_2j, v_2j+1), zero past
+# its 20 rows.  The anchor build reads only that last table, so it is set
+# first and the anchors' tables are put in front of it once derived.
+_TABLE = np.zeros((1, _TAYLOR_DEGREE + 1, 4))
+_TABLE[0, :_ASYM_TERMS // 2] = _split_coefficients(_ASYM_TERMS)
+_TABLE = np.concatenate([
+    _with_slopes(_local_series(_ANCHORS, *np.split(_anchor_values(), 2))).transpose(2, 0, 1),
+    _TABLE])
 
 
 # ---------------------------------------------------------------------------
@@ -234,77 +234,72 @@ def airy_eval_many(z: np.ndarray):
     if (z > _Z_BI_OVERFLOW).any():
         raise AiryOverflowError(
             f"Bi(z) overflows double precision for z > {_Z_BI_OVERFLOW:.1f}")
-    return _by_regime(z, _taylor, _asym_pos, _asym_neg)
+    flat = z.ravel()
+    return tuple(_values(flat, np.abs(flat) <= Z_SWITCH).reshape((4,) + z.shape))
 
 
-def _by_regime(z, taylor, pos, neg):
-    """Four rows at each z: ``taylor`` on |z| <= Z_SWITCH, ``pos`` on
-    z > Z_SWITCH and ``neg`` on z < -Z_SWITCH, each called on its points."""
-    out = np.empty((4,) + z.shape)
-    for pick, regime in ((np.abs(z) <= Z_SWITCH, taylor), (z > Z_SWITCH, pos),
-                         (z < -Z_SWITCH, neg)):
-        if pick.any():
-            out[:, pick] = regime(z[pick])
-    return tuple(out)
+# the (theta, phi) offsets lie within pi/4 of these
+_OFFSET_CENTRES = np.array([[0.0], [0.5 * math.pi]])
+_ASYM_REF = -_OFFSET_CENTRES
 
 
 def _phases(z):
-    """(M^2, theta - ref, N^2, phi - ref) at each z, with Ai = M cos theta,
-    Bi = M sin theta, Ai' = N cos phi, Bi' = N sin phi (DLMF 9.8) and
-    ref = pi/4 - (2/3) max(-z, 0)^(3/2): the phases as offsets from their
-    closed-form trend, so a caller can take differences of the trend in
-    closed form.  The Wronskian 1/pi gives theta' = 1/(pi M^2) and
-    phi' = -z/(pi N^2), so the phases are continuous in z: theta(0) = pi/3,
-    phi(0) = 2 pi/3, both tend to pi/2 as z -> +inf, and to pi/4 - zeta and
-    3 pi/4 - zeta as z -> -inf.  The theta offset stays within pi/4 of 0 and
-    the phi offset within pi/4 of pi/2 on the whole axis.
+    """(M^2, theta - ref, N^2, phi - ref) at each z of a 1-D array, with
+    Ai = M cos theta, Bi = M sin theta, Ai' = N cos phi, Bi' = N sin phi
+    (DLMF 9.8) and ref = pi/4 - (2/3) max(-z, 0)^(3/2): the phases as
+    offsets from their closed-form trend, so a caller can take differences
+    of the trend in closed form.  The Wronskian 1/pi gives
+    theta' = 1/(pi M^2) and phi' = -z/(pi N^2), so the phases are
+    continuous in z: theta(0) = pi/3, phi(0) = 2 pi/3, both tend to pi/2 as
+    z -> +inf, and to pi/4 - zeta and 3 pi/4 - zeta as z -> -inf.  The
+    theta offset stays within pi/4 of 0 and the phi offset within pi/4 of
+    pi/2 on the whole axis.
+
+    One pass over the rows of :func:`_contract`, finished by masks:
 
     * ``|z| <= Z_SWITCH``: one atan2 of the Taylor values each, less ref,
       reduced into that range.
-    * ``z < -Z_SWITCH``: straight from the rows P, Q, R, S of
-      :func:`_asym_split`, theta - ref = atan2(Q, P), phi - ref =
-      pi/2 + atan2(S, R), M^2 = (P^2 + Q^2)/(pi sqrt(-z)) and
-      N^2 = (R^2 + S^2) sqrt(-z)/pi: no cos, no sin and no unwrap, so no
-      zeta * eps error.
-    * ``z > Z_SWITCH``: theta - ref = pi/4 - atan(Ai/Bi), and alike for phi,
-      with Ai/Bi from the exponentially scaled terms, so Bi never overflows.
-      M^2 and N^2 overflow to inf, silently, for z above about 66, where
-      theta' = 0 is right to the last digit.
+    * ``z < -Z_SWITCH``: straight from the rows P, Q, R, S,
+      theta - ref = atan2(Q, P), phi - ref = pi/2 + atan2(S, R),
+      M^2 = (P^2 + Q^2)/(pi sqrt(-z)) and N^2 = (R^2 + S^2) sqrt(-z)/pi: no
+      cos, no sin and no unwrap, so no zeta * eps error.
+    * ``z > Z_SWITCH``, on those points alone: theta - ref =
+      pi/4 - atan(Ai/Bi), and alike for phi, with Ai/Bi from the
+      exponentially scaled terms, so Bi never overflows.  M^2 and N^2
+      overflow to inf, silently, for z above about 66, where theta' = 0 is
+      right to the last digit.
 
     Each point is computed on its own, bit-equal in any batch.  ValueError
     for a z that is not finite.
     """
     z = np.asarray(z, dtype=float)
-    if not np.isfinite(z).all():
+    lo, hi = np.minimum.reduce(z, initial=0.0), np.maximum.reduce(z, initial=0.0)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("z must be finite")
-    return _by_regime(z, _phases_taylor, _phases_pos, _phases_neg)
-
-
-def _phases_taylor(z):
-    ai, bi, aip, bip = _taylor(z)
-    ref = 0.25 * math.pi - (2.0 / 3.0) * np.maximum(-z, 0.0) ** 1.5
-    theta, phi = np.arctan2(bi, ai) - ref, np.arctan2(bip, aip) - ref
-    theta -= 2.0 * math.pi * np.round(theta / (2.0 * math.pi))
-    phi -= 2.0 * math.pi * np.round((phi - 0.5 * math.pi) / (2.0 * math.pi))
-    return ai * ai + bi * bi, theta, aip * aip + bip * bip, phi
-
-
-def _phases_neg(z):
-    rt = np.sqrt(-z)
-    p, q, r, s = _asym_split((2.0 / 3.0) * rt ** 3, -1.0)
-    return ((p * p + q * q) / (math.pi * rt), np.arctan2(q, p),
-            (r * r + s * s) * rt / math.pi, 0.5 * math.pi + np.arctan2(s, r))
-
-
-def _phases_pos(z):
-    rt = np.sqrt(z)
-    zeta = (2.0 / 3.0) * rt ** 3
-    u_even, u_odd, v_even, v_odd = _asym_split(zeta, 1.0)
-    u, v = u_even + u_odd, v_even + v_odd
-    em2 = np.exp(-2.0 * zeta)
-    ai_bi = em2 * (u_even - u_odd) / (2.0 * u)  # Ai/Bi
-    aip_bip = -em2 * (v_even - v_odd) / (2.0 * v)  # Ai'/Bi'
-    with np.errstate(over="ignore"):
-        ep2 = np.exp(2.0 * zeta) / math.pi  # Bi^2 = ep2 u^2 / sqrt(z), Bi'^2 = ep2 v^2 sqrt(z)
-    return (ep2 * u * u / rt * (1.0 + ai_bi * ai_bi), 0.25 * math.pi - np.arctan(ai_bi),
-            ep2 * v * v * rt * (1.0 + aip_bip * aip_bip), 0.25 * math.pi - np.arctan(aip_bip))
+    az = np.abs(z)
+    series, rt = az <= Z_SWITCH, np.sqrt(az)
+    zeta = np.where(series, 1.0, (2.0 / 3.0) * rt ** 3)
+    rows = _contract(z, series, zeta)
+    # less ref on the series; on the asymptotic range the rows' atan2 are the
+    # offsets, phi's a quarter turn on
+    ref = np.where(series, 0.25 * math.pi - (2.0 / 3.0) * np.maximum(-z, 0.0) ** 1.5,
+                   _ASYM_REF)
+    off = np.arctan2(rows[1::2], rows[0::2]) - ref
+    off -= 2.0 * math.pi * np.rint((off - _OFFSET_CENTRES) / (2.0 * math.pi))
+    sq = rows * rows
+    m2, n2 = sq[0::2] + sq[1::2]
+    # off the series M^2 = (P^2 + Q^2) / (pi sqrt|z|), N^2 = (R^2 + S^2) sqrt|z| / pi
+    rt1, pi1 = np.where(series, 1.0, rt), np.where(series, 1.0, math.pi)
+    m2, n2 = m2 / (pi1 * rt1), n2 * rt1 / pi1
+    if hi > Z_SWITCH:  # the ratio form, on those points alone
+        pos = z > Z_SWITCH
+        u_even, u_odd, v_even, v_odd = rows[:, pos]
+        u, v, em2 = u_even + u_odd, v_even + v_odd, np.exp(-2.0 * zeta[pos])
+        ratios = (em2 * (u_even - u_odd) / (2.0 * u), -em2 * (v_even - v_odd) / (2.0 * v))
+        # Bi^2 = ep2 u^2 / sqrt(z), Bi'^2 = ep2 v^2 sqrt(z); either may leave the range
+        with np.errstate(over="ignore"):
+            ep2 = np.exp(2.0 * zeta[pos]) / math.pi
+            m2[pos] = ep2 * u * u / rt[pos] * (1.0 + ratios[0] * ratios[0])
+            n2[pos] = ep2 * v * v * rt[pos] * (1.0 + ratios[1] * ratios[1])
+        off[:, pos] = 0.25 * math.pi - np.arctan(ratios)
+    return m2, off[0], n2, off[1]

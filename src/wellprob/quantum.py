@@ -13,8 +13,12 @@ exactly (Sturm oscillation).  Delta is formed from the phases' offsets from
 their closed-form trend plus the trend's difference, taken as the action
 between the two arguments, so its error does not grow with the origin
 argument: levels agree with 50-digit mpmath to 2e-15 relative from deep
-levels (origin argument -230) down to V0 = 1e-3.  Levels are listed in the
-regime E > V0.  Infinite-well levels and states are closed forms.
+levels (origin argument -230) down to V0 = 1e-3.  Each evaluation of
+Delta is one call of ``airy._phases`` on the origin and wall arguments of
+all its energies, one shared contraction of the Airy series whatever
+their regimes, so the level solve pays a fixed handful of array
+operations per Newton step.  Levels are listed in the regime E > V0.
+Infinite-well levels and states are closed forms.
 
 Momentum-space wavefunctions come from the +i kernel Fourier transform
 phi(p) = (2 pi hbar)^(-1/2) int psi(x) exp(+i p x / hbar) dx, evaluated
@@ -49,6 +53,8 @@ _OPENING_BLOCK = 4096  # energies per call of a level solve's opening evaluation
 _UNIFORM_ULPS = 8.0  # tolerance of the uniform-p test, in ulps of max |p|
 _SUBNORMAL_ULPS = 32.0  # its floor, in subnormal ulps per point; see _is_uniform
 _BLOCK_REACH = 0.75  # largest sqrt(|z|) |t| of an eigenstate block, as of an Airy anchor's
+_BOTH_PARITIES = np.array([[False], [True]])  # the mismatch's rows: even, odd
+_PARITIES = ("even", "odd")
 
 
 class SkippedRootWarning(UserWarning):
@@ -150,9 +156,9 @@ def _is_odd(parity: str) -> bool:
 
 
 def _mismatch(spec: PotentialSpec, energies: np.ndarray, odd):
-    """The phase mismatch Delta and dDelta/dE at each energy, from the Airy
-    phases (:func:`airy._phases`) of the origin and wall arguments together;
-    both move with dz/dE = -a / (V0 rho).  ``odd`` is a bool or a bool array
+    """The phase mismatch Delta and dDelta/dE at each energy, from one call
+    of :func:`airy._phases` on the origin and wall arguments together; both
+    move with dz/dE = -a / (V0 rho).  ``odd`` is a bool or a bool array
     broadcast against the energies (rows [[False], [True]] give both
     parities).
 
@@ -170,23 +176,24 @@ def _mismatch(spec: PotentialSpec, energies: np.ndarray, odd):
     t_0 - t_w = a / rho (t = -z), and ref_w - ref_0 = zeta_0 - zeta_w is
     taken in action form, (2/3)(a / rho)(t_0 + sqrt(t_0 t_w) + t_w) /
     (sqrt(t_0) + sqrt(t_w)), free of cancellation: Delta stays near k a
-    while zeta_0 grows like 1/V0.
+    while zeta_0 grows like 1/V0.  That quotient is formed only where
+    t_w > 0, so E <= 0, where both t vanish, divides nothing.
     """
-    scales = AiryScales.from_spec(spec, np.asarray(energies, dtype=float))
-    reach = spec.a / scales.rho  # z_w - z_0
-    z_origin = -scales.sigma / scales.rho
-    n = len(z_origin)
-    z = np.concatenate([z_origin, (spec.a - scales.sigma) / scales.rho])
+    energies = np.asarray(energies, dtype=float)
+    scales = AiryScales.from_spec(spec, energies)
+    n = len(energies)
+    z = np.concatenate([-scales.sigma, spec.a - scales.sigma]) / scales.rho  # origin, wall
     m2, theta, n2, phi = _phases(z)
-    t0, tw = np.maximum(-z_origin, 0.0), np.maximum(-z[n:], 0.0)
-    s0, sw = np.sqrt(t0), np.sqrt(tw)
-    with np.errstate(invalid="ignore", divide="ignore"):  # the branch not taken at E <= 0
-        trend = (2.0 / 3.0) * np.where(tw > 0.0, reach * (t0 + s0 * sw + tw) / (s0 + sw),
-                                       t0 * s0)
+    t = np.maximum(-z, 0.0)
+    s = np.sqrt(t)
+    t0, tw, s0, sw = t[:n], t[n:], s[:n], s[n:]
+    trend = t0 * s0  # (3/2) zeta_0, all of it where the wall argument is >= 0
+    np.divide(spec.a / scales.rho * (t0 + s0 * sw + tw), s0 + sw, out=trend, where=tw > 0.0)
+    inv = 1.0 / m2  # pi dtheta/dz
     origin = np.where(odd, theta[:n], phi[:n])
-    rate = np.where(odd, 1.0 / m2[:n], -z_origin / n2[:n])  # pi dphase/dz at z_0
+    rate = np.where(odd, inv[:n], -z[:n] / n2[:n])  # pi dphase/dz at z_0
     dz_de = -spec.a / (spec.v0 * scales.rho)
-    return trend + (theta[n:] - origin), (1.0 / m2[n:] - rate) * (dz_de / math.pi)
+    return (2.0 / 3.0) * trend + (theta[n:] - origin), (inv[n:] - rate) * (dz_de / math.pi)
 
 
 def _gate(spec: PotentialSpec, energy: float, odd: bool):
@@ -203,11 +210,12 @@ def eigencondition_residual(spec: PotentialSpec, energy: float, parity: str) -> 
     return _gate(spec, energy, _is_odd(parity))[1]
 
 
-def _newton_roots(spec: PotentialSpec, odd: np.ndarray, k: np.ndarray, left: np.ndarray,
+def _newton_roots(spec: PotentialSpec, odd: np.ndarray, target: np.ndarray, left: np.ndarray,
                   right: np.ndarray, start: np.ndarray):
-    """The energies where the mismatch of parity ``odd`` equals k pi, one in
-    each bracket (Delta < k pi at ``left``, >= k pi at ``right``), and the
-    residual |sin(Delta - k pi)| at each; vectorized over the roots.
+    """The energies where the mismatch of parity ``odd`` equals ``target``
+    (k pi), one in each bracket (Delta < k pi at ``left``, >= k pi at
+    ``right``), and the residual |sin(Delta - k pi)| at each; vectorized
+    over the roots.
 
     A bracket-safeguarded Newton iteration from ``start``.  Every evaluation
     shrinks the bracket to the side that keeps the root; a Newton step that
@@ -223,30 +231,35 @@ def _newton_roots(spec: PotentialSpec, odd: np.ndarray, k: np.ndarray, left: np.
     Each root stops on its own test, so it takes the same steps whatever
     other roots share the loop.  Each root's result is the last energy
     evaluated, with its residual.
+
+    The loop carries the active roots' state as compact arrays: a step
+    that finishes roots writes their results and drops them, all arrays
+    at once; a step that finishes none indexes nothing.
     """
-    x = start
-    energy, residual = np.empty(len(x)), np.empty(len(x))
-    target = k * math.pi
-    last_step = np.full(len(x), np.inf)
-    todo = np.arange(len(x))
-    for _ in range(_NEWTON_MAX_ITERS):
-        if not len(todo):
-            break
-        xs = x[todo]
-        delta, slope = _mismatch(spec, xs, odd[todo])
-        f = delta - target[todo]
-        energy[todo], residual[todo] = xs, np.abs(np.sin(f))
+    energy, residual = np.empty(len(start)), np.empty(len(start))
+    if not len(start):
+        return energy, residual
+    todo, x, lo, hi, last_step = np.arange(len(start)), start, left, right, np.inf
+    for evaluation in range(1, _NEWTON_MAX_ITERS + 1):
+        delta, slope = _mismatch(spec, x, odd)
+        f = delta - target
         below = f < 0.0
-        lo = left[todo] = np.where(below, xs, left[todo])
-        hi = right[todo] = np.where(below, right[todo], xs)
+        lo, hi = np.where(below, x, lo), np.where(below, hi, x)
         step = f / slope
-        nxt = xs - step
-        size = np.abs(step)
-        done = (size <= _NEWTON_STEP_TOL * np.abs(xs)) | (
-            (size >= last_step[todo]) & (size <= _NEWTON_STALL_TOL * np.abs(xs)))
-        last_step[todo] = size
-        x[todo] = np.where((nxt > lo) & (nxt < hi), nxt, 0.5 * (lo + hi))
-        todo = todo[~done]
+        size, scale = np.abs(step), np.abs(x)
+        done = (size <= _NEWTON_STEP_TOL * scale) | (
+            (size >= last_step) & (size <= _NEWTON_STALL_TOL * scale))
+        if done.all() or evaluation == _NEWTON_MAX_ITERS:
+            energy[todo], residual[todo] = x, np.abs(np.sin(f))
+            break
+        nxt = x - step
+        x_next = np.where((nxt > lo) & (nxt < hi), nxt, 0.5 * (lo + hi))
+        if done.any():
+            out, keep = todo[done], ~done
+            energy[out], residual[out] = x[done], np.abs(np.sin(f[done]))
+            todo, odd, target, lo, hi, size, x_next = (
+                v[keep] for v in (todo, odd, target, lo, hi, size, x_next))
+        x, last_step = x_next, size
     return energy, residual
 
 
@@ -265,25 +278,27 @@ def _solve(spec: PotentialSpec, ends: np.ndarray, grid: np.ndarray, delta: np.nd
     1 / Delta' (the interval's affine interpolant where the cubic leaves the
     bracket).  All roots share one Newton loop: one Airy phase call per step.
     """
-    count = np.floor(ends / math.pi).astype(int)
-    per_parity = count[:, 1] - count[:, 0]
-    if per_parity.sum() > _MAX_LEVELS:
-        raise RegimeError(f"{per_parity.sum()} levels lie in the window; "
+    (even_lo, even_hi), (odd_lo, odd_hi) = np.floor(ends / math.pi).astype(int).tolist()
+    n_even = even_hi - even_lo
+    if n_even + odd_hi - odd_lo > _MAX_LEVELS:
+        raise RegimeError(f"{n_even + odd_hi - odd_lo} levels lie in the window; "
                           f"a spectrum holds at most {_MAX_LEVELS}")
-    odd = np.repeat([False, True], per_parity)
-    targets = [np.arange(c[0] + 1, c[1] + 1) for c in count]
-    k = np.concatenate(targets)
-    right = np.concatenate([np.searchsorted(row, t * math.pi) for row, t in zip(delta, targets)])
-    right = np.clip(right, 1, len(grid) - 1)
+    k = np.concatenate([np.arange(even_lo + 1, even_hi + 1), np.arange(odd_lo + 1, odd_hi + 1)])
+    odd = np.arange(len(k)) >= n_even
+    target = k * math.pi
+    right = np.concatenate([np.searchsorted(delta[0], target[:n_even]),
+                            np.searchsorted(delta[1], target[n_even:])])
+    right = np.minimum(np.maximum(right, 1), len(grid) - 1)
     rows, left = odd.astype(int), right - 1
     d0, d1 = delta[rows, left], delta[rows, right]
     e0, e1 = grid[left], grid[right]
-    u = (k * math.pi - d0) / (d1 - d0)
-    start = (e0 + (e1 - e0) * u * u * (3.0 - 2.0 * u)
-             + (d1 - d0) * u * (1.0 - u) * ((1.0 - u) / slope[rows, left]
-                                            - u / slope[rows, right]))
-    start = np.where((start > e0) & (start < e1), start, e0 + u * (e1 - e0))
-    return (odd, k, *_newton_roots(spec, odd, k, e0, e1, start))
+    rise, width = d1 - d0, e1 - e0
+    u = (target - d0) / rise
+    v = 1.0 - u
+    start = (e0 + width * u * u * (3.0 - 2.0 * u)
+             + rise * u * v * (v / slope[rows, left] - u / slope[rows, right]))
+    start = np.where((start > e0) & (start < e1), start, e0 + u * width)
+    return (odd, k, *_newton_roots(spec, odd, target, e0, e1, start))
 
 
 def _levels(spec: PotentialSpec, e_max: float, above: float) -> list[EigenLevel]:
@@ -335,17 +350,17 @@ def _levels(spec: PotentialSpec, e_max: float, above: float) -> list[EigenLevel]
     grid = (np.arange(first, last + 1) / steps) ** 2
     energies = np.concatenate([[lo, bottom, e_max], grid])
     # in blocks, to bound memory: each energy's values are bit-equal in any batch
-    blocks = [_mismatch(spec, energies[i:i + _OPENING_BLOCK], np.array([[False], [True]]))
+    blocks = [_mismatch(spec, energies[i:i + _OPENING_BLOCK], _BOTH_PARITIES)
               for i in range(0, len(energies), _OPENING_BLOCK)]
-    delta, slope = (np.concatenate(rows, axis=1) for rows in zip(*blocks))
+    delta, slope = map(np.hstack, zip(*blocks))
     odd, k, energies, residuals = _solve(spec, delta[:, 1:3], grid, delta[:, 3:], slope[:, 3:])
-    below = np.floor(delta[:, 0] / math.pi).astype(int)[odd.astype(int)]
-    levels = [EigenLevel(energy=e, parity="odd" if o else "even", index=j - b, residual=r,
-                         n=2 * j + 1 - o)
-              for e, o, j, b, r in zip(energies.tolist(), odd.tolist(), k.tolist(),
-                                       below.tolist(), residuals.tolist())]
-    levels.sort(key=lambda lv: lv.energy)
-    return levels
+    below = np.floor(delta[:, 0] / math.pi).astype(int)
+    order = energies.argsort(kind="stable")
+    odd, k = odd[order], k[order]
+    return [EigenLevel(energy=e, parity=_PARITIES[o], index=j, residual=r, n=m)
+            for e, o, j, r, m in zip(energies[order].tolist(), odd.tolist(),
+                                     (k - below[odd.astype(int)]).tolist(),
+                                     residuals[order].tolist(), (2 * k + 1 - odd).tolist())]
 
 
 def eigenvalues_closed_court(spec: PotentialSpec, e_max: float, parity: str) -> np.ndarray:
@@ -399,9 +414,18 @@ def nearest_level(spec: PotentialSpec, e_target: float, search_width: float = 1.
 
     Only the levels in the window are solved: the phase count at V0 gives
     their index, so the cost does not grow with the levels below it.  Each
-    level is the one :func:`spectrum` lists, bit for bit.
+    level is the one :func:`spectrum` lists, bit for bit.  ValueError,
+    before any Airy call, unless ``e_target`` is finite, ``search_width``
+    finite and > 0, and their sum finite.
     """
-    levels = _levels(spec, e_target + search_width, max(spec.v0, e_target - search_width))
+    if not math.isfinite(e_target):
+        raise ValueError(f"e_target must be finite, got {e_target!r}")
+    if not (math.isfinite(search_width) and search_width > 0.0):
+        raise ValueError(f"search_width must be finite and > 0, got {search_width!r}")
+    top = e_target + search_width
+    if not math.isfinite(top):
+        raise ValueError(f"e_target + search_width must be finite, got {top!r}")
+    levels = _levels(spec, top, max(spec.v0, e_target - search_width))
     if not levels:
         raise NumericalError(
             f"no eigenvalue within +-{search_width} of E={e_target} (V0={spec.v0})")

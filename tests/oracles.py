@@ -410,13 +410,14 @@ def _local_series_with_slopes(z0, w, wp):
 
 
 def taylor_table_with_slopes():
-    """``airy._TAYLOR_TABLE`` as it was built when the local series always
-    carried its slope rows: the same anchor steps, from the same start values."""
+    """The anchors' tables of ``airy._TABLE`` as they were built when the
+    local series always carried its slope rows: the same anchor steps, from
+    the same start values."""
     ai0 = 3.0 ** (-2.0 / 3.0) / math.gamma(2.0 / 3.0)
     aip0 = -(3.0 ** (-1.0 / 3.0)) / math.gamma(1.0 / 3.0)
     bi0, bip0 = math.sqrt(3.0) * ai0, -math.sqrt(3.0) * aip0
     anchors = airy._ANCHORS
-    top_ai, _, top_aip, _ = airy._asym_pos(anchors[-1:])
+    top_ai, _, top_aip, _ = airy._values(anchors[-1:], np.array([False]))
     z = np.array([0.0, 0.0, 0.0, anchors[-1]])
     h = airy._ANCHOR_STEP * np.array([-1.0, -1.0, 1.0, -1.0])
     w = np.array([ai0, bi0, bi0, top_ai[0]])

@@ -9,7 +9,7 @@ from scipy import special
 import oracles
 import wellprob as wp
 from wellprob import airy
-from wellprob.airy import _asym_neg, _asym_pos, _taylor
+from wellprob.airy import Z_SWITCH
 from oracles import modulus_phase
 
 
@@ -48,6 +48,18 @@ MPMATH_REFS = {
     100.0: (2.6344821520881845e-291, 6.0412239966702014e+288,
             -2.6351403616044099e-290, 6.0397127453106029e+289),
 }
+
+
+def _taylor(z):
+    """(ai, bi, ai', bi') rows with every point summed by its anchor's series."""
+    z = np.asarray(z, dtype=float)
+    return airy._values(z, np.full(z.shape, True))
+
+
+def _asymptotic(z):
+    """(ai, bi, ai', bi') rows with every point from the asymptotic forms."""
+    z = np.asarray(z, dtype=float)
+    return airy._values(z, np.full(z.shape, False))
 
 
 def _airy_at(z):
@@ -177,7 +189,7 @@ def test_ode_residual_wide_range_high_order():
 def test_crossover_continuity_band():
     for band in (np.linspace(9.0, 9.6, 31), -np.linspace(9.0, 9.6, 31)):
         mac = _taylor(band)
-        asym = _asym_pos(band) if band[0] > 0 else _asym_neg(band)
+        asym = _asymptotic(band)
         for m_vals, a_vals in zip(mac, asym):
             rel = np.abs(np.asarray(m_vals) - np.asarray(a_vals)) / np.abs(a_vals)
             assert np.max(rel) < 1e-9
@@ -202,6 +214,8 @@ def test_non_finite_input_raises(batch):
 
 # regime name -> sampling interval: Taylor |z| <= 9, asymptotic beyond
 _REGIMES = {"taylor": (-9.0, 9.0), "asym_pos": (9.0, 103.0), "asym_neg": (-1e4, -9.0)}
+# the phases have no overflow bound on z > 9: past z ~ 66, M^2 and N^2 read inf
+_PHASE_REGIMES = {**_REGIMES, "asym_pos": (9.0, 200.0)}
 
 
 @settings(max_examples=60, deadline=None)
@@ -256,7 +270,7 @@ def test_anchor_series_against_mpmath():
 
 def test_taylor_table_is_unchanged_by_the_slope_split():
     # the local series no longer carries slope rows; only the anchor build adds them
-    assert np.array_equal(airy._TAYLOR_TABLE, oracles.taylor_table_with_slopes())
+    assert np.array_equal(airy._TABLE[:-1], oracles.taylor_table_with_slopes())
 
 
 def test_modulus_phase_is_silent_and_finite_up_to_the_bi_bound():
@@ -327,6 +341,52 @@ def test_phases_are_silent_monotone_and_batch_independent():
     zeta = (2.0 / 3.0) * np.abs(z[low]) ** 1.5
     assert np.all(np.abs(ref[low] + batch[1, low] - theta) <= 4.0 * (zeta + 1.0) * 2.2e-16)
     assert np.all(np.abs(ref[low] + batch[3, low] - phi) <= 4.0 * (zeta + 1.0) * 2.2e-16)
+
+
+# the regime seams, hit exactly: each side of them is summed by another series
+_SEAMS = (-Z_SWITCH, 0.0, Z_SWITCH)
+
+
+@settings(max_examples=60, deadline=None)
+@given(regimes=st.sets(st.sampled_from(sorted(_PHASE_REGIMES)), min_size=1),
+       n=st.integers(1, 1200), chunk=st.integers(1, 700), seams=st.integers(0, 8),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(regimes={"taylor"}, n=1, chunk=1, seams=1, seed=0)
+@example(regimes=set(_PHASE_REGIMES), n=1100, chunk=600, seams=8, seed=1)
+@example(regimes=set(_PHASE_REGIMES), n=1025, chunk=513, seams=3, seed=2)
+def test_each_phase_is_bit_equal_alone_in_chunks_and_in_the_batch(regimes, n, chunk, seams,
+                                                                  seed):
+    # the phase pass contracts the points of all regimes in one product and
+    # finishes them by masks; still no point's four values may depend on its
+    # batch, at the seams z = -9, 0, 9 included (the level solve relies on it)
+    rng = np.random.default_rng(seed)
+    bounds = np.array([_PHASE_REGIMES[r] for r in sorted(regimes)])
+    pick = rng.integers(len(bounds), size=n)
+    z = rng.uniform(bounds[pick, 0], bounds[pick, 1])
+    z[rng.choice(n, size=min(n, seams), replace=False)] = rng.choice(_SEAMS, size=min(n, seams))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        batch = np.array(airy._phases(z))
+    chunked = np.concatenate([np.array(airy._phases(z[i:i + chunk])) for i in range(0, n, chunk)],
+                             axis=1)
+    assert np.array_equal(chunked, batch)
+    for i in rng.choice(n, size=min(n, 16), replace=False):
+        assert np.array_equal(np.array(airy._phases(z[i:i + 1]))[:, 0], batch[:, i])
+    for seam in _SEAMS:  # each seam alone, as in the batch
+        at = np.flatnonzero(z == seam)
+        if len(at):
+            assert np.array_equal(np.array(airy._phases(np.array([seam])))[:, 0], batch[:, at[0]])
+
+
+def test_phases_are_silent_where_the_moduli_leave_the_range():
+    # N^2 = Bi^2 + Bi'^2 overflows from z = 65.625, a little before exp(2 zeta)
+    # does: the product that takes it to inf raised an overflow warning there
+    z = np.linspace(65.0, 66.5, 20001)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        m2, theta, n2, phi = airy._phases(z)
+    assert np.isinf(n2[-1]) and np.isfinite(n2[0]) and not np.any(np.isnan(m2) | np.isnan(n2))
+    assert np.all(np.isfinite(theta)) and np.all(np.isfinite(phi))
 
 
 @pytest.mark.parametrize("batch", [[math.nan], [1.0, math.inf], [-math.inf, -20.0]], ids=str)

@@ -1,4 +1,5 @@
 import math
+import re
 import time
 import tracemalloc
 import warnings
@@ -153,16 +154,19 @@ def test_spectrum_airy_call_budget(monkeypatch):
 
 @pytest.mark.parametrize("v0,e_ref", [(10.0, 10.066), (6.0, 10.073), (2.0, 10.105)])
 def test_nearest_level_one_airy_call_per_evaluation(monkeypatch, v0, e_ref):
-    # one call for both parities' phase counts, then one per Newton step
+    # one call for both parities' phase counts (two points per energy), then
+    # one per Newton step on the window's roots, two points per root
     calls = _count_airy_calls(monkeypatch)
     wp.nearest_level(wp.closed_court(a=25.0, v0=v0), e_ref)
-    assert len(calls) <= 8
+    assert len(calls) == 3
+    assert calls == {10.0: [34, 8, 8], 6.0: [54, 12, 12], 2.0: [54, 10, 10]}[v0]
 
 
 def test_spectrum_one_airy_call_per_evaluation(monkeypatch):
     calls = _count_airy_calls(monkeypatch)
     wp.spectrum(CC10, 12.0)
-    assert len(calls) <= 8
+    assert len(calls) == 3
+    assert calls == [52, 16, 16]
 
 
 def test_nearest_level_refines_only_in_window_brackets(monkeypatch):
@@ -206,8 +210,22 @@ def test_levels_equal_the_one_parity_reference_exactly(a, v0, gap, width):
 def test_scan_rejects_non_finite_e_max(e_max):
     with pytest.raises(ValueError, match="e_max"):
         wp.spectrum(CC10, e_max)
-    with pytest.raises(ValueError, match="e_max"):
+    with pytest.raises(ValueError, match="e_target"):
         wp.nearest_level(CC10, e_max)
+
+
+@pytest.mark.parametrize("e_target,search_width,name", [
+    (math.nan, 1.0, "e_target"), (math.inf, 1.0, "e_target"), (-math.inf, 1.0, "e_target"),
+    (10.066, math.nan, "search_width"), (10.066, math.inf, "search_width"),
+    (10.066, -1.0, "search_width"), (10.066, 0.0, "search_width"),
+    (1e308, 1e308, "e_target + search_width"),
+])
+def test_nearest_level_names_the_bad_argument(monkeypatch, e_target, search_width, name):
+    # each argument is checked on entry, before any Airy call, under its own name
+    calls = _count_airy_calls(monkeypatch)
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} must be finite"):
+        wp.nearest_level(CC10, e_target, search_width)
+    assert not calls
 
 
 def test_scan_past_the_airy_range_fails_fast():
