@@ -12,7 +12,7 @@ an integer in [10^16, 10^17).  y is computed as P + S:
 * S = e + fl(|x| lo), where e = |x| hi - P exactly (Dekker's two-product
   over a Veltkamp split; numpy never fuses a multiply-add).
 
-Then |P + S - y| < 5e-15, so N = P + floor(S + 1/2) is exact whenever the
+Then |P + S - y| < 5e-15, so N = P + round(S) is exact whenever the
 fraction of S lies more than ``_DELTA`` = 1e-6 from 1/2.  Whether y has
 left [10^16, 10^17), and k must move by one, is decided outside a band of
 that width; inside it both choices of k give the same cell.  What the
@@ -22,16 +22,19 @@ kernel does not decide goes through ``fmt``, the same string as
 need round-half-even on the exact value.  ±0 is laid out directly.
 
 The first digit is laid out alone, the other sixteen as two words of
-eight digit bytes (``_eight_digits``).  Each float cell is a fixed row of
-``_W`` slots that holds those digits twice, once before the point and once
-after it.  One row of ``_LAYOUTS`` per cell, chosen by its sign, exponent
-and last nonzero digit, applies ``%g``'s layout: the exponent form when
-k < -4 or k > 16, trailing zeros and a bare ``.`` dropped, at least two
-exponent digits.  It holds the fixed characters and marks every slot the
-cell does not use with the byte 0xFF, which never occurs in these cells.
-A block's bytes are its slots without the 0xFF ones.  The kernel holds
-about 90 bytes per float cell while it computes; a block then holds its
-slots (56 bytes per cell) and its bytes.
+eight digit bytes, each from two table lookups of four digits.  A float
+cell is a fixed row of ``_W`` = 32 slots: the sign, the ``0.`` and up to
+three lead zeros of 0.000ddd, the first digit, seventeen slots for digits
+1-16 and the point, the exponent and the separator.  The two words go in
+twice, unshifted for the digits before the point and shifted one byte
+for those after it, each copy under a mask of the cell's code (exponent,
+last nonzero digit, sign).  The code's layout applies ``%g``'s rules: the
+exponent form when k < -4 or k > 16, trailing zeros and a bare ``.``
+dropped, at least two exponent digits.  It holds the fixed characters and
+marks every slot the cell does not use with the byte 0xFF, which never
+occurs in these cells; a block's bytes are its slots without the 0xFF
+ones.  The tables are built on first use.  At its peak a block holds
+about 115 bytes per float cell, its 32 slots and its bytes among them.
 
 ``encode_rows`` takes one of two paths per block.  When every column is
 a float64 array, the columns are stacked row by row and formatted in one
@@ -50,63 +53,70 @@ _X_MIN, _X_MAX = 1e-280, 1e280  # the kernel's range of |x|
 _P_LO, _P_HI = -270, 298  # table of 10^p; covers 16 - k for |x| in that range
 _DROP = b"\xff"
 
-# Slots of one float cell.  Digits 1-16 fill the 8-byte words 1-2 (before
-# the point) and 4-5 (after it); slots 0-4, 24-26 and 53-54 are never kept.
-_W = 56
-_SIGN, _ZERO, _INT = 5, 6, 7  # '-', the '0' of 0.ddd; digit m at _INT + m
-_POINT, _LEAD, _FRAC = 27, 28, 31  # '.', up to three '0's; digit m at _FRAC + m
-_E, _SEP = 48, 55  # 'e', then sign, hundreds, tens, units; the separator
+# Slots of one float cell; slots 6 and 30 are never kept.
+_W = 32
+_SIGN, _ZERO, _LEAD = 0, 1, 3  # '-'; the '0' and '.' of 0.ddd; up to three '0's
+_D0 = 7  # digit 0; digit m >= 1 at _D0 + m before the point, at _D0 + 1 + m after it
+_E, _SEP = 25, 31  # 'e', then sign, hundreds, tens, units; the separator
 
 # A cell's kind, from its decimal exponent k: k itself for 0 <= k <= 16
 # (k + 1 digits before the point), _LEAD0 - 1 - k for -4 <= k <= -1 (0.ddd
 # with -1 - k zeros after the point), _EXP2 or _EXP3 in the exponent form
 # with two or three exponent digits, _ZERO_CELL for +-0.
 _LEAD0, _EXP2, _EXP3, _ZERO_CELL = 17, 21, 22, 23
-_K0 = 301  # _KINDS and _EXPONENTS are indexed by k + _K0, 0 for a zero
+_K0 = 301  # the base and exponent tables are indexed by k + _K0, 0 for a zero
 
 
-def _kind(k: int) -> int:
-    if 0 <= k <= 16:
-        return k
-    if -4 <= k < 0:
-        return _LEAD0 - 1 - k
-    return _EXP3 if abs(k) >= 100 else _EXP2
+@functools.cache
+def _tables():
+    """The kernel's lookup tables, built on first use.
 
+    Indexed by k + _K0: a cell's ``base``, 34 times its kind, and its
+    exponent's sign and digits at their slots in the cell's fourth word.
+    Indexed by a group g of four digits: their bytes, the first lowest, and
+    for each group j = 0-3 of digits 1-16, 2 (4j + i) with i the place (1-4)
+    of g's last nonzero digit, 0 for g = 0.  Indexed by the code, base +
+    2 last + sign: the layouts, and the masks of words 1-2 that keep the
+    digits before the point (unshifted) and after it (shifted).  Each layout
+    slot is a fixed character, 0 where digits or the exponent go, or 0xFF
+    where the cell has nothing."""
+    k = np.arange(2 * _K0) - _K0
+    kinds = np.where((k >= 0) & (k <= 16), k, np.where(
+        (k >= -4) & (k < 0), _LEAD0 - 1 - k, np.where(abs(k) >= 100, _EXP3, _EXP2)))
+    kinds[0] = _ZERO_CELL
+    exponents = np.stack([np.where(k < 0, ord("-"), ord("+"))]
+                         + [abs(k) // d % 10 + ord("0") for d in (100, 10, 1)], 1)
+    exponents = np.pad(exponents.astype(np.uint8), ((0, 0), (_E + 1 - 24, _W - _E - 5)))
+    mesh = np.ix_(*[np.arange(10)] * 4)  # the digits of g = 0..9999, first digit first
+    quad = sum((v + ord("0")) << 8 * i for i, v in enumerate(mesh)).ravel().astype(np.uint64)
+    place = functools.reduce(np.maximum, [(v > 0) * (i + 1) for i, v in enumerate(mesh)]).ravel()
+    lasts = np.where(place > 0, 2 * place + 8 * np.arange(4)[:, None], 0).astype(np.int8)
 
-_KINDS = np.array([_ZERO_CELL] + [_kind(k) for k in range(1 - _K0, _K0)])
-_EXPONENTS = np.frombuffer(b"".join(b"%+04d" % k for k in range(-_K0, _K0)),
-                           np.uint8).reshape(-1, 4)  # sign, hundreds, tens, units
-_ASCII = np.uint64(0x3030303030303030)
-
-
-def _layouts() -> np.ndarray:
-    """The slots of a cell by its code, (17 kind + last) * 2 + sign, where
-    ``last`` is its last nonzero digit: a fixed character, 0 where the
-    cell's digits or exponent go, or 0xFF where the cell has nothing."""
     code = np.arange((_ZERO_CELL + 1) * 34)[:, None]
     kind, last, sign = code // 34, code // 2 % 17, code % 2
     lead = (kind >= _LEAD0) & (kind < _EXP2)
     expo, digits = (kind == _EXP2) | (kind == _EXP3), kind != _ZERO_CELL
     whole = np.where(kind <= 16, kind, np.where(expo, 0, -1))  # last digit before the point
     slot = np.arange(_W)
-    m = slot - np.where(slot < _FRAC, _INT, _FRAC)  # the digit of a digit slot
-    table = np.full((len(code), _W), _DROP[0], np.uint8)
+    m = slot - _D0  # the digit of an unshifted slot; m - 1 that of a shifted one
+    before = (m >= 1) & (m <= np.where(lead, last, whole))
+    after = (m - 1 > whole) & (m - 1 <= last) & (whole >= 0) & digits
+    layouts = np.full((len(code), _W), _DROP[0], np.uint8)
     for char, rule in [
         (ord("-"), (slot == _SIGN) & (sign == 1)),
         (ord("0"), (slot == _ZERO) & (lead | ~digits)),
-        (0, (slot >= _INT) & (slot < _INT + 17) & (m <= whole)),
-        (ord("."), (slot == _POINT) & (last > whole) & digits),
+        (ord("."), (slot == _ZERO + 1) & lead),
         (ord("0"), (slot >= _LEAD) & (slot - _LEAD < kind - _LEAD0) & lead),
-        (0, (slot >= _FRAC) & (slot < _FRAC + 17) & (m > whole) & (m <= last) & digits),
+        (0, ((m == 0) & digits) | before | after),
+        (ord("."), (m - 1 == whole) & (last > whole) & (whole >= 0) & digits),
         (ord("e"), (slot == _E) & expo),
         (0, (slot > _E) & (slot < _E + 5) & expo & ((slot != _E + 2) | (kind == _EXP3))),
         (ord(","), slot == _SEP),
     ]:
-        table[np.broadcast_to(rule, table.shape)] = char
-    return table
-
-
-_LAYOUTS = _layouts()  # 816 x 56 bytes, built at import in about 1 ms
+        layouts[np.broadcast_to(rule, layouts.shape)] = char
+    masks = np.stack(np.broadcast_arrays(before, after)).astype(np.uint8) * 0xFF
+    masks = masks.view("<u8")[:, :, 1:3].transpose(0, 2, 1).reshape(4, -1).copy()
+    return kinds * 34, exponents.view("<u8").ravel(), quad, lasts, layouts, masks
 
 
 def fmt(value) -> str:
@@ -145,18 +155,13 @@ def _powers():
 def _scaled(ax, k):
     """|x| 10^(16-k) as P + S: to within 5e-15 below 1.1e17, 1e-13 below 1e18."""
     i = 16 - _P_LO - k
-    hi, hh, hl, lo = _powers()
-    p = np.take(hi, i, mode="clip")
+    p, hh, hl, lo = (table.take(i) for table in _powers())
     p *= ax
     ah, al = _split(ax)
-    s = np.take(hh, i, mode="clip")
-    s *= ah
+    s = hh * ah
     s -= p
-    t = np.empty_like(s)
     for table, part in ((hl, ah), (hh, al), (hl, al), (lo, ax)):  # Dekker's order, then lo
-        np.take(table, i, out=t, mode="clip")  # i is in range; "raise" would copy out
-        t *= part
-        s += t
+        s += table * part
     return p, s
 
 
@@ -173,8 +178,9 @@ def _round(x):
     if moved.any():
         k += high.astype(np.int64) - low
         p[moved], s[moved] = _scaled(ax[moved], k[moved])
-    fast &= np.abs(s - np.rint(s)) < 0.5 - _DELTA
-    n = p.astype(np.int64) + np.floor(s + 0.5).astype(np.int64)
+    r = np.rint(s)  # a tie, where it rounds to even, is not fast
+    fast &= np.abs(s - r) < 0.5 - _DELTA
+    n = p.astype(np.int64) + r.astype(np.int64)
     carry = n == 10 ** 17
     n[carry] = 10 ** 16
     k += carry
@@ -182,59 +188,52 @@ def _round(x):
     return n, k, fast
 
 
-def _eight_digits(v):
-    """Each v < 10^8 (uint64, overwritten) as eight digits, one per byte of
-    the value, the first in the lowest byte."""
-    hi = v * 109951163  # v // 10^4 = (v * ceil(2^40 / 10^4)) >> 40 for v < 10^8
-    hi >>= 40
-    v -= hi * 10000
-    v <<= 32
-    v |= hi  # two lanes of 32 bits: the first four digits, the last four
-    for mul, shift, mask, div, width in ((10486, 20, 0x0000007F0000007F, 100, 16),
-                                         (103, 10, 0x000F000F000F000F, 10, 8)):
-        t = v * mul  # per lane: (v * mul) >> shift = v // div
-        t >>= shift
-        t &= mask
-        v -= t * div
-        v <<= width
-        v |= t
-    return v
-
-
 def _float_cells(x) -> bytearray:
     """The cells of the float64 values ``x`` (1-d), _W slot bytes each and
     each ending in a ',' separator."""
+    bases, exponents, quads, lasts, layouts, masks = _tables()
     n, k, fast = _round(x)
-    first = n // 10 ** 16
-    n -= first * 10 ** 16
+    high = n // 10 ** 8  # d0-d8
+    n -= high * 10 ** 8  # d9-d16
+    first = high // 10 ** 8
+    high -= first * 10 ** 8
     first = first.astype(np.uint8) + ord("0")
-    high = n // 10 ** 8
-    words = _eight_digits(np.stack((high, n - high * 10 ** 8), axis=-1).astype(np.uint64))
-    del n, high
-    # bytes up to the top nonzero one: d1-d8 in the first word, d9-d16 in the second
-    count = (np.frexp(words.astype(np.float64))[1] + 7) >> 3
-    last = np.where(count[:, 1] > 0, count[:, 1] + 8, count[:, 0])
-    del count
+    words, last = [], 0
+    for v, j in ((high, 0), (n, 2)):  # a word of eight digit bytes from two groups of four
+        g = v // 10 ** 4
+        v -= g * 10 ** 4
+        w = quads.take(v)
+        w <<= 32
+        w |= quads.take(g)
+        words.append(w)
+        last = np.maximum(last, np.maximum(lasts[j].take(g), lasts[j + 1].take(v)))
+    del n, high, g, v
     k += _K0
     k[x == 0] = 0
-    kind = np.take(_KINDS, k)
-    code = (kind * 17 + last) * 2 + np.signbit(x)
-    expo = np.flatnonzero((kind == _EXP2) | (kind == _EXP3))
-    k = k[expo]
-    del kind, last  # before the block's slots: the writer's memory peak is here
+    code = bases.take(k)
+    code += last
+    code += np.signbit(x)
+    del last  # before the block's slots: the writer's memory peak is here
 
     block = bytearray(x.size * _W)
     cells = np.frombuffer(block, np.uint8).reshape(x.size, _W)
-    np.take(_LAYOUTS, code, axis=0, out=cells, mode="clip")
-    cells[:, _INT] |= first
-    cells[:, _FRAC] |= first
-    words += _ASCII
+    layouts.take(code, axis=0, out=cells, mode="clip")
+    cells[:, _D0] |= first
+    (w0, w1), (b0, b1, a0, a1) = words, (mask.take(code) for mask in masks)
     cell_words = cells.view("<u8")
-    for w in (_INT + 1, _FRAC + 1):
-        cell_words[:, w // 8] |= words[:, 0]
-        cell_words[:, w // 8 + 1] |= words[:, 1]
-    if expo.size:
-        cells[expo, _E + 1:_E + 5] |= np.take(_EXPONENTS, k, axis=0)
+    b0 &= w0
+    a0 &= w0 << 8
+    b0 |= a0
+    cell_words[:, 1] |= b0
+    b1 &= w1
+    w0 >>= 56
+    w0 |= w1 << 8
+    a1 &= w0
+    b1 |= a1
+    cell_words[:, 2] |= b1
+    w1 >>= 56  # digit 16, at slot 24 if it follows the point, else on a 0xFF slot
+    w1 |= exponents.take(k)  # on 0xFF slots but in the exponent form
+    cell_words[:, 3] |= w1
     if not fast.all():
         for i in np.flatnonzero(~fast & (x != 0)):
             cell = fmt(float(x[i])).encode()

@@ -295,8 +295,12 @@ def sample_measurements(spec: PotentialSpec, energy: float, n: int,
 
 def measurement_histogram(spec: PotentialSpec, energy: float, n_bins: int,
                           variable: str, n_draws: int, seed: int) -> HistogramRun:
-    """Analytic projection histogram with measurement draws attached."""
+    """Analytic projection histogram with measurement draws attached;
+    ``n_draws = 0`` attaches none and draws nothing."""
     arc = classical_state(spec, energy)
-    hist, draws = _projection(arc, n_bins, variable), _draws(arc, n_draws, seed)
+    hist = _projection(arc, n_bins, variable)
+    if n_draws == 0:
+        return hist
+    draws = _draws(arc, n_draws, seed)
     return HistogramRun(bin_edges=hist.bin_edges, bin_mass=hist.bin_mass,
                         draws=draws.pairs(variable), n_draws=n_draws)

@@ -11,10 +11,13 @@ in blocks of ``_BLOCK_ROWS`` rows, so its memory is bounded by a block (a
 few hundred kB), not by the file.  ``_csvfmt`` formats a block on one of
 two paths.  When every column is a float64 array, each cell gets exactly
 the bytes of ``'%.17g' % v``, from integer digits computed in bulk with
-double-double arithmetic (the exactness argument is in that module); nan,
-inf, |v| outside [1e-280, 1e280] and near-ties go through ``_csvfmt.fmt``
+double-double arithmetic and laid out in 32-byte slot rows (the exactness
+argument and the layout are in that module); nan, inf, |v| outside
+[1e-280, 1e280] and near-ties go through ``_csvfmt.fmt``
 (``format(v, ".17g")``) one value at a time.  Any other block goes through
-``_csvfmt.fmt`` row by row, value by value.
+``_csvfmt.fmt`` row by row, value by value.  ``classical`` and
+``bounce-sim`` draw one measurement sample per run, for their draws table;
+their histograms are exact time fractions and draw none.
 """
 
 from __future__ import annotations
@@ -128,12 +131,12 @@ def _select_state(cfg: RunConfig, spec: PotentialSpec, levels: list[EigenLevel] 
                                    n_grid=t.n_grid, index=level.index)
 
 
-def _histograms(prefix: str, spec: PotentialSpec, energy: float,
-                n_bins: int, n_draws: int, seed: int) -> list[tuple]:
-    """The position and momentum projection histograms, one table each."""
+def _histograms(prefix: str, spec: PotentialSpec, energy: float, n_bins: int) -> list[tuple]:
+    """The position and momentum projection histograms, one table each.
+    They carry no draws: a run's draws table is its one sample."""
     tables = []
     for variable in ("position", "momentum"):
-        hist = measurement_histogram(spec, energy, n_bins, variable, n_draws, seed)
+        hist = measurement_histogram(spec, energy, n_bins, variable, n_draws=0, seed=0)
         tables.append((f"{prefix}histogram_{variable}.csv", ("bin_lo", "bin_hi", "mass"),
                        (hist.bin_edges[:-1], hist.bin_edges[1:], hist.bin_mass)))
     return tables
@@ -162,8 +165,7 @@ def cmd_classical(cfg: RunConfig) -> list[Path]:
         tables.append(("classical_momentum.csv", ("p", "density"), (mom.grid, mom.values)))
 
     if cfg.task.n_bins:
-        tables += _histograms("", spec, energy, cfg.task.n_bins,
-                              cfg.task.n_draws or 1, cfg.task.seed)
+        tables += _histograms("", spec, energy, cfg.task.n_bins)
     if cfg.task.n_draws:
         draws = sample_measurements(spec, energy, cfg.task.n_draws, cfg.task.seed)
         tables.append(("draws.csv", ("t", "position", "momentum"),
@@ -265,7 +267,7 @@ def cmd_bounce_sim(cfg: RunConfig) -> list[Path]:
     draws = sample_measurements(spec, energy, n_draws, t.seed)
     return _write_tables(cfg, [
         ("bounce_trajectory.csv", ("t", "z", "p"), (times, z, p)),
-        *_histograms("bounce_", spec, energy, t.n_bins or 25, n_draws, t.seed),
+        *_histograms("bounce_", spec, energy, t.n_bins or 25),
         ("bounce_draws.csv", ("t", "z", "p"), (draws.times, draws.positions, draws.momenta))])
 
 

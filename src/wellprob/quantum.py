@@ -326,11 +326,11 @@ def _levels(spec: PotentialSpec, e_max: float, above: float) -> list[EigenLevel]
     scales = AiryScales.from_spec(spec, e_max)
     if not (0.0 < scales.rho < math.inf and math.isfinite(scales.sigma)):
         raise RegimeError(f"the Airy scales rho={scales.rho:g} and sigma={scales.sigma:g} "
-                          f"of a={spec.a:g}, V0={spec.v0:g} at e_max={e_max:g} leave "
-                          f"double precision")
+                          f"of a={spec.a:g}, V0={spec.v0:g} at the top of the energy "
+                          f"window, E={e_max:g}, leave double precision")
     if not scales.sigma / scales.rho <= Z_MAX:
-        raise RegimeError(f"e_max={e_max:g} puts the Airy argument at the origin past "
-                          f"-{Z_MAX:g}")
+        raise RegimeError(f"the top of the energy window, E={e_max:g}, puts the Airy "
+                          f"argument at the origin past -{Z_MAX:g}")
     # the trend of Delta, (2/3)(t_0^1.5 - max(t_0 - a / rho, 0)^1.5) with
     # t_0 = sigma / rho, lies within pi of each parity's Delta
     reach, t_top = spec.a / scales.rho, scales.sigma / scales.rho

@@ -350,6 +350,17 @@ def test_measurement_histogram_bundles_draws():
     assert np.all(np.abs(h.draws[:, 1]) <= 2.0 + 1e-12)
 
 
+def test_measurement_histogram_without_draws():
+    h = wp.measurement_histogram(BOUNCER, 2.0, 10, "momentum", 0, seed=9)
+    assert h.n_draws == 0
+    assert h.draws.shape == (0, 2)
+    ref = wp.project_trajectory(BOUNCER, 2.0, 10, "momentum")
+    assert np.array_equal(h.bin_edges, ref.bin_edges)
+    assert np.array_equal(h.bin_mass, ref.bin_mass)
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        wp.sample_measurements(BOUNCER, 2.0, 0, seed=9)
+
+
 # ---------------------------------------------------------------------------
 # one constant-force arc against the per-kind closed forms
 
@@ -509,3 +520,24 @@ def test_one_cli_run_builds_few_arcs(arc_builds, tmp_path, capsys, command, over
         args += ["--set", item]
     assert cli.main(args) == 0
     assert 0 < len(arc_builds) <= most
+
+
+@pytest.mark.parametrize("command, overrides, n_draws", [
+    ("classical", ("potential.kind=bouncer", "task.energy=2", *_CLASSICAL_RUN), 500),
+    ("bounce-sim", (), 1000),
+], ids=["classical", "bounce-sim"])
+def test_one_cli_run_draws_one_sample(monkeypatch, tmp_path, capsys, command, overrides,
+                                      n_draws):
+    # the histograms carry no draws: the draws table is the run's only sample
+    calls, draws = [], classical._draws
+
+    def spy(arc, n, seed):
+        calls.append(n)
+        return draws(arc, n, seed)
+
+    monkeypatch.setattr(classical, "_draws", spy)
+    args = [command, "--out", str(tmp_path)]
+    for item in overrides:
+        args += ["--set", item]
+    assert cli.main(args) == 0
+    assert calls == [n_draws]

@@ -83,6 +83,9 @@ MATRIX = {
     "classical-infinite-well": ("classical", (*_IW, "task.energy=4", *_HISTOGRAMS)),
     "classical-closed-court": ("classical", (*_CC, "potential.a=25", "potential.v0=10",
                                              "task.energy=10.5", *_HISTOGRAMS)),
+    # histograms with no draws asked for: no draws table, and no sample drawn
+    "classical-histograms-no-draws": ("classical", (*_CC, "potential.a=25", "potential.v0=10",
+                                                    "task.energy=10.5", "task.n_bins=20")),
     # the benchmark's largest sizes: 8001 = 7 * 1024 + 833 rows end in a partial block
     "classical-closed-court-8001": ("classical", (*_CC, "potential.a=25", "potential.v0=10",
                                                   "task.energy=10.5", "task.n_points=8001",
