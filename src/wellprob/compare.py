@@ -74,15 +74,16 @@ def momentum_support_mass(phi: MomentumWavefunction, state: ClassicalState,
     interpolation.  |phi|^2 is even on a p grid symmetric about 0 (the
     transform mirrors it), so band and total are both integrated over
     p >= 0 alone, from p = 0 (a node, or the midpoint of the two middle
-    ones), and the factor 2 cancels.  ValueError for a grid that is not
-    symmetric about 0.
+    ones), and the factor 2 cancels.  The grid may run in either direction.
+    ValueError for a grid that is not symmetric about 0.
     """
-    grid = phi.grid
+    step = 1 if phi.grid[0] <= phi.grid[-1] else -1
+    grid, density = phi.grid[::step], phi.density[::step]
     top = float(grid[-1])
     if not abs(float(grid[0]) + top) <= 8.0 * np.finfo(float).eps * top:
         raise ValueError("the momentum grid must be symmetric about 0")
     mid = len(grid) // 2
-    half, dens = grid[mid:], phi.density[mid:]
+    half, dens = grid[mid:], density[mid:]
     # from p = 0: half[0] is 0, or half the middle cell, where |phi|^2 is dens[0]
     total = float(np.trapezoid(dens, half)) + float(half[0] * dens[0])
     if total <= 0.0:

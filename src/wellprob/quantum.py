@@ -18,7 +18,8 @@ Delta is one call of ``airy._phases`` on the origin and wall arguments of
 all its energies, one shared contraction of the Airy series whatever
 their regimes, so the level solve pays a fixed handful of array
 operations per Newton step.  Levels are listed in the regime E > V0.
-Infinite-well levels and states are closed forms.
+Eigenstates come from the same gaps, out to the wall and to their block
+starts in one call.  Infinite-well levels and states are closed forms.
 
 Momentum-space wavefunctions come from the +i kernel Fourier transform
 phi(p) = (2 pi hbar)^(-1/2) int psi(x) exp(+i p x / hbar) dx, evaluated
@@ -39,7 +40,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .airy import _TAYLOR_DEGREE, Z_MAX, _local_series, _phases, airy_eval_many
+# airy_eval_many is not called here; perfbench/spans.py wraps quantum.airy_eval_many
+from .airy import _TAYLOR_DEGREE, _local_series, _phases, airy_eval_many  # noqa: F401
 from .errors import NumericalError, RegimeError, ResolutionError
 from .model import PotentialKind, PotentialSpec
 
@@ -52,6 +54,9 @@ _LATTICE_PER_PI = 4  # lattice steps per pi of the trend of Delta, where it is s
 _OPENING_BLOCK = 4096  # energies per call of a level solve's opening evaluation
 _UNIFORM_ULPS = 8.0  # tolerance of the uniform-p test, in ulps of max |p|
 _SUBNORMAL_ULPS = 32.0  # its floor, in subnormal ulps per point; see _is_uniform
+# smallest V0 / E of a level solve: dDelta/dE, a difference of moduli at the
+# origin and the wall, is good to about 2 eps E / V0 relative, 4e-3 here
+_V0_FLOOR = 1e-13
 _BLOCK_REACH = 0.75  # largest sqrt(|z|) |t| of an eigenstate block, as of an Airy anchor's
 _BOTH_PARITIES = np.array([[False], [True]])  # the mismatch's rows: even, odd
 _PARITIES = ("even", "odd")
@@ -128,8 +133,8 @@ class MomentumWavefunction:
     phi: np.ndarray
     density: np.ndarray
 
-    def norm_mass(self) -> float:
-        return float(np.trapezoid(self.density, self.grid))
+    def norm_mass(self) -> float:  # the grid may run either way
+        return abs(float(np.trapezoid(self.density, self.grid)))
 
 
 def _simpson_uniform(y: np.ndarray, h: float) -> float:
@@ -155,59 +160,56 @@ def _is_odd(parity: str) -> bool:
     return parity == "odd"
 
 
-def _mismatch(spec: PotentialSpec, energies: np.ndarray, odd):
-    """The phase mismatch Delta and dDelta/dE at each energy, from one call
-    of :func:`airy._phases` on the origin and wall arguments together; both
-    move with dz/dE = -a / (V0 rho).  ``odd`` is a bool or a bool array
-    broadcast against the energies (rows [[False], [True]] give both
-    parities).
+def _phase_gaps(spec: PotentialSpec, energies: np.ndarray, far, odd):
+    """One :func:`airy._phases` call at the origin and at x = ``far`` gives
+    the gap Delta = theta(z_x) - origin and dDelta/dE at x, the lift, the
+    origin offset, and M^2, the phi offset and N^2, origin first.  The
+    origin phase is theta(z_0) where ``odd``, else phi(z_0); ``far`` and
+    ``odd`` broadcast against the energies.
 
-    In the modulus-phase form the boundary determinant is
-    M(z_0) M(z_w) sin(Delta) for odd states, with Delta = theta(z_w) -
-    theta(z_0), and N(z_0) M(z_w) sin(Delta) for even ones, with
-    Delta = theta(z_w) - phi(z_0).  By Sturm oscillation floor(Delta / pi)
-    counts the odd levels below E, and floor(Delta / pi) + 1 the even ones:
-    odd level k >= 1 (n = 2k) solves Delta = k pi, and so does even level
-    k >= 0 (n = 2k + 1).
-
-    Delta is formed as (ref_w - ref_0) + (offset_w - offset_0), the phases'
-    closed-form trend ref = pi/4 - zeta(z), zeta = (2/3) max(-z, 0)^(3/2),
-    plus their offsets from it.  Where both arguments are <= 0,
-    t_0 - t_w = a / rho (t = -z), and ref_w - ref_0 = zeta_0 - zeta_w is
-    taken in action form, (2/3)(a / rho)(t_0 + sqrt(t_0 t_w) + t_w) /
-    (sqrt(t_0) + sqrt(t_w)), free of cancellation: Delta stays near k a
-    while zeta_0 grows like 1/V0.  That quotient is formed only where
-    t_w > 0, so E <= 0, where both t vanish, divides nothing.
+    A phase is its trend ref = pi/4 - zeta(z), zeta = (2/3) max(-z, 0)^1.5,
+    plus its offset, so a gap is the lift zeta_0 - zeta_x plus a difference
+    of offsets.  Where t = -z > 0 at both ends, t_0 - t_x = x / rho and the
+    lift is (2/3)(x / rho)(t_0 + sqrt(t_0 t_x) + t_x) / (sqrt(t_0) +
+    sqrt(t_x)): no cancellation however deep z_0, 0 at x = 0, and no 0 / 0.
     """
-    energies = np.asarray(energies, dtype=float)
     scales = AiryScales.from_spec(spec, energies)
     n = len(energies)
-    z = np.concatenate([-scales.sigma, spec.a - scales.sigma]) / scales.rho  # origin, wall
+    z = np.concatenate([-scales.sigma, far - scales.sigma]) / scales.rho  # origin, far
     m2, theta, n2, phi = _phases(z)
     t = np.maximum(-z, 0.0)
     s = np.sqrt(t)
-    t0, tw, s0, sw = t[:n], t[n:], s[:n], s[n:]
-    trend = t0 * s0  # (3/2) zeta_0, all of it where the wall argument is >= 0
-    np.divide(spec.a / scales.rho * (t0 + s0 * sw + tw), s0 + sw, out=trend, where=tw > 0.0)
+    t0, tx, s0, sx = t[:n], t[n:], s[:n], s[n:]
+    trend = np.multiply(t0, s0, out=np.empty_like(tx))  # (3/2) zeta_0, all of it where z_x >= 0
+    np.divide(far / scales.rho * (t0 + s0 * sx + tx), s0 + sx, out=trend, where=tx > 0.0)
+    lift = (2.0 / 3.0) * trend
     inv = 1.0 / m2  # pi dtheta/dz
     origin = np.where(odd, theta[:n], phi[:n])
     rate = np.where(odd, inv[:n], -z[:n] / n2[:n])  # pi dphase/dz at z_0
     dz_de = -spec.a / (spec.v0 * scales.rho)
-    return (2.0 / 3.0) * trend + (theta[n:] - origin), (inv[n:] - rate) * (dz_de / math.pi)
+    return (lift + (theta[n:] - origin), (inv[n:] - rate) * (dz_de / math.pi),
+            lift, origin, m2, phi, n2)
 
 
-def _gate(spec: PotentialSpec, energy: float, odd: bool):
-    """k = round(Delta / pi) at one energy and the residual |sin(Delta - k pi)|,
-    formed as the level solve forms them."""
-    delta = _mismatch(spec, np.array([energy]), odd)[0]
-    k = np.round(delta / math.pi)
-    return float(k[0]), float(np.abs(np.sin(delta - k * math.pi))[0])
+def _mismatch(spec: PotentialSpec, energies: np.ndarray, odd):
+    """Delta and dDelta/dE at each energy, the gap at the wall.  The boundary
+    determinant is M(z_0) M(z_w) sin(Delta) (odd) or N(z_0) M(z_w) sin(Delta)
+    (even), so by Sturm oscillation odd level k >= 1 (n = 2k) and even
+    level k >= 0 (n = 2k + 1) solve Delta = k pi, and floor(Delta / pi)
+    (+ 1 if even) counts the levels below E."""
+    return _phase_gaps(spec, energies, spec.a, odd)[:2]
+
+
+def _gate(delta: np.ndarray):
+    """k = round(Delta / pi) and |sin(Delta - k pi)| of Delta[0], as the level solve has them."""
+    k = np.round(delta[:1] / math.pi)
+    return float(k[0]), float(np.abs(np.sin(delta[:1] - k * math.pi))[0])
 
 
 def eigencondition_residual(spec: PotentialSpec, energy: float, parity: str) -> float:
     """|sin(Delta - k pi)| for the nearest k, the boundary determinant over its
     envelope; ~0 at an eigenvalue."""
-    return _gate(spec, energy, _is_odd(parity))[1]
+    return _gate(_mismatch(spec, np.array([energy]), _is_odd(parity))[0])[1]
 
 
 def _newton_roots(spec: PotentialSpec, odd: np.ndarray, target: np.ndarray, left: np.ndarray,
@@ -328,9 +330,9 @@ def _levels(spec: PotentialSpec, e_max: float, above: float) -> list[EigenLevel]
         raise RegimeError(f"the Airy scales rho={scales.rho:g} and sigma={scales.sigma:g} "
                           f"of a={spec.a:g}, V0={spec.v0:g} at the top of the energy "
                           f"window, E={e_max:g}, leave double precision")
-    if not scales.sigma / scales.rho <= Z_MAX:
-        raise RegimeError(f"the top of the energy window, E={e_max:g}, puts the Airy "
-                          f"argument at the origin past -{Z_MAX:g}")
+    if not spec.v0 >= _V0_FLOOR * e_max:
+        raise RegimeError(f"V0={spec.v0:g} is below {_V0_FLOOR:g} of the top of the energy "
+                          f"window, E={e_max:g}, where the mismatch's slope loses its digits")
     # the trend of Delta, (2/3)(t_0^1.5 - max(t_0 - a / rho, 0)^1.5) with
     # t_0 = sigma / rho, lies within pi of each parity's Delta
     reach, t_top = spec.a / scales.rho, scales.sigma / scales.rho
@@ -387,9 +389,8 @@ def spectrum(spec: PotentialSpec, e_max: float) -> list[EigenLevel]:
     machine-level relative accuracy, one Airy phase call per step.  A level's
     index is its rank among the levels of its parity above V0 and ``n``
     its rank among all levels, those below V0 included.  ValueError for a
-    non-finite ``e_max``; RegimeError when ``e_max`` takes the Airy
-    argument at the origin past -1e4 or the window holds more than 10^5
-    levels.
+    non-finite ``e_max``; RegimeError when the window holds more than 10^5
+    levels.  No origin argument is too deep for the phase mismatch.
     """
     if spec.kind is not PotentialKind.INFINITE_WELL:
         return _levels(spec, e_max, spec.v0)
@@ -446,48 +447,47 @@ def eigenstate_closed_court(spec: PotentialSpec, energy: float, parity: str,
                             n_grid: int = 12001, *, index: int) -> Eigenstate:
     """Normalized piecewise-Airy eigenstate at a previously located eigenvalue.
 
-    The coefficient pair is the null vector of the origin condition, so odd
-    states vanish at x = 0 exactly; the wall value is then proportional to
-    the residual |sin(Delta - k pi)|, k = round(Delta / pi), which with
-    n = 2k + 1 - [odd] the state carries as :func:`spectrum` gives them:
-    both come from the level solve's own mismatch at this one energy,
-    before any synthesis.  Energies that fail the eigencondition are
-    rejected, and so are a non-finite energy and n_grid < 2 (ValueError,
-    before any Airy call).
-    ``index`` is the level's rank within its parity, as in :func:`spectrum`.
+    One :func:`_phase_gaps` call at the origin, the wall and the block
+    starts: the wall's gap is the level solve's Delta, bit for bit, so
+    k = round(Delta / pi), n = 2k + 1 - [odd] and the residual
+    |sin(Delta - k pi)| are :func:`spectrum`'s, and a residual that fails
+    rejects the energy before any synthesis.  At each start psi =
+    -M sin(theta - origin) and dpsi/dz = -N sin(phi - origin), free of
+    zeta * eps error; the gap is 0 at x = 0, so psi(0) = 0 (odd) and
+    dpsi/dz(0) = 0 (even) exactly.  ValueError, before any Airy call, for a
+    non-finite energy or n_grid < 2.  ``index`` is as in :func:`spectrum`.
 
     z = (|x| - sigma) / rho depends on |x| only, so psi is built on the
     x >= 0 nodes alone: the state's ``half``, n_grid // 2 + 1 points j h,
-    h = a / (n_grid // 2), cut into blocks of ``block`` points, each
-    spanning sqrt(|z|) |t| <= 0.75 in z (|z| taken as at least 1), the
-    bound of the Airy anchors' series (see :mod:`wellprob.airy`), so their
-    error analysis carries over.  One Airy call on the block starts gives
-    psi and dpsi/dz at every start; each
-    block's Taylor series of w'' = z w to the anchors' degree then comes
-    from :func:`airy._local_series`, and all blocks are summed by one
-    (block x 27) @ (27 x blocks) product against the shared powers of
-    r dz.  A block's first point is its start's value, so odd states keep
-    psi(0) = 0 exactly.
+    h = a / (n_grid // 2), cut into blocks that each span
+    sqrt(|z|) |t| <= 0.75 in z (|z| at least 1), the bound of the Airy
+    anchors' series, each summed from its start's Taylor series
+    (:func:`airy._local_series`), all by one (block x 27) @ (27 x blocks)
+    product against the shared powers of r dz.
     """
     _require_closed_court(spec)
     n_half = _half_count(n_grid)
     if not math.isfinite(energy):
         raise ValueError(f"energy must be finite, got {energy!r}")
     odd = _is_odd(parity)
-    k, residual = _gate(spec, energy, odd)
-    if not residual <= _EIGEN_RESIDUAL_TOL:  # a NaN residual fails too
-        raise NumericalError(
-            f"E={energy!r} is not a {parity} eigenvalue "
-            f"(normalized residual {residual:.2e} > {_EIGEN_RESIDUAL_TOL})")
     scales = AiryScales.from_spec(spec, energy)
     h = spec.a / (n_half - 1)
     dz = h / scales.rho
     z_far = max(1.0, abs(scales.sigma) / scales.rho, abs(spec.a - scales.sigma) / scales.rho)
     block = max(1, int(_BLOCK_REACH / (math.sqrt(z_far) * dz)))
-    z = (h * np.arange(0, n_half, block) - scales.sigma) / scales.rho  # the block starts
-    ai, bi, aip, bip = airy_eval_many(z)
-    ca, cb = (bi[0], ai[0]) if odd else (bip[0], aip[0])
-    coef = _local_series(z, ca * ai - cb * bi, ca * aip - cb * bip)
+    starts = h * np.arange(0, n_half, block)
+    gap, _, lift, origin, m2, phi, n2 = _phase_gaps(
+        spec, np.array([energy]), np.concatenate([[spec.a], starts]), odd)
+    k, residual = _gate(gap)  # gap: the wall, the starts; m2, phi, n2: the origin first
+    if not residual <= _EIGEN_RESIDUAL_TOL:  # a NaN residual fails too
+        raise NumericalError(
+            f"E={energy!r} is not a {parity} eigenvalue "
+            f"(normalized residual {residual:.2e} > {_EIGEN_RESIDUAL_TOL})")
+    if not np.isfinite(m2[2:] + n2[2:]).all():  # Bi past z ~ 66: E < V0 on a wide court
+        raise RegimeError(f"E={energy!r}: the Airy moduli at the nodes leave double precision")
+    coef = _local_series((starts - scales.sigma) / scales.rho,  # 0.0 - x: a zero is +0
+                         0.0 - np.sqrt(m2[2:]) * np.sin(gap[1:]),
+                         0.0 - np.sqrt(n2[2:]) * np.sin(lift[1:] + (phi[2:] - origin)))
     powers = np.vander(dz * np.arange(block), _TAYLOR_DEGREE + 1, increasing=True)
     half = (powers @ coef).T.ravel()[:n_half]
     sq = half ** 2  # |psi|^2 is even whatever the parity
@@ -570,25 +570,23 @@ def default_momentum_grid(state: Eigenstate, n_points: int = 4001) -> np.ndarray
     return np.linspace(-half_width, half_width, n_points)
 
 
+# row k: theta^2k's coefficients (-1)^k / ((2k + [j=1])! (2k + 1 + 2[j>0])) in
+# M_j / (2 h^(j+1) theta^[j=1]), j = 0, 1, 2; the rest is 1e-19 at theta = pi/10
+_FILON_SERIES = np.array([[(-1) ** k / (math.factorial(2 * k + f) * (2 * k + d))
+                           for f, d in ((0, 1), (1, 3), (0, 3))] for k in range(7)])
+
+
 def _filon_moments(q: np.ndarray, h: float):
-    """Panel moments M_j = int_{-h}^{h} s^j exp(i q s) ds for j = 0, 1, 2:
-    the series in theta = q h everywhere, replaced by the closed form where
-    |theta| >= 0.1 (at the CLI defaults nowhere)."""
+    """Panel moments M_j = int_{-h}^{h} s^j exp(i q s) ds for j = 0, 1, 2,
+    one series in theta = q h for |theta| <= pi/10, which the
+    20-panels-per-oscillation check of :func:`momentum_transform` ensures."""
     theta = q * h
     t2 = theta * theta
-    t4 = t2 * t2
-    t6 = t4 * t2
-    m0 = 2.0 * h * (1.0 - t2 / 6.0 + t4 / 120.0 - t6 / 5040.0)
-    m1 = 2.0 * h * h * theta * (1.0 / 3.0 - t2 / 30.0 + t4 / 840.0 - t6 / 45360.0)
-    m2 = 2.0 * h ** 3 * (1.0 / 3.0 - t2 / 10.0 + t4 / 168.0 - t6 / 6480.0)
-    big = np.abs(theta) >= 0.1
-    if big.any():
-        qq, tb = q[big], theta[big]
-        sin_t, cos_t = np.sin(tb), np.cos(tb)
-        m0[big] = 2.0 * sin_t / qq
-        m1[big] = 2.0 * (sin_t - tb * cos_t) / (qq * qq)
-        m2[big] = 2.0 * ((tb * tb - 2.0) * sin_t + 2.0 * tb * cos_t) / (qq ** 3)
-    return m0, 1.0j * m1, m2
+    total = 0.0
+    for row in _FILON_SERIES[::-1]:
+        total = total * t2 + row[:, None]
+    m0, m1, m2 = total
+    return 2.0 * h * m0, 2.0j * h * h * theta * m1, 2.0 * h ** 3 * m2
 
 
 def _step(v: np.ndarray) -> float:
@@ -670,16 +668,17 @@ def momentum_transform(state: Eigenstate, p_grid=None,
     mirrored, has the parity s = +-1 of its label, so the full sum is
     S + s conj(S), with S over the nodes x >= 0 alone (x = 0 counted half)
     plus the wall term: phi is exactly real for even states and exactly
-    imaginary for odd ones.  Those nodes form two rows at spacing 2h, panel ends and panel centres, and S needs
-    their sums at every momentum: one chirp-z transform of both rows.  For
-    real psi, phi(-p) = conj phi(p), so on a p grid symmetric about 0
-    (within 8 ulps of max |p|) only the half p >= 0 is transformed and the
-    other half is its mirror.  For N panels and M momenta transformed, the
-    FFT length is the smallest 5-smooth one >= N/2 + M - 1, and the cost
-    O((N + M) log(N + M)) time and O(N + M) memory (5000 long, about 2 ms
-    and 0.8 MB at the CLI defaults, 6000 panels and 4001 momenta).  So
-    ``p_grid`` must be evenly spaced (the default one, any ``np.linspace``,
-    a single point, in either direction); any other grid raises ValueError.
+    imaginary for odd ones.  Those nodes form two rows at spacing 2h, panel
+    ends and panel centres, and S needs their sums at every momentum: one
+    chirp-z transform of both rows.  For real psi, phi(-p) = conj phi(p),
+    so on a p grid symmetric about 0 (within 8 ulps of max |p|) only the
+    half p >= 0 is transformed and the other half is its mirror.  For N
+    panels and M momenta transformed, the FFT length is the smallest
+    5-smooth one >= N/2 + M - 1, and the cost O((N + M) log(N + M)) time
+    and O(N + M) memory (5000 long, about 2 ms and 0.8 MB at the CLI
+    defaults, 6000 panels and 4001 momenta).  So ``p_grid`` must be evenly
+    spaced (the default one, any ``np.linspace``, a single point, in either
+    direction); any other grid raises ValueError.
     """
     spec = state.spec
     c = spec.constants

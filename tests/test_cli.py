@@ -124,6 +124,16 @@ def test_sweep_csv(tmp_path: Path):
     assert rows[0][header.index("classical_unreliable")] == "false"
 
 
+def test_sweep_reaches_the_infinite_well_limit(tmp_path: Path):
+    # no origin argument is too deep for the level solve: every row down to
+    # V0 = 1e-8 finds its level and compares
+    assert cli.main(["sweep", "--out", str(tmp_path), "--set",
+                     "task.v0_list=10,1,0.01,0.0001,1e-06,1e-08", "--set", "task.energy=10"]) == 0
+    header, rows = read_csv(tmp_path / "sweep.csv")
+    assert len(rows) == 6
+    assert [row[header.index("flag")] for row in rows] == [""] * 6
+
+
 def test_sweep_csv_flagged_row(tmp_path: Path):
     # no level within +-0.001 of E = 10.19 at V0 = 10: the row is flagged
     # and its plateau height, 1/(2 delta_p) with delta_p = nan, is nan
@@ -695,7 +705,7 @@ CC10_KIND = ("--set", "potential.kind=closed_court", "--set", "potential.a=25",
 @pytest.mark.parametrize("args, category", [
     (("eigensolve", *CC10_KIND, "--set", "task.e_max=inf"), "config"),
     (("eigensolve", *CC10_KIND, "--set", "task.e_max=nan"), "config"),
-    (("eigensolve", *CC10_KIND, "--set", "task.e_max=6000"), "regime"),
+    (("eigensolve", *CC10_KIND, "--set", "task.e_max=1e9"), "regime"),
     (("table1", "--set", "task.search_width=-1"), "config"),
     (("table1", "--set", "task.search_width=0"), "config"),
     (("table1", "--set", "task.search_width=nan"), "config"),

@@ -98,6 +98,20 @@ def test_support_mass_on_the_half_grid_is_the_full_grids(n_points, table1_waves)
                 support_mass_full_grid(w, cl, wide), rel=1e-14, abs=0.0)
 
 
+def test_descending_p_grid_gives_the_same_masses():
+    # a p grid may run either way: the norm and the support mass must not
+    # change sign or reject the grid
+    level = wp.nearest_level(CC2, 10.105)
+    state = wp.eigenstate_closed_court(CC2, level.energy, level.parity, index=level.index)
+    cl = wp.classical_state(CC2, level.energy)
+    up, down = (wp.momentum_transform(state, np.linspace(lo, -lo, 2001)) for lo in (-20.0, 20.0))
+    assert down.norm_mass() == pytest.approx(up.norm_mass(), rel=1e-14)
+    assert 0.999 < up.norm_mass() < 1.0
+    for widen in (0.0, 0.08):
+        assert wp.momentum_support_mass(down, cl, widen) == pytest.approx(
+            wp.momentum_support_mass(up, cl, widen), rel=1e-14)
+
+
 def test_support_mass_rejects_a_grid_not_symmetric_about_zero():
     state = wp.classical_state(CC2, 10.105)
     grid = np.linspace(-4.0, 5.0, 801)

@@ -229,16 +229,32 @@ def test_nearest_level_names_the_bad_argument(monkeypatch, e_target, search_widt
 
 
 def test_scan_past_the_airy_range_fails_fast():
-    # at (25, 10) the origin argument reaches -1e4 near E = 5428
+    # no origin argument is too deep for the phase solve: at (25, 10),
+    # e_max = 6000 (origin argument -1.1e4) lists its levels, and windows
+    # holding more than 1e5 levels (about 5e5 below 1e9) fail before any
+    # Airy call
+    assert len(wp.spectrum(CC10, 6000.0)) == 1199
     start = time.perf_counter()
-    for e_max in (6000.0, 1e12):
-        with pytest.raises(wp.RegimeError, match="Airy argument"):
+    for e_max in (1e9, 1e12):
+        with pytest.raises(wp.RegimeError, match="levels"):
             wp.spectrum(CC10, e_max)
-    with pytest.raises(wp.RegimeError, match="Airy argument") as info:
-        wp.nearest_level(CC10, 6000.0)
+    with pytest.raises(wp.RegimeError, match="levels") as info:
+        wp.nearest_level(CC10, 1e9, 1e9)
     assert time.perf_counter() - start < 1.0
     # nearest_level takes no e_max: the message names the window's top
     assert "e_max" not in str(info.value)
+
+
+@pytest.mark.parametrize("v0", [1e-16, 1e-30, 1e-300])
+def test_v0_below_the_slope_floor_fails_fast(monkeypatch, v0):
+    # dDelta/dE is good to about 2 eps E / V0 relative; below V0 = 1e-13 E
+    # the solve stops before any Airy call, not in divisions by a zero slope
+    calls = _count_airy_calls(monkeypatch)
+    spec = wp.closed_court(25.0, v0)
+    for call in (lambda: wp.spectrum(spec, 12.0), lambda: wp.nearest_level(spec, 10.0)):
+        with pytest.raises(wp.RegimeError, match="slope"):
+            call()
+    assert not calls
 
 
 def test_scales_out_of_double_range_are_named():
@@ -432,6 +448,75 @@ def test_odd_levels_approach_the_infinite_well_at_first_order(v0, pick):
     assert abs((level.energy - e_inf) / v0 - 0.5) <= 3e-3 * v0
 
 
+@pytest.mark.parametrize("n,parity", [(34, "odd"), (33, "even")])
+def test_delta_function_limit_of_levels_and_momentum_densities(n, parity):
+    # V0 -> 0 down to 1e-8: the level tends to the infinite well's at first
+    # order, (E - E_inf)/V0 -> <|x|>/a = 1/2 - [even] / (2 (k a)^2), and its
+    # momentum density to the well's two sincs, whose limit is the pair of
+    # point masses; measured up to 4.9e-3 V0 and 1.80 V0 off.  The Newton
+    # stop rule leaves a level up to 4 eps E off (4.6 eps against mpmath at
+    # V0 = 1e-8) and E_inf carries its own rounding, so the rounding term
+    # is 8 eps E / V0
+    well = wp.infinite_well(25.0)
+    index = (n + 1) // 2
+    e_inf = wp.infinite_well_energy(well, index, parity)
+    p = wp.momentum_transform(wp.eigenstate_infinite_well(well, index, parity)).grid
+    exact = np.abs(wp.infinite_well_momentum(well, index, parity, p)) ** 2
+    ka = quantum._well_mode(index, parity) * math.pi
+    limit = 0.5 - (parity == "even") / (2.0 * ka * ka)
+    for v0 in (1e-2, 1e-4, 1e-6, 1e-8):
+        spec = wp.closed_court(25.0, v0)
+        level = wp.nearest_level(spec, e_inf + 0.5 * v0, 0.05)
+        assert (level.n, level.parity) == (n, parity)
+        tol = 6e-3 * v0 + 8.0 * np.finfo(float).eps * level.energy / v0
+        assert abs((level.energy - e_inf) / v0 - limit) <= tol, v0
+        state = wp.eigenstate_closed_court(spec, level.energy, parity, index=level.index)
+        phi = wp.momentum_transform(state, p)
+        assert np.max(np.abs(phi.density - exact)) <= 2.0 * v0, v0
+        assert 1.0 - phi.norm_mass() <= 1e-4
+
+
+def _mp_state_error(spec, level, nodes=60):
+    """max |psi - c psi_mp| / max |psi| at ``nodes`` nodes x >= 0, psi_mp the
+    Airy cross product at 40 digits that meets the origin condition and c
+    its least-squares fit (hbar = 2m = 1), with the number of quantum._phases
+    and quantum.airy_eval_many calls the state made."""
+    calls = {"_phases": 0, "airy_eval_many": 0}
+    with pytest.MonkeyPatch.context() as mp:
+        for name in calls:
+            def counted(z, name=name, evaluate=getattr(quantum, name)):
+                calls[name] += 1
+                return evaluate(z)
+
+            mp.setattr(quantum, name, counted)
+        state = wp.eigenstate_closed_court(spec, level.energy, level.parity, index=level.index)
+    at = np.linspace(0, len(state.half) - 1, nodes).round().astype(int)
+    x, psi = state.grid[len(state.half) - 1:][at], state.half[at]
+    d = 0 if level.parity == "odd" else 1
+    with mpmath.workdps(40):
+        a, v0, e = mpmath.mpf(spec.a), mpmath.mpf(spec.v0), mpmath.mpf(level.energy)
+        rho, sigma = mpmath.cbrt(a / v0), e * a / v0
+        ca, cb = mpmath.airyai(-sigma / rho, d), mpmath.airybi(-sigma / rho, d)
+        ref = np.array([float(ca * mpmath.airybi((mpmath.mpf(xi) - sigma) / rho)
+                              - cb * mpmath.airyai((mpmath.mpf(xi) - sigma) / rho)) for xi in x])
+    c = (ref @ psi) / (ref @ ref)
+    return float(np.max(np.abs(psi - c * ref)) / np.max(np.abs(psi))), calls
+
+
+@pytest.mark.parametrize("a,v0,e_ref", [(25.0, 0.01, 10.0), (15.3, 4.06, 57.92),
+                                        (25.0, 1e-3, 10.0)])
+def test_eigenstates_agree_with_mpmath(a, v0, e_ref):
+    # start values from the level solve's own phase gaps, one phase call per
+    # state; Airy values combined by cross products, each zeta eps off, put
+    # these states 1.6e-11, 4.8e-13 and 1.8e-10 off (measured now: 2.1e-14,
+    # 2.2e-14 and 3.5e-14)
+    spec = wp.closed_court(a, v0)
+    error, calls = _mp_state_error(spec, wp.nearest_level(spec, e_ref))
+    assert error <= 1e-13
+    assert calls == {"_phases": 1, "airy_eval_many": 0}
+    assert not hasattr(quantum, "Z_MAX")
+
+
 @settings(max_examples=200, deadline=None)
 @given(a=st.floats(10.0, 40.0), v0=st.floats(1.0, 12.0), gap=st.floats(0.01, 20.0))
 def test_mismatch_agrees_with_the_unwrapped_phase_difference(a, v0, gap):
@@ -562,8 +647,21 @@ def test_eigenstate_blocks_match_the_pointwise_synthesis(a, v0, gap, parity, pic
     n_half = len(state.grid) // 2 + 1
     dz = a / (n_half - 1) / scales.rho
     block = max(1, math.floor(0.75 / (math.sqrt(max(1.0, scales.sigma / scales.rho)) * dz)))
-    # the eigenvalue gate's phases at the origin and the wall, then the block starts
-    assert calls[0] == 2 and len(calls) == 2 and calls[1] <= -(-n_half // block) + 1
+    # one phase call: the origin, the wall and the block starts
+    assert len(calls) == 1 and calls[0] <= -(-n_half // block) + 2
+
+
+def test_eigenstate_where_the_moduli_overflow_raises():
+    # below V0 on a wide court the wall argument passes z ~ 66, where M^2 and
+    # N^2 leave the double range: a RegimeError, not a state of NaNs
+    spec = wp.closed_court(200.0, 50.0)
+
+    def gap(e):  # the first odd level's Delta - pi; the wall argument is 123.5 at E = 1
+        return quantum._mismatch(spec, np.array([e]), True)[0][0] - math.pi
+
+    energy = brentq(gap, 0.5, 1.5, xtol=1e-15)
+    with pytest.raises(wp.RegimeError, match="moduli"):
+        wp.eigenstate_closed_court(spec, energy, "odd", index=0)
 
 
 def test_eigenstate_normalized(table1_states):
@@ -780,6 +878,27 @@ def test_transform_peaks_inside_widened_band(table1_waves):
         pos = wave.grid > 0
         peak = wave.grid[pos][np.argmax(wave.density[pos])]
         assert cl.p_minus - widen <= peak <= cl.p_plus + widen
+
+
+def test_filon_moments_against_mpmath():
+    # one series on |q h| <= pi/10, the reach of the 20-panels check; the
+    # closed form that took over at |q h| >= 0.1 and the series below it erred
+    # by up to 9.7e-14 (measured now: 3.2e-16)
+    h = 0.37
+    theta = np.concatenate([np.geomspace(1e-6, math.pi / 10, 150), np.linspace(0.09, 0.11, 81)])
+    q = np.concatenate([theta, -theta]) / h
+    moments = quantum._filon_moments(q, h)
+    with mpmath.workdps(40):
+        hh = mpmath.mpf(h)
+        for i, qi in enumerate(q.tolist()):
+            qm = mpmath.mpf(qi)
+            t = qm * hh
+            sin, cos = mpmath.sin(t), mpmath.cos(t)
+            refs = (2 * sin / qm, 2 * (sin - t * cos) / qm ** 2,
+                    2 * ((t * t - 2) * sin + 2 * t * cos) / qm ** 3)
+            for got, ref in zip((moments[0][i], moments[1][i] / 1j, moments[2][i]), refs):
+                assert got.imag == 0.0
+                assert abs(float((got.real - ref) / ref)) <= 1e-15, (qi, got, ref)
 
 
 def test_transform_grid_resolution_guard():

@@ -44,6 +44,8 @@ MATRIX = {
     "sweep-default": ("sweep", ()),
     "sweep-10-6-2": ("sweep", ("task.v0_list=10,6,2", "task.energy=10")),
     "sweep-12-8-4-1": ("sweep", ("task.v0_list=12,8,4,1", "task.energy=12.5", "potential.a=17")),
+    # down to V0 = 1e-8, the infinite-well end of the sweep
+    "sweep-to-1e-8": ("sweep", ("task.v0_list=10,1,0.01,0.0001,1e-06,1e-08", "task.energy=10")),
     # V0 = 0 and V0 = 30 > E: rows of long flag text and nan cells, written value by value
     "sweep-flagged": ("sweep", ("task.v0_list=10,0,30", "task.energy=10")),
     "eigensolve-25-10": ("eigensolve", (*_CC, "potential.a=25", "potential.v0=10",
@@ -77,6 +79,9 @@ MATRIX = {
                                    "task.energy=7.3")),
     "momentum-22-5": ("momentum", (*_CC, "potential.a=22", "potential.v0=5",
                                    "task.energy=8.146")),
+    # V0 = 0.001: the state's start values from an origin argument near -8.6e3
+    "momentum-25-0.001": ("momentum", (*_CC, "potential.a=25", "potential.v0=0.001",
+                                       "task.energy=10")),
     "momentum-infinite-well": ("momentum", (*_IW, "task.index=3", "task.parity=even")),
     "classical-bouncer": ("classical", ("potential.kind=bouncer", "task.energy=2",
                                         *_HISTOGRAMS)),
