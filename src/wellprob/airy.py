@@ -72,8 +72,8 @@ _ASYM_TERMS = 40
 _ANCHOR_STEP = 0.5
 _ANCHORS = _ANCHOR_STEP * np.arange(-20, 21)  # -10 ... 10
 _TAYLOR_DEGREE = 26
-# points per gather of their 27 x 4 tables: bounds the temporary (a
-# 6001-point eigenstate gathered at once would take 5.2 MB)
+# points per gather of their 27 x 4 tables, 864 B each: bounds the temporary for a level
+# solve's opening block (2 x 4096 points, 7 MB at once) and airy_eval_many's array
 _GATHER_BLOCK = 512
 
 

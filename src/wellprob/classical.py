@@ -1,7 +1,7 @@
 """Classical probability densities, orbits, histograms, and sampling.
 
-The classical position density is 1/(tau v(x)) and the momentum density is
-the branch-summed 1/(T_CL |F(p)|), both normalized by construction.  All of
+The classical position density is m/(tau p(|x|)) and the momentum density
+is the branch-summed 1/(T_CL |F(p)|), both normalized by construction.  All of
 them come from one source, the constant-force arc
 :class:`wellprob.model.ClassicalState`, which each public function builds
 once and hands to the helpers: no potential is evaluated, orbits are cycles
@@ -106,7 +106,7 @@ def default_position_grid(arc: ClassicalState, n_points: int = 4001) -> np.ndarr
     """
     if arc.sides == 2 and arc.force > 0.0:
         n_points = 2 * max(n_points // 2, 2) - 1
-    reach = 1.0 - _APEX_FRACTION if arc.p_out == 0.0 else 1.0
+    reach = 1.0 - _APEX_FRACTION if arc.p_minus == 0.0 else 1.0
     return _orbit(arc, np.linspace(0.0, reach * arc.tau, n_points))[0]
 
 
@@ -120,13 +120,13 @@ def position_cdf(arc: ClassicalState, x):
 
 def classical_position_density(spec: PotentialSpec, energy: float, grid=None,
                                n_points: int = 4001) -> DensityCurve:
-    """P_CL(x) = 1/(tau v(x)), v = sqrt(2 (E - F |x|) / m), sampled on ``grid``.
+    """P_CL(x) = m/(tau p(|x|)), p the arc's ``momentum``, sampled on ``grid``.
 
     Grid points must lie inside the allowed region (a point up to 1e-12
     outside takes the value at its end) and strictly away from divergent
     turning points (the bouncer apex).  The default grid covers the region,
     grading toward the apex and leaving its last sliver of mass to the
-    ``omitted_mass`` metadata.  RegimeError where 1/(tau v) is not finite
+    ``omitted_mass`` metadata.  RegimeError where m/(tau p) is not finite
     and positive.
     """
     arc = classical_state(spec, energy)
@@ -137,16 +137,16 @@ def classical_position_density(spec: PotentialSpec, energy: float, grid=None,
     if np.any(grid < lo - 1e-12) or np.any(grid > hi + 1e-12):
         raise SupportError(f"grid leaves the allowed region [{lo}, {hi}]")
     singular = ()
-    if arc.p_out == 0.0:  # the arc ends at rest: P_CL diverges there
+    if arc.p_minus == 0.0:  # the arc ends at rest: P_CL diverges there
         singular = (hi,)
         if np.any(grid >= hi):
             raise SupportError(
                 f"grid must stay strictly below the divergent turning point z={hi}")
     r = np.abs(np.clip(grid, lo, hi))
     with np.errstate(over="ignore", divide="ignore"):
-        values = 1.0 / (arc.tau * np.sqrt(2.0 * (arc.energy - arc.force * r) / arc.mass))
+        values = arc.mass / (arc.tau * arc.momentum(r))
     if np.any((values == 0.0) | (values == np.inf)):  # a NaN grid point is DensityCurve's
-        raise RegimeError(f"P_CL(x) = 1/(tau v) leaves double precision at E={energy}, "
+        raise RegimeError(f"P_CL(x) = m/(tau p) leaves double precision at E={energy}, "
                           f"tau={arc.tau}")
     covered = position_cdf(arc, grid[-1]) - position_cdf(arc, grid[0])
     return DensityCurve(variable="position", grid=grid, values=values,
@@ -179,7 +179,7 @@ def classical_momentum_density(spec: PotentialSpec, energy: float, grid=None,
     :func:`project_trajectory` instead).
     """
     arc = classical_state(spec, energy)
-    if arc.p_out == arc.p_plus:
+    if arc.p_minus == arc.p_plus:
         raise RegimeError(
             "the momentum band has zero width (the infinite well, or V0 below the rounding "
             "of E): the density is two delta masses at +-sqrt(2mE); see "
@@ -188,10 +188,10 @@ def classical_momentum_density(spec: PotentialSpec, energy: float, grid=None,
         grid = default_momentum_grid(arc, n_points)
     grid = np.asarray(grid, dtype=float)
     p_abs = np.abs(grid)
-    on_support = (p_abs >= arc.p_out - 1e-12) & (p_abs <= arc.p_plus + 1e-12)
-    # sides/(T F) (one orbit point per side of x = 0 per |p|) is 1/(2 (p_plus - p_out));
-    # from the rounded band edges it keeps even a band a few ulps wide at mass 1
-    values = np.where(on_support, 0.5 / (arc.p_plus - arc.p_out), 0.0)
+    on_support = (p_abs >= arc.p_minus - 1e-12) & (p_abs <= arc.p_plus + 1e-12)
+    # sides/(T F) (one orbit point per side of x = 0 per |p|) as 1/(2 (p_plus - p_minus)):
+    # the rounded edges, not delta_p, keep a band a few ulps wide at mass 1 on them
+    values = np.where(on_support, 0.5 / (arc.p_plus - arc.p_minus), 0.0)
     return DensityCurve(variable="momentum", grid=grid, values=values,
                         support=momentum_support(arc))
 
@@ -236,13 +236,13 @@ def trajectory(spec: PotentialSpec, energy: float, t):
 
 def momentum_cdf(arc: ClassicalState, q):
     """Fraction of the classical period with momentum <= q: uniform on
-    p_out <= |p| <= p_plus, or point masses at +-p_plus when that band has
+    p_minus <= |p| <= p_plus, or point masses at +-p_plus when that band has
     no width (each counted from its own q on)."""
     qa = np.asarray(q, dtype=float)
     r = np.abs(qa)
-    width = arc.p_plus - arc.p_out
+    width = arc.p_plus - arc.p_minus  # rounded, not delta_p: mass 1 on the stored edges
     if width > 0.0:
-        inside = np.clip((r - arc.p_out) / width, 0.0, 1.0)
+        inside = np.clip((r - arc.p_minus) / width, 0.0, 1.0)
     else:
         inside = np.where(qa < 0.0, r > arc.p_plus, r >= arc.p_plus)
     return (0.5 + np.copysign(0.5, qa) * inside)[()]

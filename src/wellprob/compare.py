@@ -32,6 +32,8 @@ from .quantum import (EigenLevel, MomentumWavefunction, eigenstate_closed_court,
 # delta_p at or below this multiple of hbar/a marks the classical band as
 # unresolvable against the intrinsic momentum width.
 _BREAKDOWN_FACTOR = 2.0
+# a sweep entry whose level misses e_target by more than this fraction is flagged
+_TARGET_TOL = 0.02
 
 
 @dataclass(frozen=True)
@@ -138,15 +140,13 @@ def _flagged(flag: str, dp_int: float, level: EigenLevel | None = None) -> Compa
 
 
 def v0_sweep(a: float, hbar: float, mass: float, e_target: float,
-             v0_list, search_width: float = 1.0,
-             rel_tol: float = 0.02) -> list[ComparisonReport]:
+             v0_list, search_width: float = 1.0) -> list[ComparisonReport]:
     """Comparison reports along decreasing V0 at (approximately) fixed energy.
 
     For each V0 the eigenvalue nearest e_target within +-search_width (see
-    :func:`nearest_level`) is used; entries without an
-    eigenvalue within ``rel_tol`` of the target, or whose averaging window
-    reaches across the half-width a, are flagged and skipped but do not
-    abort the sweep.
+    :func:`nearest_level`) is used; entries without an eigenvalue within
+    ``_TARGET_TOL`` (2%) of the target, or whose averaging window reaches
+    across the half-width a, are flagged and skipped but do not abort the sweep.
     """
     reports = []
     for v0 in v0_list:
@@ -156,7 +156,7 @@ def v0_sweep(a: float, hbar: float, mass: float, e_target: float,
         except (NumericalError, RegimeError) as exc:
             reports.append(_flagged(f"no-eigenvalue: {exc}", hbar / a))
             continue
-        if abs(level.energy - e_target) > rel_tol * e_target:
+        if abs(level.energy - e_target) > _TARGET_TOL * e_target:
             reports.append(_flagged(
                 f"nearest-eigenvalue-off-target-by-{abs(level.energy-e_target)/e_target:.3%}",
                 hbar / a, level))

@@ -11,10 +11,10 @@ Three one-dimensional bound-state systems are supported:
 
 Each is V = F |x| inside its walls, so every orbit is made of arcs under a
 constant force F toward x = 0.  An arc leaves x = 0 with |p| = p_plus and
-reaches |x| = x_out with |p| = p_out, on one side of x = 0 (the bouncer:
-F = m g, x_out = E/F, p_out = 0) or on both (the closed court: F = V0/a,
-x_out = a, p_out = sqrt(2m(E - V0)); the infinite well is its F = 0 case,
-p_out = p_plus).  :class:`ClassicalState` is that arc, with E, F and m on
+reaches |x| = x_out with |p| = p_minus, on one side of x = 0 (the bouncer:
+F = m g, x_out = E/F, p_minus = 0) or on both (the closed court: F = V0/a,
+x_out = a, p_minus = sqrt(2m(E - V0)); the infinite well is its F = 0 case,
+p_minus = p_plus).  :class:`ClassicalState` is that arc, with E, F and m on
 it, and the only source of every classical quantity: no potential V(x) is
 evaluated anywhere.
 
@@ -102,7 +102,7 @@ class ClassicalState:
 
     ``time_to(x_out)`` equals ``duration`` bit for bit, so the position CDF
     ends at exactly 0 and 1.  ``tau`` is the half-period, ``sides`` arcs;
-    ``p_minus`` is p_out, but 0 for the infinite well (F = 0);
+    ``momentum(r)`` is |p| at |x| = r, the one speed formula of the arc;
     ``turning_points`` are the ends of the allowed region.
     """
 
@@ -112,16 +112,19 @@ class ClassicalState:
     sides: int
     x_out: float
     p_plus: float
-    p_out: float
+    p_minus: float
 
     @property
     def duration(self) -> float:
-        return 2.0 * self.mass * self.x_out / (self.p_plus + self.p_out)
+        return 2.0 * self.mass * self.x_out / (self.p_plus + self.p_minus)
+
+    def momentum(self, r):
+        """|p| at |x| = r, sqrt(p_minus^2 + 2 m F (x_out - r)): no E - F r to cancel."""
+        return np.sqrt(self.p_minus ** 2 + 2.0 * self.mass * self.force * (self.x_out - r))
 
     def time_to(self, r):
         """Time from x = 0 out to |x| = r, 2 m r / (p_plus + p(r)): no 1/F, no cancellation."""
-        p = np.sqrt(self.p_out ** 2 + 2.0 * self.mass * self.force * (self.x_out - r))
-        return 2.0 * self.mass * r / (self.p_plus + p)
+        return 2.0 * self.mass * r / (self.p_plus + self.momentum(r))
 
     @property
     def tau(self) -> float:
@@ -132,12 +135,9 @@ class ClassicalState:
         return 2.0 * self.tau
 
     @property
-    def p_minus(self) -> float:
-        return self.p_out if self.force > 0.0 else 0.0
-
-    @property
     def delta_p(self) -> float:
-        return self.p_plus - self.p_minus
+        """p_plus - p_minus from p_plus^2 - p_minus^2 = 2 m F x_out, with no cancellation."""
+        return 2.0 * self.mass * self.force * self.x_out / (self.p_plus + self.p_minus)
 
     @property
     def turning_points(self) -> tuple[float, float]:
@@ -161,7 +161,7 @@ def classical_state(spec: PotentialSpec, energy: float) -> ClassicalState:
     """The orbit's arc at ``energy``, as the module docstring lists it.
 
     tau = sqrt(m/2) int dx / sqrt(E - V(x)) is ``sides`` arcs of
-    2 m x_out / (p_plus + p_out) each, with no division by F: the closed
+    2 m x_out / (p_plus + p_minus) each, with no division by F: the closed
     court tends to the infinite well's 2 a sqrt(m/(2E)) as V0 -> 0.
     RegimeError, as :func:`check_energy`, also when x_out, p_plus or the
     arc's duration is not finite and positive, or 2 m F is not finite.

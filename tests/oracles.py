@@ -557,10 +557,11 @@ def half_period_by_kind(spec, energy):
 
 
 def p_minus_by_kind(spec, energy):
-    """|p| at the walls for the closed court, 0 for the other kinds."""
-    if spec.kind is PotentialKind.CLOSED_COURT:
-        return math.sqrt(2.0 * spec.constants.mass * (energy - spec.v0))
-    return 0.0
+    """|p| at the outer end of the arc: 0 at the bouncer apex, sqrt(2mE) at
+    the infinite well's walls and sqrt(2m(E - V0)) at the closed court's."""
+    if spec.kind is PotentialKind.BOUNCER:
+        return 0.0
+    return math.sqrt(2.0 * spec.constants.mass * (energy - spec.v0))
 
 
 def position_cdf_by_kind(spec, energy, x):

@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -102,13 +103,68 @@ def test_position_density_closed_court_center_value():
 
 
 def test_position_density_closed_form_everywhere():
-    # 1/(tau v) against the explicit closed-court formula, 1e-10 pointwise
+    # m/(tau p) against the explicit closed-court formula, 1e-10 pointwise
     e = 10.066
     x = np.linspace(-24.9, 24.9, 1001)
     d = wp.classical_position_density(CC10, e, grid=x)
     closed = 10.0 / (4.0 * 25.0 * (math.sqrt(e) - math.sqrt(e - 10.0))
                      * np.sqrt(e - 10.0 * np.abs(x) / 25.0))
     assert np.max(np.abs(d.values / closed - 1.0)) < 1e-10
+
+
+def _position_density_mp(spec, e, grid):
+    """m / (tau p(|x|)) in 40 digits, the double inputs taken as exact:
+    p(r)^2 = 2 m (E - F r), tau = sides 2 m x_out / (p_plus + p(x_out))."""
+    with mpmath.workdps(40):
+        m, e = mpmath.mpf(spec.constants.mass), mpmath.mpf(e)
+        if spec.kind is wp.PotentialKind.BOUNCER:
+            force, sides = m * mpmath.mpf(spec.constants.g), 1
+            x_out = e / force
+        else:
+            force, x_out, sides = mpmath.mpf(spec.v0) / mpmath.mpf(spec.a), mpmath.mpf(spec.a), 2
+
+        def p(r):
+            return mpmath.sqrt(2 * m * (e - force * r))
+
+        tau = sides * 2 * m * x_out / (p(0) + p(x_out))
+        return [m / (tau * p(abs(mpmath.mpf(float(x))))) for x in grid]
+
+
+@pytest.mark.parametrize("spec, e", [
+    (CC10, 10.066), (CC10, 10.0 * (1.0 + 1e-6)), (CC10, 10.0 * (1.0 + 1e-10)),
+    (wp.closed_court(a=17.3, v0=3.3), 3.3000001), (BOUNCER, 2.0), (IW, 4.0),
+], ids=["25-10-table1", "25-10-1e-6-above", "25-10-1e-10-above", "17.3-3.3-near-v0",
+        "bouncer", "infinite-well"])
+def test_position_density_against_mpmath_on_the_default_grid(spec, e):
+    # E - F |x| cancels at the walls like eps E / (E - V0) (7.1e-7 relative at
+    # E = V0 (1 + 1e-10)); p_minus^2 + 2 m F (a - |x|) does not
+    d = wp.classical_position_density(spec, e)
+    ref = _position_density_mp(spec, e, d.grid)
+    with mpmath.workdps(40):
+        err = max(abs(mpmath.mpf(float(v)) / r - 1) for v, r in zip(d.values, ref))
+    assert err <= 1e-15
+
+
+def test_position_density_and_time_to_get_the_speed_from_the_arc_momentum(monkeypatch):
+    # the arc's momentum(r) is the only speed formula: replaced by a constant,
+    # the density and the arc times follow it exactly
+    calls = []
+
+    def constant_speed(self, r):
+        calls.append(np.array(r, dtype=float))
+        return np.full_like(calls[-1], 3.0)
+
+    monkeypatch.setattr(model.ClassicalState, "momentum", constant_speed)
+    for spec, e in ((CC10, 10.066), (BOUNCER, 2.0), (IW, 4.0)):
+        arc = wp.classical_state(spec, e)
+        lo, hi = arc.turning_points
+        grid = np.linspace(lo, 0.9 * hi, 9)
+        calls.clear()
+        d = wp.classical_position_density(spec, e, grid=grid)
+        assert np.array_equal(calls[0], np.abs(grid))
+        assert np.all(d.values == arc.mass / (arc.tau * 3.0))
+        r = np.abs(grid)
+        assert np.array_equal(arc.time_to(r), 2.0 * arc.mass * r / (arc.p_plus + 3.0))
 
 
 def test_position_density_normalization_defaults():

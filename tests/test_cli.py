@@ -86,6 +86,17 @@ def test_classical_infinite_well_emits_delta_masses(tmp_path: Path):
     assert sorted(float(r[0]) for r in rows) == [-2.0, 2.0]
 
 
+def test_classical_meta_of_the_infinite_well_has_a_band_of_no_width(tmp_path: Path):
+    # the infinite well is the closed court's F = 0 arc: p_minus = p_plus, delta_p = 0
+    assert cli.main(["classical", "--out", str(tmp_path),
+                     "--set", "potential.kind=infinite_well", "--set", "potential.a=25",
+                     "--set", "task.energy=4.0"]) == 0
+    header, rows = read_csv(tmp_path / "classical_meta.csv")
+    meta = {key: float(value) for key, value in rows}
+    assert meta["p_minus"] == meta["p_plus"] == 2.0
+    assert meta["delta_p"] == 0.0
+
+
 def test_eigensolve_infinite_well(tmp_path: Path):
     cp = run_cli("eigensolve", "--out", str(tmp_path),
                  "--set", "potential.kind=infinite_well", "--set", "potential.a=25",

@@ -1,3 +1,5 @@
+import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -12,8 +14,10 @@ def test_classical_state_table_row1():
 
 
 def test_classical_state_infinite_well():
+    # the closed court's F = 0 arc: |p| is p_plus all the way to the walls
     s = wp.classical_state(wp.infinite_well(a=25.0), 4.0)
-    assert s.p_minus == 0.0
+    assert s.p_minus == s.p_plus
+    assert s.delta_p == 0.0
     assert s.p_plus == pytest.approx(2.0)
     assert s.turning_points == (-25.0, 25.0)
 
@@ -21,6 +25,33 @@ def test_classical_state_infinite_well():
 def test_classical_state_table_row3_delta_p():
     s = wp.classical_state(wp.closed_court(a=25.0, v0=2.0), 10.105)
     assert s.delta_p == pytest.approx(0.332, abs=1e-3)
+
+
+@pytest.mark.parametrize("a", [25.0, 17.3])
+@pytest.mark.parametrize("v0", [6.0, 1.0, 1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12, 1e-14, 1e-15])
+def test_delta_p_against_mpmath(a, v0):
+    # p_plus - p_minus cancels like eps E / V0 (2.5e-7 relative at V0 = 1e-8, 180%
+    # at 1e-15); 2 m F x_out / (p_plus + p_minus) does not
+    s = wp.classical_state(wp.closed_court(a=a, v0=v0), 10.0)
+    with mpmath.workdps(50):
+        m, e = mpmath.mpf(s.mass), mpmath.mpf(10.0)
+        ref = mpmath.sqrt(2 * m * e) - mpmath.sqrt(2 * m * (e - mpmath.mpf(v0)))
+        assert abs(mpmath.mpf(s.delta_p) / ref - 1) <= 2.5e-16
+
+
+def test_bouncer_delta_p_is_p_plus():
+    # the CLI's default bouncer (m = 0.5, g = 1) at E = 2: within 1 ulp
+    s = wp.classical_state(wp.bouncer(mass=0.5, g=1.0), 2.0)
+    assert s.p_minus == 0.0
+    assert abs(s.delta_p - s.p_plus) <= np.spacing(s.p_plus)
+
+
+@given(mass=st.floats(0.1, 10.0), g=st.floats(0.1, 10.0), e=st.floats(0.1, 100.0))
+def test_bouncer_delta_p_within_rounding_of_p_plus(mass, g, e):
+    # 2 m (m g) (E / (m g)) / p_plus rounds five times: 3 ulps at most over
+    # 2e5 random bouncers, 4 allowed
+    s = wp.classical_state(wp.bouncer(mass=mass, g=g), e)
+    assert abs(s.delta_p - s.p_plus) <= 4.0 * np.spacing(s.p_plus)
 
 
 def test_bouncer_height_times_mg_is_energy():

@@ -88,6 +88,9 @@ MATRIX = {
     "classical-infinite-well": ("classical", (*_IW, "task.energy=4", *_HISTOGRAMS)),
     "classical-closed-court": ("classical", (*_CC, "potential.a=25", "potential.v0=10",
                                              "task.energy=10.5", *_HISTOGRAMS)),
+    # E just above V0: P(x) peaks at the walls, where E - F |x| cancels
+    "classical-closed-court-near-v0": ("classical", (*_CC, "potential.a=25", "potential.v0=10",
+                                                     "task.energy=10.000001", *_HISTOGRAMS)),
     # histograms with no draws asked for: no draws table, and no sample drawn
     "classical-histograms-no-draws": ("classical", (*_CC, "potential.a=25", "potential.v0=10",
                                                     "task.energy=10.5", "task.n_bins=20")),
