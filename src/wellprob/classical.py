@@ -6,7 +6,9 @@ them come from one source, the constant-force arc
 :class:`wellprob.model.ClassicalState`, which each public function builds
 once and hands to the helpers: no potential is evaluated, orbits are cycles
 of the arc (no time stepping anywhere), and histogram masses come from its
-closed-form time CDFs.
+closed-form time CDFs.  The arc, not the potential's kind, decides: a
+zero-width momentum band (p_minus == p_plus) is the delta pair of
+:func:`momentum_delta_masses`, and every edge test scales with the arc.
 
 Measurement draws use the counter-based Philox generator keyed by the seed,
 so runs are reproducible across platforms.
@@ -19,12 +21,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import RegimeError, SupportError
-from .model import ClassicalState, PotentialKind, PotentialSpec, classical_state
+from .model import ClassicalState, PotentialSpec, classical_state
 
 # Fraction of the time on an arc that ends at rest (the bouncer apex) left
 # to the analytic sliver by the default grid; trapezoids cannot track the
 # inverse-sqrt divergence.
 _APEX_FRACTION = 0.02
+
+# Slack of every support edge test, relative to the scale of the edge.
+_EDGE_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -60,7 +65,8 @@ class DensityCurve:
         """Trapezoid integral over the support plus the analytic slivers."""
         total = self.omitted_mass
         for lo, hi in self.support:
-            m = (self.grid >= lo - 1e-12) & (self.grid <= hi + 1e-12)
+            slack = _EDGE_SLACK * max(abs(lo), abs(hi))
+            m = (self.grid >= lo - slack) & (self.grid <= hi + slack)
             if np.count_nonzero(m) >= 2:
                 total += float(np.trapezoid(self.values[m], self.grid[m]))
         return total
@@ -122,19 +128,20 @@ def classical_position_density(spec: PotentialSpec, energy: float, grid=None,
                                n_points: int = 4001) -> DensityCurve:
     """P_CL(x) = m/(tau p(|x|)), p the arc's ``momentum``, sampled on ``grid``.
 
-    Grid points must lie inside the allowed region (a point up to 1e-12
-    outside takes the value at its end) and strictly away from divergent
-    turning points (the bouncer apex).  The default grid covers the region,
-    grading toward the apex and leaving its last sliver of mass to the
-    ``omitted_mass`` metadata.  RegimeError where m/(tau p) is not finite
-    and positive.
+    Grid points must lie inside the allowed region (a point up to
+    ``_EDGE_SLACK`` x_out outside takes the value at its end) and strictly
+    away from divergent turning points (the bouncer apex).  The default grid
+    covers the region, grading toward the apex and leaving its last sliver of
+    mass to the ``omitted_mass`` metadata.  RegimeError where m/(tau p) is not
+    finite and positive.
     """
     arc = classical_state(spec, energy)
     if grid is None:
         grid = default_position_grid(arc, n_points)
     grid = np.asarray(grid, dtype=float)
     lo, hi = arc.turning_points
-    if np.any(grid < lo - 1e-12) or np.any(grid > hi + 1e-12):
+    slack = _EDGE_SLACK * arc.x_out
+    if np.any(grid < lo - slack) or np.any(grid > hi + slack):
         raise SupportError(f"grid leaves the allowed region [{lo}, {hi}]")
     singular = ()
     if arc.p_minus == 0.0:  # the arc ends at rest: P_CL diverges there
@@ -170,13 +177,13 @@ def default_momentum_grid(arc: ClassicalState, n_points: int = 2001) -> np.ndarr
 
 def classical_momentum_density(spec: PotentialSpec, energy: float, grid=None,
                                n_points: int = 2001) -> DensityCurve:
-    """P_CL(p): sum over orbit branches of 1/(T_CL |F|), zero off support.
+    """P_CL(p): sum over orbit branches of 1/(T_CL |F|) on the band
+    p_minus <= |p| <= p_plus, edges within ``_EDGE_SLACK`` p_plus; 0 off it.
 
-    The infinite well has zero force, so its momentum band has no width and
-    its classical momentum density is a pair of point masses at
-    +-sqrt(2mE); that is not representable as a sampled curve and raises
-    :class:`RegimeError` (use :func:`momentum_delta_masses` or
-    :func:`project_trajectory` instead).
+    A band of zero width (p_minus == p_plus: the infinite well, or V0 below
+    the rounding of E) holds a pair of point masses at +-p_plus, which no
+    sampled curve represents: :class:`RegimeError` (use
+    :func:`momentum_delta_masses` or :func:`project_trajectory` instead).
     """
     arc = classical_state(spec, energy)
     if arc.p_minus == arc.p_plus:
@@ -187,8 +194,8 @@ def classical_momentum_density(spec: PotentialSpec, energy: float, grid=None,
     if grid is None:
         grid = default_momentum_grid(arc, n_points)
     grid = np.asarray(grid, dtype=float)
-    p_abs = np.abs(grid)
-    on_support = (p_abs >= arc.p_minus - 1e-12) & (p_abs <= arc.p_plus + 1e-12)
+    p_abs, slack = np.abs(grid), _EDGE_SLACK * arc.p_plus
+    on_support = (p_abs >= arc.p_minus - slack) & (p_abs <= arc.p_plus + slack)
     # sides/(T F) (one orbit point per side of x = 0 per |p|) as 1/(2 (p_plus - p_minus)):
     # the rounded edges, not delta_p, keep a band a few ulps wide at mass 1 on them
     values = np.where(on_support, 0.5 / (arc.p_plus - arc.p_minus), 0.0)
@@ -197,11 +204,13 @@ def classical_momentum_density(spec: PotentialSpec, energy: float, grid=None,
 
 
 def momentum_delta_masses(spec: PotentialSpec, energy: float) -> list[tuple[float, float]]:
-    """Point masses of the infinite well's momentum distribution."""
-    if spec.kind is not PotentialKind.INFINITE_WELL:
-        raise RegimeError("delta masses are specific to the infinite well")
-    state = classical_state(spec, energy)
-    return [(-state.p_plus, 0.5), (state.p_plus, 0.5)]
+    """Point masses (+-p_plus, 1/2) of a zero-width momentum band, whatever
+    kind built the arc; RegimeError for a band with width (p_minus < p_plus)."""
+    arc = classical_state(spec, energy)
+    if arc.p_minus != arc.p_plus:
+        raise RegimeError(f"the momentum band [{arc.p_minus}, {arc.p_plus}] has width: "
+                          "its density is classical_momentum_density")
+    return [(-arc.p_plus, 0.5), (arc.p_plus, 0.5)]
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ from .classical import (classical_momentum_density, classical_position_density,
                         sample_measurements, trajectory)
 from .compare import plateau_height, v0_sweep
 from .config import RunConfig, apply_overrides, parse_file
-from .errors import ConfigError, WellProbError
+from .errors import ConfigError, NumericalError, WellProbError
 from .model import PotentialKind, PotentialSpec, classical_state, closed_court
 from .quantum import (EigenLevel, Eigenstate, eigenstate_closed_court,
                       eigenstate_infinite_well, momentum_transform, nearest_level,
@@ -102,10 +102,10 @@ def _select_state(cfg: RunConfig, spec: PotentialSpec, levels: list[EigenLevel] 
 
     Infinite-well states are named by task.index and task.parity, closed-court
     states by task.energy (the nearest level).  ``levels`` is the eigensolve
-    listing: with it a closed-court state may also be named by index and
-    parity, and a task that names no state (neither index nor energy) gives
-    None instead of an error.  A named state that cannot be selected raises
-    ConfigError, with or without a listing.
+    listing: with it a closed-court state is named by index and parity or
+    is the listed level nearest task.energy (NumericalError if none is within
+    +-task.search_width), and a task that names neither gives None.  A named
+    state that cannot be selected otherwise raises ConfigError.
     """
     t = cfg.task
     by_index = t.index is not None and t.parity in ("even", "odd")
@@ -122,6 +122,11 @@ def _select_state(cfg: RunConfig, spec: PotentialSpec, levels: list[EigenLevel] 
         if not named:
             raise ConfigError(f"no {t.parity} level #{t.index} below e_max={_e_max(cfg)}")
         level = named[0]
+    elif levels is not None and t.energy is not None:
+        near = [lv for lv in levels if abs(lv.energy - t.energy) <= t.search_width]
+        if not near:
+            raise NumericalError(f"no listed level within +-{t.search_width} of E={t.energy}")
+        level = min(near, key=lambda lv: abs(lv.energy - t.energy))
     elif t.energy is not None:
         level = nearest_level(spec, t.energy, search_width=t.search_width)
     else:
@@ -157,7 +162,7 @@ def cmd_classical(cfg: RunConfig) -> list[Path]:
     tables = [("classical_position.csv", ("x", "density"), (pos.grid, pos.values)),
               ("classical_meta.csv", ("key", "value"), list(zip(*meta)))]
 
-    if spec.kind is PotentialKind.INFINITE_WELL:
+    if state.p_minus == state.p_plus:  # a zero-width band: the delta pair
         tables.append(("classical_momentum_delta.csv", ("p", "mass"),
                        list(zip(*momentum_delta_masses(spec, energy)))))
     else:
@@ -194,10 +199,10 @@ def cmd_momentum(cfg: RunConfig) -> list[Path]:
     spec = cfg.spec()
     state = _select_state(cfg, spec)
     wave = momentum_transform(state, n_points=cfg.task.n_points)
-    tables = []
-    if spec.kind is PotentialKind.CLOSED_COURT:
+    tables, arc = [], classical_state(spec, state.energy)
+    if arc.p_minus != arc.p_plus:
         overlay = classical_momentum_density(spec, state.energy, grid=wave.grid).values
-    else:
+    else:  # a zero-width band: the delta pair, and no density to overlay
         overlay = np.zeros_like(wave.grid)
         tables.append(("classical_momentum_delta.csv", ("p", "mass"),
                        list(zip(*momentum_delta_masses(spec, state.energy)))))
@@ -235,7 +240,7 @@ def cmd_sweep(cfg: RunConfig) -> list[Path]:
         raise ConfigError(f"sweep takes V0 from task.v0_list, got potential.v0 {p.v0!r}")
     a = p.a if p.a is not None else 25.0
     e_target = t.energy if t.energy is not None else 10.0
-    v0_list = t.v0_list if t.v0_list else (10.0, 6.0, 2.0)
+    v0_list = t.v0_list if t.v0_list is not None else (10.0, 6.0, 2.0)
     reports = v0_sweep(a=a, hbar=cfg.constants.hbar, mass=cfg.constants.mass,
                        e_target=e_target, v0_list=v0_list,
                        search_width=t.search_width)

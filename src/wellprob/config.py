@@ -14,10 +14,10 @@ The section dataclasses are the schema: each key is parsed by the type its
 field is annotated with (float: a finite float; int; str; tuple[float, ...]:
 comma-separated finite floats), and ``[constants]`` is ``model.Constants``
 itself.  Values are checked when a config is built: a, hbar, mass, g and
-search_width are > 0, v0, the v0_list entries and n_draws are >= 0, seed is
-a Philox key in [0, 2^128), index is at least 1, n_grid and n_points are at
-least 16, n_bins is 0 (no histograms) or at least 2, and no grid, bin or
-draw count exceeds 10^7.
+search_width are > 0, v0, the v0_list entries and n_draws are >= 0, v0_list
+is not empty, seed is a Philox key in [0, 2^128), index is at least 1, n_grid
+and n_points are at least 16, n_bins is 0 (no histograms) or at least 2, and
+no grid, bin or draw count exceeds 10^7.
 
 ``parse_text`` -> ``emit_text`` round-trips: emitting writes every field in
 canonical order, so parse(emit(parse(s))) == parse(s).  Individual keys can
@@ -156,6 +156,8 @@ def _build(raw: dict[str, dict]) -> RunConfig:
     for name, v in (("task.search_width", t.search_width), ("potential.a", p.a)):
         if v is not None and not v > 0.0:
             raise ConfigError(f"{name} must be > 0, got {v!r}")
+    if t.v0_list == ():
+        raise ConfigError("task.v0_list is empty: give at least one V0")
     for name, v in (("potential.v0", p.v0), ("task.n_draws", t.n_draws),
                     *(("task.v0_list entry", v) for v in t.v0_list or ())):
         if v is not None and v < 0:

@@ -14,9 +14,9 @@ constant force F toward x = 0.  An arc leaves x = 0 with |p| = p_plus and
 reaches |x| = x_out with |p| = p_minus, on one side of x = 0 (the bouncer:
 F = m g, x_out = E/F, p_minus = 0) or on both (the closed court: F = V0/a,
 x_out = a, p_minus = sqrt(2m(E - V0)); the infinite well is its F = 0 case,
-p_minus = p_plus).  :class:`ClassicalState` is that arc, with E, F and m on
-it, and the only source of every classical quantity: no potential V(x) is
-evaluated anywhere.
+p_minus = p_plus, and so is closed_court(a, 0), bit for bit).
+:class:`ClassicalState` is that arc, with E, F and m on it, and the only
+source of every classical quantity: no potential V(x) is evaluated anywhere.
 
 All quantities are in scaled units; the default constants are
 hbar = 2m = 1, which is the convention required to reproduce the reference
@@ -136,7 +136,10 @@ class ClassicalState:
 
     @property
     def delta_p(self) -> float:
-        """p_plus - p_minus from p_plus^2 - p_minus^2 = 2 m F x_out, with no cancellation."""
+        """p_plus - p_minus: p_plus itself on an arc that ends at rest, else from
+        p_plus^2 - p_minus^2 = 2 m F x_out, with no cancellation."""
+        if self.p_minus == 0.0:
+            return self.p_plus
         return 2.0 * self.mass * self.force * self.x_out / (self.p_plus + self.p_minus)
 
     @property
@@ -145,16 +148,11 @@ class ClassicalState:
 
 
 def check_energy(spec: PotentialSpec, energy: float) -> None:
-    """Reject energies outside the supported regime."""
+    """Reject energies outside the supported regime: finite E > 0, and E > V0."""
     if not (energy > 0.0 and math.isfinite(energy)):
         raise RegimeError(f"energy must be strictly positive, got {energy}")
-    if spec.kind is PotentialKind.CLOSED_COURT:
-        if spec.v0 == 0.0:
-            raise RegimeError("closed court with v0 = 0 degenerates; use infinite_well")
-        if energy <= spec.v0:
-            raise RegimeError(
-                f"closed court supports only E > V0 (got E={energy}, V0={spec.v0})"
-            )
+    if energy <= spec.v0:
+        raise RegimeError(f"closed court supports only E > V0 (got E={energy}, V0={spec.v0})")
 
 
 def classical_state(spec: PotentialSpec, energy: float) -> ClassicalState:

@@ -246,6 +246,33 @@ def test_momentum_density_infinite_well_rejected():
     assert masses == [(-2.0, 0.5), (2.0, 0.5)]
 
 
+def test_delta_pair_is_the_zero_width_band_of_any_kind():
+    # V0 = 1e-17 leaves p_minus == p_plus: the infinite well's pair, whatever the kind
+    pair = wp.momentum_delta_masses(IW, 10.0)
+    assert wp.momentum_delta_masses(wp.closed_court(a=25.0, v0=1e-17), 10.0) == pair
+    assert wp.momentum_delta_masses(wp.closed_court(a=25.0, v0=0.0), 10.0) == pair
+    for spec, e in [(CC10, 10.066), (BOUNCER, 2.0)]:
+        with pytest.raises(wp.RegimeError, match="has width"):
+            wp.momentum_delta_masses(spec, e)
+
+
+SMALL_UNITS = dict(hbar=1e-15, mass=1e-30)
+
+
+def test_momentum_density_edge_slack_scales_with_the_band():
+    # an absolute 1e-12 slack swamped a band of p_plus = 4.5e-15: every point of
+    # the grid counted as on the band, a mass of 8.70
+    masses = []
+    for spec in (CC10, wp.closed_court(a=25.0, v0=10.0, **SMALL_UNITS)):
+        p_plus = wp.classical_state(spec, 10.066).p_plus
+        grid = np.linspace(-8.0 * p_plus, 8.0 * p_plus, 4001)
+        d = wp.classical_momentum_density(spec, 10.066, grid=grid)
+        assert abs(np.trapezoid(d.values, grid) - 1.0) <= 2e-3
+        assert np.mean(d.values > 0.0) == pytest.approx(0.115, abs=1e-3)
+        masses.append(d.trapezoid_mass())
+    assert masses[1] == pytest.approx(masses[0], rel=1e-12)
+
+
 def test_momentum_density_normalization():
     for spec, e in [(CC10, 10.066), (CC2, 10.105), (BOUNCER, 2.0)]:
         d = wp.classical_momentum_density(spec, e)

@@ -329,6 +329,30 @@ def test_momentum_state_selection_config_errors(tmp_path: Path, args):
     assert not any(tmp_path.iterdir())  # a rejected request writes nothing
 
 
+def test_eigensolve_by_energy_writes_the_listed_level(tmp_path: Path, capsys):
+    # an even-only listing: the nearest level to 10.066 is odd (n = 34), and
+    # was written beside a listing that does not hold it
+    assert cli.main(["eigensolve", "--out", str(tmp_path), *CC10_ARGS,
+                     "--set", "task.parity=even", "--set", "task.energy=10.066"]) == 0
+    energies = read_column(tmp_path / "eigenvalues.csv", "energy")
+    psi = read_column(tmp_path / "wavefunction.csv", "psi")
+    spec = wp.closed_court(a=25.0, v0=10.0)
+    level = next(lv for lv in wp.spectrum(spec, 12.0) if lv.n == 35)
+    assert level.parity == "even" and level.energy == energies[0]
+    assert level.energy == pytest.approx(10.30606, abs=1e-5)
+    state = wp.eigenstate_closed_court(spec, level.energy, "even", n_grid=2001, index=1)
+    assert np.array_equal(psi, state.psi)
+
+
+def test_eigensolve_by_energy_above_the_listing_exits_3(tmp_path: Path, capsys):
+    # e_max = 10.05 lists no level near 10.066; the level at 10.06592 was written
+    out = tmp_path / "out"
+    assert cli.main(["eigensolve", "--out", str(out), *CC10_ARGS,
+                     "--set", "task.e_max=10.05", "--set", "task.energy=10.066"]) == 3
+    assert capsys.readouterr().err.startswith("error: numerical: no listed level")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("args", [IW_ARGS, CC10_ARGS], ids=["infinite-well", "closed-court"])
 def test_eigensolve_listing_without_state(tmp_path: Path, args):
     cp = run_cli("eigensolve", "--out", str(tmp_path), *args, "--set", "task.e_max=1")
@@ -847,11 +871,12 @@ def test_each_error_category_has_its_label_and_exit_code(tmp_path: Path, capsys,
      "sweep runs the closed court only"),
     (("sweep", "--set", "task.v0_list=10", "--set", "potential.v0=3"),
      "sweep takes V0 from task.v0_list"),
+    (("sweep", "--set", "task.v0_list="), "task.v0_list is empty"),
 ], ids=["sweep-v0_list-negative", "sweep-a-negative", "classical-a-zero",
         "classical-v0-negative", "bounce-sim-seed-negative", "bounce-sim-seed-2^128",
         "bounce-sim-n_draws-negative", "classical-n_draws-negative",
         "classical-infinite-well-v0", "classical-bouncer-v0", "classical-bouncer-a",
-        "sweep-bouncer", "sweep-v0"])
+        "sweep-bouncer", "sweep-v0", "sweep-v0_list-empty"])
 def test_out_of_range_values_exit_2_as_config_errors(tmp_path: Path, args, message):
     # these were ValueError tracebacks (exit 1), or a negative n_draws read as
     # "no draws" by classical and as 1000 draws by bounce-sim, or a v0 that
@@ -887,3 +912,53 @@ def test_classical_closed_court_near_the_infinite_well(tmp_path: Path):
     # the rounded band edges, gave it a mass of 1.0027
     mass = sum(np.trapezoid(p_density[band], p[band]) for band in (p < 0.0, p > 0.0))
     assert abs(mass - 1.0) <= 1e-12, mass
+
+
+# ---------------------------------------------------------------------------
+# the arc decides: a zero-width band is the delta pair, whatever the kind
+
+_CLASSICAL_FILES = ("task.n_bins=20", "task.n_draws=500")
+
+
+def _classical_bytes(out: Path, *sets: str) -> dict:
+    argv = ["classical", "--out", str(out)]
+    for s in sets:
+        argv += ["--set", s]
+    assert cli.main(argv) == 0
+    return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+
+def test_classical_closed_court_at_v0_0_is_the_infinite_well(tmp_path: Path, capsys):
+    # V0 = 0 was refused as "degenerate" (exit 2); its arc is the infinite well's
+    court = _classical_bytes(tmp_path / "court", "potential.kind=closed_court", "potential.a=25",
+                             "potential.v0=0", "task.energy=4", *_CLASSICAL_FILES)
+    well = _classical_bytes(tmp_path / "well", "potential.kind=infinite_well", "potential.a=25",
+                            "task.energy=4", *_CLASSICAL_FILES)
+    assert "classical_momentum_delta.csv" in court
+    assert court == well
+
+
+def test_classical_closed_court_below_rounding_writes_the_delta_pair(tmp_path: Path, capsys):
+    # V0 = 1e-17 leaves p_minus == p_plus at E = 10: "the momentum band has zero width", exit 2
+    court = _classical_bytes(tmp_path / "court", "potential.kind=closed_court", "potential.a=25",
+                             "potential.v0=1e-17", "task.energy=10")
+    well = _classical_bytes(tmp_path / "well", "potential.kind=infinite_well", "potential.a=25",
+                            "task.energy=10")
+    assert "classical_momentum.csv" not in court
+    assert court["classical_momentum_delta.csv"] == well["classical_momentum_delta.csv"]
+
+
+def test_momentum_overlay_in_small_units_is_the_band(tmp_path: Path, capsys):
+    # p_plus = 4.5e-15: an absolute 1e-12 slack put all 4001 momenta on the band, mass 8.68
+    assert cli.main(["momentum", "--out", str(tmp_path), *CC10_KIND, "--set", "task.energy=10.066",
+                     "--set", "constants.hbar=1e-15", "--set", "constants.mass=1e-30"]) == 0
+    p, overlay = (read_column(tmp_path / "momentum_wavefunction.csv", name)
+                  for name in ("p", "classical_density"))
+    energy = float(dict(read_csv(tmp_path / "momentum_meta.csv")[1])["energy"])
+    arc = wp.classical_state(wp.closed_court(a=25.0, v0=10.0, hbar=1e-15, mass=1e-30), energy)
+    # the grid spans +-8 p_plus, so one node sits within rounding of each edge p_plus
+    slack = 1e-12 * arc.p_plus
+    band = (np.abs(p) >= arc.p_minus - slack) & (np.abs(p) <= arc.p_plus + slack)
+    assert np.array_equal(overlay > 0.0, band) and np.mean(band) == pytest.approx(0.115, abs=1e-3)
+    # the trapezoid misses at most half a cell of the plateau at each of the four edges
+    assert abs(np.trapezoid(overlay, p) - 1.0) <= 2.0 * (p[1] - p[0]) * overlay.max()

@@ -190,6 +190,8 @@ def test_output_format_is_an_unknown_key():
     ("task.n_draws=-1", "task.n_draws must be >= 0"),
     ("task.seed=-3", "task.seed must be in"),
     (f"task.seed={2 ** 128}", "task.seed must be in"),
+    ("task.v0_list=", "task.v0_list is empty"),  # swept the default 10, 6, 2 without a word
+    ("task.v0_list= , ", "task.v0_list is empty"),
 ])
 def test_out_of_range_values_are_config_errors(item, key):
     with pytest.raises(wp.ConfigError, match=key):

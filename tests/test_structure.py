@@ -95,6 +95,14 @@ def test_every_task_option_is_read_by_the_cli():
     assert not unread, f"TaskOptions fields no command reads: {sorted(unread)}"
 
 
+def test_classical_layer_never_reads_the_potential_kind():
+    # the arc decides band or delta pair and scales each edge test; the kind only builds it
+    tree = ast.parse(Path(wp.classical.__file__).read_text(encoding="utf-8"))
+    names = {getattr(node, field) for node in ast.walk(tree)
+             for field in ("id", "attr", "name") if isinstance(getattr(node, field, None), str)}
+    assert "PotentialKind" not in names and "kind" not in names
+
+
 def _names_used_in_src() -> set[str]:
     """Names read anywhere in the package, except inside the top-level def or
     class that defines the name itself."""

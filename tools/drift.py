@@ -60,6 +60,10 @@ MATRIX = {
     # V0 = 0.01: zeta at the origin near 3e3, the approach to the infinite well
     "eigensolve-25-0.01": ("eigensolve", (*_CC, "potential.a=25", "potential.v0=0.01",
                                           "task.e_max=11", "task.energy=10")),
+    # an even-only listing: the state is the listed even level nearest E, not the odd n = 34
+    "eigensolve-25-10-even-by-energy": ("eigensolve", (*_CC, "potential.a=25", "potential.v0=10",
+                                                       "task.e_max=12", "task.parity=even",
+                                                       "task.energy=10.066")),
     "eigensolve-infinite-well": ("eigensolve", (*_IW, "task.index=3", "task.parity=odd")),
     # a = 3.7: nodes from linspace(-a, a, 101) put the centre at 4.4e-16, not 0
     "eigensolve-infinite-well-3.7": ("eigensolve", ("potential.kind=infinite_well",
@@ -83,11 +87,21 @@ MATRIX = {
     "momentum-25-0.001": ("momentum", (*_CC, "potential.a=25", "potential.v0=0.001",
                                        "task.energy=10")),
     "momentum-infinite-well": ("momentum", (*_IW, "task.index=3", "task.parity=even")),
+    # p_plus = 4.5e-15: the band's edge tests in the arc's own units
+    "momentum-small-units": ("momentum", (*_CC, "potential.a=25", "potential.v0=10",
+                                          "task.energy=10.066", "constants.hbar=1e-15",
+                                          "constants.mass=1e-30")),
     "classical-bouncer": ("classical", ("potential.kind=bouncer", "task.energy=2",
                                         *_HISTOGRAMS)),
     "classical-infinite-well": ("classical", (*_IW, "task.energy=4", *_HISTOGRAMS)),
     "classical-closed-court": ("classical", (*_CC, "potential.a=25", "potential.v0=10",
                                              "task.energy=10.5", *_HISTOGRAMS)),
+    # V0 = 0: the infinite well's arc; V0 = 1e-17 at E = 10: a band of zero width
+    "classical-closed-court-v0-0": ("classical", (*_CC, "potential.a=25", "potential.v0=0",
+                                                  "task.energy=4", *_HISTOGRAMS)),
+    "classical-closed-court-below-rounding": ("classical", (*_CC, "potential.a=25",
+                                                            "potential.v0=1e-17",
+                                                            "task.energy=10", *_HISTOGRAMS)),
     # E just above V0: P(x) peaks at the walls, where E - F |x| cancels
     "classical-closed-court-near-v0": ("classical", (*_CC, "potential.a=25", "potential.v0=10",
                                                      "task.energy=10.000001", *_HISTOGRAMS)),
